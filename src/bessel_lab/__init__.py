@@ -8,8 +8,8 @@ exact bridge samplers, and a spectral simulator for the weak 2-dimensional
 dynamics.
 """
 
-from .core import (BridgeSpec, ExpFunctional, FiniteMeasure, GridMesh, Path,
-                   TestFunctionC2c, bump, poly_bump)
+from .core import (BridgeSpec, ExpFunctional, FiniteMeasure, TestFunctionC2c,
+                   bump, poly_bump)
 from .ibpf import IbpfCase, VerifyReport, rel_err, rhs_ibpf, verify
 from .laplace_sigma import (SigmaContext, sigma_bridge, sigma_uncond, zeta,
                             zeta_second_deriv)
@@ -20,11 +20,11 @@ from .spde import run_decomposition, stationary_field
 from .specfun import besq_density_reg, bridge_density, p_delta_t, q_delta_t
 from .sturm_liouville import solve_sl
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
-    "BridgeSpec", "ExpFunctional", "FiniteMeasure", "GridMesh", "Path",
-    "TestFunctionC2c", "bump", "poly_bump",
+    "BridgeSpec", "ExpFunctional", "FiniteMeasure", "TestFunctionC2c",
+    "bump", "poly_bump",
     "IbpfCase", "VerifyReport", "rel_err", "rhs_ibpf", "verify",
     "SigmaContext", "sigma_bridge", "sigma_uncond", "zeta",
     "zeta_second_deriv",

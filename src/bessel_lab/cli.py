@@ -86,14 +86,18 @@ def _parse_phi(terms):
         raise ConfigError(f"bad functional term: {exc}") from exc
 
 
-def _parse_case(d, default_tol=None):
+def _parse_spec(d):
     try:
-        spec = BridgeSpec(float(d["delta"]), float(d.get("a", 0.0)),
+        return BridgeSpec(float(d["delta"]), float(d.get("a", 0.0)),
                           float(d.get("ap", 0.0)))
     except KeyError as exc:
-        raise ConfigError(f"case missing field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad case spec: {exc}") from exc
+        raise ConfigError(f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad bridge spec: {exc}") from exc
+
+
+def _parse_case(d, default_tol=None):
+    spec = _parse_spec(d)
     tol = float(d.get("tol", default_tol if default_tol is not None else 1e-5))
     if tol <= 0:
         raise ConfigError("tolerance must be positive")
@@ -240,8 +244,7 @@ def cmd_sl_solve(args):
 def cmd_sigma(args):
     config = _load_json(args.config)
     m = _measure_from_config(config)
-    spec = BridgeSpec(float(config["delta"]), float(config.get("a", 0.0)),
-                      float(config.get("ap", 0.0)))
+    spec = _parse_spec(config)
     mode = config.get("mode", "bridge")
     if mode not in ("bridge", "unconstrained"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -256,28 +259,25 @@ def cmd_sigma(args):
 
 def _verify_descriptor(payload):
     """Worker entry for parallel case execution (takes JSON-able data)."""
-    case_d, mc_n, seed, stream = payload
-    case = _parse_case(case_d)
+    case_d, default_tol, mc_n, seed, stream = payload
+    case = _parse_case(case_d, default_tol)
     rng = RngStream(seed, stream) if mc_n > 0 else None
     return verify(case, mc_n=mc_n, rng=rng)
 
 
 def cmd_ibpf_check(args):
     config = _load_json(args.config)
-    cases = _parse_cases(config, default_tol=args.tol)
+    _parse_cases(config, default_tol=args.tol)  # reject a bad config early
     mc_n = args.mc if args.mc is not None else int(config.get("mc", 0))
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     jobs = _jobs(args)
     raw = config.get("cases", [])
-    payloads = [(d, mc_n, seed, i) for i, d in enumerate(raw)]
+    payloads = [(d, args.tol, mc_n, seed, i) for i, d in enumerate(raw)]
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_verify_descriptor, payloads))
     else:
         reports = [_verify_descriptor(p) for p in payloads]
-    # re-apply ids/tolerances from the parsed (deduplicated) case list
-    for rep, case in zip(reports, cases):
-        rep.case_id = case.case_id
     _write_reports(reports, args.out)
     ok = all(r.to_json_dict()["pass"] for r in reports)
     return 0 if ok else 1

@@ -1,91 +1,37 @@
-"""Shared model types: meshes, paths, measures, test functions, functionals.
+"""Shared model types: measures, test functions, functionals, pairings.
 
 These are the vocabulary types used throughout the laboratory:
 
-* :class:`GridMesh` / :class:`Path` -- uniform time grids on [0, 1] and
-  piecewise-linear sample paths over them;
 * :class:`FiniteMeasure` -- a finite non-negative measure on [0, 1] given by
   point atoms plus a piecewise-polynomial density, with a JSON round trip;
 * :class:`TestFunctionC2c` -- C^2 test functions of compact support in (0, 1)
   with analytic first and second derivatives;
 * :class:`ExpFunctional` -- linear combinations of exponential functionals
   ``X -> sum_i c_i exp(-<m_i, X^2>)``;
-* :class:`BridgeSpec` -- dimension and boundary data of a Bessel bridge.
+* :class:`BridgeSpec` -- dimension and boundary data of a Bessel bridge;
+* :func:`pairing_weights` / :func:`pair_paths` -- the pairings
+  ``<m, X^2>`` and ``<m, h X>`` of a measure with sampled paths, read as
+  piecewise linear between samples.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "GridMesh",
-    "Path",
     "FiniteMeasure",
     "TestFunctionC2c",
     "bump",
     "poly_bump",
     "ExpFunctional",
     "BridgeSpec",
-    "pair_m_x2",
-    "pair_m_hx",
-    "eval_phi",
-    "dir_deriv_phi",
+    "hat_weights",
+    "pairing_weights",
+    "pair_paths",
 ]
-
-
-@dataclass(frozen=True)
-class GridMesh:
-    """Uniform mesh 0 = r_0 < ... < r_{n-1} = 1 with n points."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("mesh needs at least two points")
-
-    @property
-    def points(self):
-        return np.linspace(0.0, 1.0, self.n)
-
-    @property
-    def spacing(self):
-        return 1.0 / (self.n - 1)
-
-
-@dataclass
-class Path:
-    """A sampled path on [0, 1]: times (sorted, spanning [0, 1]) and values.
-
-    Between samples the path is interpreted as piecewise linear.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.times.shape != self.values.shape or self.times.ndim != 1:
-            raise ValueError("times and values must be matching 1-d arrays")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-    def value_at(self, t):
-        return np.interp(t, self.times, self.values)
-
-    def to_csv(self, path_or_file):
-        arr = np.column_stack([self.times, self.values])
-        np.savetxt(path_or_file, arr, delimiter=",", header="r,value",
-                   comments="", fmt="%.17g")
-
-    @classmethod
-    def from_csv(cls, path_or_file):
-        arr = np.loadtxt(path_or_file, delimiter=",", skiprows=1, ndmin=2)
-        return cls(arr[:, 0], arr[:, 1])
 
 
 @dataclass
@@ -303,57 +249,55 @@ class BridgeSpec:
             raise ValueError("boundary values must be >= 0")
 
 
-def _trapz_weights(times):
-    dt = np.diff(times)
+def hat_weights(times, g, order=8):
+    """Weights w_j = int g(r) Lambda_j(r) dr against the hat functions of
+    the grid, exact for the piecewise-linear interpolant of the path."""
+    times = np.asarray(times, dtype=float)
+    nodes, wq = np.polynomial.legendre.leggauss(order)
+    lo, hi = times[:-1], times[1:]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    rr = mid[:, None] + half[:, None] * nodes[None, :]  # (nint, order)
+    gv = np.asarray(g(rr.ravel()), dtype=float).reshape(rr.shape)
+    lam_right = (rr - lo[:, None]) / (hi - lo)[:, None]
+    wl = np.sum(gv * (1.0 - lam_right) * wq[None, :], axis=1) * half
+    wr = np.sum(gv * lam_right * wq[None, :], axis=1) * half
     w = np.zeros(len(times))
-    w[:-1] += 0.5 * dt
-    w[1:] += 0.5 * dt
+    w[:-1] += wl
+    w[1:] += wr
     return w
 
 
-def pair_m_x2(m, path, mesh_warn_tol=1e-12):
-    """Pairing ``<m, X^2>`` of a measure with the squared path.
+def pairing_weights(m, h, times):
+    """Set-up of the pairings ``<m, X^2>`` and ``<m, h X>`` for paths
+    sampled at ``times``.
 
-    Atoms are evaluated by interpolation of the path; if an atom does not
-    sit on a sample time a warning is emitted (the value is then biased at
-    order of the local mesh width).  The density part uses the trapezoidal
-    rule on the path's own sample times.
+    Returns ``(atoms, w_m, w_hm)``: each atom of ``m`` as ``(index, weight,
+    h(t))`` with the index of the sample time nearest ``t`` (exact when the
+    atoms are sample times), and the hat weights of the densities ``m`` and
+    ``h m`` (both None when ``m`` has no density part).
     """
-    total = 0.0
-    for t, w in m.atoms:
-        if np.min(np.abs(path.times - t)) > mesh_warn_tol:
-            warnings.warn(
-                f"atom at t={t} is not a sample time of the path; "
-                "pairing uses linear interpolation", stacklevel=2)
-        total += w * float(path.value_at(t)) ** 2
-    if m.pieces:
-        dens = m.density_at(path.times)
-        total += float(np.sum(_trapz_weights(path.times)
-                              * dens * path.values**2))
-    return total
+    atoms = [(int(np.argmin(np.abs(times - t))), w, float(h(t)))
+             for t, w in m.atoms]
+    if not m.pieces:
+        return atoms, None, None
+    w_m = hat_weights(times, m.density_at)
+    w_hm = hat_weights(
+        times, lambda r: np.asarray(h(r)) * np.asarray(m.density_at(r)))
+    return atoms, w_m, w_hm
 
 
-def pair_m_hx(m, h, path):
-    """Pairing ``<m, h X>`` used by directional derivatives of functionals."""
-    total = 0.0
-    for t, w in m.atoms:
-        total += w * float(h(t)) * float(path.value_at(t))
-    if m.pieces:
-        dens = m.density_at(path.times)
-        total += float(np.sum(_trapz_weights(path.times)
-                              * dens * h(path.times) * path.values))
-    return total
-
-
-def eval_phi(phi, path):
-    """Evaluate ``Phi(X) = sum_i c_i exp(-<m_i, X^2>)`` on a sampled path."""
-    return sum(c * np.exp(-pair_m_x2(m, path)) for c, m in phi.terms)
-
-
-def dir_deriv_phi(phi, path, h):
-    """Directional derivative ``d/deps Phi(X + eps h)`` at ``eps = 0``:
-
-        sum_i c_i * (-2 <m_i, h X>) * exp(-<m_i, X^2>).
-    """
-    return sum(c * (-2.0 * pair_m_hx(m, h, path)) * np.exp(-pair_m_x2(m, path))
-               for c, m in phi.terms)
+def pair_paths(weights, paths):
+    """``(<m, X^2>, <m, h X>)`` for each row of ``paths``, given the
+    :func:`pairing_weights` of ``m`` and ``h`` on the paths' sample times."""
+    atoms, w_m, w_hm = weights
+    x2 = paths**2
+    pair_x2 = np.zeros(len(paths))
+    pair_hx = np.zeros(len(paths))
+    for idx, w, hval in atoms:
+        pair_x2 += w * x2[:, idx]
+        pair_hx += w * hval * paths[:, idx]
+    if w_m is not None:
+        pair_x2 += x2 @ w_m
+        pair_hx += paths @ w_hm
+    return pair_x2, pair_hx

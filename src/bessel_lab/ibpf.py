@@ -42,24 +42,28 @@ precision there.  Working in ``s = b^2``, the integral splits into
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .core import BridgeSpec, ExpFunctional, TestFunctionC2c
-from .laplace_sigma import SigmaContext, zeta_second_deriv
+from .core import (BridgeSpec, ExpFunctional, TestFunctionC2c, hat_weights,
+                   pair_paths, pairing_weights)
+from .laplace_sigma import (SERIES_ORDER, SigmaContext, sigma_s,
+                            sigma_s_series, zeta_second_deriv)
 from .mu_dist import SmoothTestFn, mu_pair
-from .quadrature import adaptive_gl, decay_cutoff, fixed_gl
+from .quadrature import adaptive_gl, decay_cutoff
 from .samplers import bessel_bridge_general, mc_estimate
-from .specfun import besq_density_reg_ytaylor, p_delta_t
+from .specfun import p_delta_t
 
 __all__ = [
     "IbpfCase",
     "VerifyReport",
     "rel_err",
-    "sigma_s_series",
     "lhs_uncond_analytic",
     "lhs_bridge_analytic",
     "lhs_mc",
@@ -67,9 +71,6 @@ __all__ = [
     "gamma_3",
     "verify",
 ]
-
-#: Number of s-Taylor coefficients of Sigma carried by the series pieces.
-_SERIES_ORDER = 14
 
 #: Guard band around delta = 2 inside which the unified evaluator refuses
 #: to run (the 1/(delta-2) pole is only removable analytically).
@@ -94,9 +95,16 @@ class IbpfCase:
         if self.mode not in ("bridge", "unconstrained"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not self.case_id:
+            # The digest tells apart cases that differ only in Phi or tol,
+            # or in digits that the %g fields below round away.
             s = self.spec
+            key = json.dumps(
+                {"spec": [s.delta, s.a, s.ap], "theta": self.h.theta,
+                 "phi": [[c, m.to_json_dict()] for c, m in self.phi.terms],
+                 "tol": self.tol}, sort_keys=True)
+            digest = hashlib.sha256(key.encode()).hexdigest()[:8]
             self.case_id = (f"d{s.delta:g}_a{s.a:g}_ap{s.ap:g}_{self.mode}"
-                            f"_{self.h.label}")
+                            f"_{self.h.label}_{digest}")
 
 
 @dataclass
@@ -132,43 +140,6 @@ def rel_err(lhs, rhs):
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
-# ---------------------------------------------------------------------------
-# Exact Taylor data of Sigma in s = b^2 at the origin.
-# ---------------------------------------------------------------------------
-
-def sigma_s_series(ctx, r, bridge=True, order=_SERIES_ORDER):
-    """Taylor coefficients ``c_j`` of ``s -> Sigma(Phi | sqrt(s))`` at 0.
-
-    Exact (up to rounding): obtained from the y-Taylor series of the
-    regularised squared Bessel kernel, convolved for the bridge where Sigma
-    is a product of two kernels in the same variable.
-    """
-    d, a, ap = ctx.spec.delta, ctx.spec.a, ctx.spec.ap
-    sol = ctx.sol
-    phr = float(sol.phi(r))
-    rr = float(sol.rho(r))
-    if bridge:
-        r1, ph1 = sol.rho1, sol.phi1
-        av = besq_density_reg_ytaylor(d, rr, a**2, order)
-        bv = besq_density_reg_ytaylor(d, r1 - rr, (ap / ph1) ** 2, order)
-        conv = np.convolve(av, bv)[: order + 1]
-        from .specfun import besq_density_reg
-        den = besq_density_reg(d, 1.0, a**2, ap**2)
-        pref = (2.0 * math.exp(a**2 * sol.phi_prime0 / 2.0)
-                * ph1 ** (-d / 2.0) * phr ** (-d)) / den
-        coeffs = pref * conv
-    else:
-        av = besq_density_reg_ytaylor(d, rr, a**2, order)
-        coeffs = 2.0 * ctx.K * phr ** (-d) * av
-    # account for z = s / phr^2
-    return coeffs * phr ** (-2.0 * np.arange(order + 1))
-
-
-def _sigma_of_s(ctx, r, s, bridge):
-    from .laplace_sigma import _sigma_bridge_s, _sigma_uncond_s
-    return _sigma_bridge_s(ctx, r, s) if bridge else _sigma_uncond_s(ctx, r, s)
-
-
 def _s_scales(ctx, r, bridge):
     """(series scale, decay scale) of Sigma as a function of s."""
     sol = ctx.sol
@@ -186,7 +157,7 @@ def _s_scales(ctx, r, bridge):
     return series_scale, decay_scale
 
 
-def fp_s_integral(ctx, r, p, ksub, bridge=True, order=_SERIES_ORDER):
+def fp_s_integral(ctx, r, p, ksub, bridge=True, order=SERIES_ORDER):
     """``int_0^inf s^p [Sigma(s) - sum_{j<ksub} c_j s^j] ds``.
 
     Requires p + ksub + 1 > 0 (integrable at 0 after subtraction) and
@@ -208,14 +179,14 @@ def fp_s_integral(ctx, r, p, ksub, bridge=True, order=_SERIES_ORDER):
     # [s0, S]: direct quadrature with explicit subtraction.
     def f(s):
         s = np.asarray(s, dtype=float)
-        sig = np.asarray(_sigma_of_s(ctx, r, s, bridge), dtype=float)
+        sig = np.asarray(sigma_s(ctx, r, s, bridge), dtype=float)
         for j in range(ksub):
             sig = sig - c[j] * s**j
         return s**p * sig
 
     def probe(s):
         s = np.asarray(s, dtype=float)
-        return s**p * np.asarray(_sigma_of_s(ctx, r, s, bridge), dtype=float)
+        return s**p * np.asarray(sigma_s(ctx, r, s, bridge), dtype=float)
 
     big_s = decay_cutoff(probe, s0, decay_scale, probes=100)
     mid = adaptive_gl(f, s0, big_s, rtol=1e-10,
@@ -246,7 +217,7 @@ def decay_exponent(ctx, r, ksub, bridge=True):
     vals = []
     for bb in b:
         s = bb * bb
-        sig = float(_sigma_of_s(ctx, r, s, bridge))
+        sig = float(sigma_s(ctx, r, s, bridge))
         for j in range(ksub):
             sig -= c[j] * s**j
         vals.append(abs(sig) + 1e-300)
@@ -349,7 +320,7 @@ def _rhs_unified(case, bridge):
             dz[::2] = c * fac  # even b-derivatives from s-coefficients
             fn = SmoothTestFn(
                 [lambda b, ctx=ctx, r=r: np.asarray(
-                    _sigma_of_s(ctx, r, np.asarray(b, float) ** 2, bridge))],
+                    sigma_s(ctx, r, np.asarray(b, float) ** 2, bridge))],
                 derivs_at_zero=dz, label="Sigma")
             return h(r) * mu_pair(alpha, fn)
 
@@ -435,25 +406,6 @@ def lhs_bridge_analytic(case):
 # Monte Carlo left-hand side.
 # ---------------------------------------------------------------------------
 
-def _hat_weights(times, g, order=8):
-    """Weights w_j = int g(r) Lambda_j(r) dr against the hat functions of
-    the grid, exact for the piecewise-linear interpolant of the path."""
-    times = np.asarray(times, dtype=float)
-    nodes, wq = np.polynomial.legendre.leggauss(order)
-    lo, hi = times[:-1], times[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    rr = mid[:, None] + half[:, None] * nodes[None, :]  # (nint, order)
-    gv = np.asarray(g(rr.ravel()), dtype=float).reshape(rr.shape)
-    lam_right = (rr - lo[:, None]) / (hi - lo)[:, None]
-    wl = np.sum(gv * (1.0 - lam_right) * wq[None, :], axis=1) * half
-    wr = np.sum(gv * lam_right * wq[None, :], axis=1) * half
-    w = np.zeros(len(times))
-    w[:-1] += wl
-    w[1:] += wr
-    return w
-
-
 def mc_times(case, mesh_n=513):
     """Sample times: uniform mesh augmented with the atom locations of every
     measure in the functional (so atom pairings are exact, not interpolated)."""
@@ -471,34 +423,16 @@ def lhs_mc(case, n, rng, mesh_n=513):
     spec = case.spec
     h = case.h
     times = mc_times(case, mesh_n)
-    w_h2 = _hat_weights(times, h.d2)
-
-    prepared = []
-    for coef, m in case.phi.terms:
-        atom_idx = [(int(np.argmin(np.abs(times - t))), w, float(h(t)))
-                    for t, w in m.atoms]
-        if m.pieces:
-            w_m = _hat_weights(times, m.density_at)
-            w_hm = _hat_weights(
-                times, lambda r: np.asarray(h(r)) * np.asarray(m.density_at(r)))
-        else:
-            w_m = w_hm = None
-        prepared.append((coef, atom_idx, w_m, w_hm))
+    w_h2 = hat_weights(times, h.d2)
+    prepared = [(coef, pairing_weights(m, h, times))
+                for coef, m in case.phi.terms]
 
     def sample_values(count, stream):
         paths = bessel_bridge_general(spec.delta, spec.a, spec.ap,
                                       times, stream, size=count)
-        x2 = paths**2
         acc = np.zeros(count)
-        for coef, atom_idx, w_m, w_hm in prepared:
-            pair_x2 = np.zeros(count)
-            pair_hx = np.zeros(count)
-            for idx, w, hval in atom_idx:
-                pair_x2 += w * x2[:, idx]
-                pair_hx += w * hval * paths[:, idx]
-            if w_m is not None:
-                pair_x2 += x2 @ w_m
-                pair_hx += paths @ w_hm
+        for coef, weights in prepared:
+            pair_x2, pair_hx = pair_paths(weights, paths)
             acc += coef * (paths @ w_h2 - 2.0 * pair_hx) * np.exp(-pair_x2)
         return acc
 
@@ -515,7 +449,6 @@ def verify(case, mc_n=0, rng=None, route="branch"):
     ``mc_n > 0`` adds a Monte Carlo left-hand side (bridge mode only) with
     the pass rule |lhs_mc - rhs| <= 3 stderr.
     """
-    import time
     t0 = time.time()
     rhs = rhs_ibpf(case, route=route)
     if case.mode == "bridge":

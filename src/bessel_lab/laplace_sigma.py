@@ -20,7 +20,8 @@ bridge ``a -> ap`` over [0, 1]:
       / q_reg(delta, 1,              a^2,          ap^2).
 
 Both expressions are smooth functions of ``s = b^2`` down to (and slightly
-past) ``s = 0``, which is what the finite-part machinery differentiates.
+past) ``s = 0``, which is what the finite-part machinery differentiates;
+:func:`sigma_s_series` gives their exact Taylor coefficients there.
 
 The module also provides the mean ``zeta(t) = E[X_t]`` of the Bessel process
 started at ``a`` and its second time-derivative, computed either by
@@ -38,7 +39,7 @@ from scipy import integrate, special
 
 from .core import BridgeSpec, FiniteMeasure
 from .mu_dist import SmoothTestFn, mu_pair
-from .quadrature import adaptive_gl, decay_cutoff
+from .quadrature import decay_cutoff
 from .specfun import besq_density_reg, besq_density_reg_ytaylor
 from .sturm_liouville import solve_sl
 
@@ -46,7 +47,8 @@ __all__ = [
     "SigmaContext",
     "sigma_uncond",
     "sigma_bridge",
-    "sigma_value_at_zero",
+    "sigma_s",
+    "sigma_s_series",
     "sigma_ds_at_zero",
     "zeta",
     "zeta_second_deriv",
@@ -55,10 +57,14 @@ __all__ = [
 #: Step sizes (in s = b^2) for the Richardson derivative at the origin.
 _DS_STEPS = (1e-3, 5e-4, 2.5e-4)
 
+#: Number of s-Taylor coefficients of Sigma carried by the series pieces.
+SERIES_ORDER = 14
+
 
 @dataclass
 class SigmaContext:
-    """A bridge/process specification paired with one measure's transform."""
+    """A bridge/process specification paired with one measure's transform,
+    with the constants of Sigma that do not depend on ``r`` or ``s``."""
 
     spec: BridgeSpec
     m: FiniteMeasure
@@ -67,20 +73,17 @@ class SigmaContext:
     def __post_init__(self):
         if self.sol is None:
             self.sol = solve_sl(self.m)
-
-    @property
-    def K(self):
-        """Normalisation ``exp(a^2 phi'(0)/2) phi(1)^{delta/2}`` (1 for m = 0)."""
-        s = self.sol
-        return math.exp(self.spec.a**2 * s.phi_prime0 / 2.0) \
-            * s.phi1 ** (self.spec.delta / 2.0)
-
-
-def _reg_from(delta, t, x, y):
-    """Regularised kernel with the (possibly slightly negative) extension
-    argument in the first space slot.  The regularised kernel is symmetric
-    in its two space arguments, so swap them to reuse the y-extension."""
-    return besq_density_reg(delta, t, y, x)
+        d, a, ap = self.spec.delta, self.spec.a, self.spec.ap
+        sol = self.sol
+        #: Normalisation ``exp(a^2 phi'(0)/2) phi(1)^{delta/2}`` (1 for m = 0).
+        self.K = math.exp(a**2 * sol.phi_prime0 / 2.0) * sol.phi1 ** (d / 2.0)
+        #: Bridge prefactor ``2 exp(a^2 phi'(0)/2) phi(1)^{-delta/2}``.
+        self.bridge_pref = (2.0 * math.exp(a**2 * sol.phi_prime0 / 2.0)
+                            * sol.phi1 ** (-d / 2.0))
+        #: Bridge denominator ``q_reg(delta, 1, a^2, ap^2)``.
+        self.bridge_den = besq_density_reg(d, 1.0, a**2, ap**2)
+        #: End point ``ap^2 / phi(1)^2`` of the second bridge kernel.
+        self.end_z = ap**2 / sol.phi1**2
 
 
 def _sigma_uncond_s(ctx, r, s):
@@ -93,20 +96,49 @@ def _sigma_uncond_s(ctx, r, s):
 
 
 def _sigma_bridge_s(ctx, r, s):
-    """Bridge Sigma as a function of s = b^2 (s may be slightly < 0)."""
+    """Bridge Sigma as a function of s = b^2 (s may be slightly < 0).
+
+    The second kernel takes ``z`` in its second space slot: the regularised
+    kernel is symmetric in its space arguments, and only the second slot
+    extends to negative values."""
+    d, a = ctx.spec.delta, ctx.spec.a
+    sol = ctx.sol
+    phr = float(sol.phi(r))
+    rr = float(sol.rho(r))
+    z = np.asarray(s, dtype=float) / phr**2
+    pref = ctx.bridge_pref * phr ** (-d)
+    num = (besq_density_reg(d, rr, a**2, z)
+           * besq_density_reg(d, sol.rho1 - rr, ctx.end_z, z))
+    return pref * num / ctx.bridge_den
+
+
+def sigma_s(ctx, r, s, bridge):
+    """Bridge (``bridge=True``) or unconditioned Sigma as a function of
+    ``s = b^2``."""
+    return _sigma_bridge_s(ctx, r, s) if bridge else _sigma_uncond_s(ctx, r, s)
+
+
+def sigma_s_series(ctx, r, bridge=True, order=SERIES_ORDER):
+    """Taylor coefficients ``c_j`` of ``s -> Sigma(Phi | sqrt(s))`` at 0.
+
+    Exact (up to rounding): obtained from the y-Taylor series of the
+    regularised squared Bessel kernel, convolved for the bridge where Sigma
+    is a product of two kernels in the same variable.
+    """
     d, a, ap = ctx.spec.delta, ctx.spec.a, ctx.spec.ap
     sol = ctx.sol
     phr = float(sol.phi(r))
     rr = float(sol.rho(r))
-    r1 = sol.rho1
-    ph1 = sol.phi1
-    z = np.asarray(s, dtype=float) / phr**2
-    pref = (2.0 * math.exp(a**2 * sol.phi_prime0 / 2.0)
-            * ph1 ** (-d / 2.0) * phr ** (-d))
-    num = (besq_density_reg(d, rr, a**2, z)
-           * _reg_from(d, r1 - rr, z, ap**2 / ph1**2))
-    den = besq_density_reg(d, 1.0, a**2, ap**2)
-    return pref * num / den
+    av = besq_density_reg_ytaylor(d, rr, a**2, order)
+    if bridge:
+        bv = besq_density_reg_ytaylor(d, sol.rho1 - rr, (ap / sol.phi1) ** 2,
+                                      order)
+        conv = np.convolve(av, bv)[: order + 1]
+        coeffs = ctx.bridge_pref * phr ** (-d) / ctx.bridge_den * conv
+    else:
+        coeffs = 2.0 * ctx.K * phr ** (-d) * av
+    # account for z = s / phr^2
+    return coeffs * phr ** (-2.0 * np.arange(order + 1))
 
 
 def sigma_uncond(ctx, r, b):
@@ -121,15 +153,6 @@ def sigma_bridge(ctx, r, b):
     return _sigma_bridge_s(ctx, r, b**2)
 
 
-def _sigma_s(ctx, r, s, bridge):
-    return _sigma_bridge_s(ctx, r, s) if bridge else _sigma_uncond_s(ctx, r, s)
-
-
-def sigma_value_at_zero(ctx, r, bridge=True):
-    """``Sigma(Phi | 0)``, the value at ``b = 0``."""
-    return float(_sigma_s(ctx, r, 0.0, bridge))
-
-
 def sigma_ds_at_zero(ctx, r, bridge=True):
     """``d/ds Sigma(Phi | sqrt(s))`` at ``s = 0``.
 
@@ -138,8 +161,8 @@ def sigma_ds_at_zero(ctx, r, bridge=True):
     """
     ests = []
     for h in _DS_STEPS:
-        up = float(_sigma_s(ctx, r, +h, bridge))
-        dn = float(_sigma_s(ctx, r, -h, bridge))
+        up = float(sigma_s(ctx, r, +h, bridge))
+        dn = float(sigma_s(ctx, r, -h, bridge))
         ests.append((up - dn) / (2.0 * h))
     # steps halve: two Richardson levels for the O(h^2) central difference
     r1 = [(4.0 * ests[i + 1] - ests[i]) / 3.0 for i in range(2)]

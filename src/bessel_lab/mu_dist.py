@@ -24,7 +24,7 @@ Key identities satisfied by the family (and exercised by the test-suite):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special

@@ -27,7 +27,6 @@ from scipy import special
 
 __all__ = [
     "DomainError",
-    "bessel_i_scaled",
     "besq_density_reg",
     "besq_density_reg_ytaylor",
     "q_delta_t",
@@ -46,24 +45,6 @@ _SERIES_MAX_TERMS = 90
 
 class DomainError(ValueError):
     """Raised when a special-function argument is outside its domain."""
-
-
-def bessel_i_scaled(nu, z):
-    """Exponentially scaled modified Bessel function ``exp(-z) * I_nu(z)``.
-
-    Parameters
-    ----------
-    nu : float
-        Order; must satisfy ``nu > -1``.
-    z : array_like
-        Non-negative argument.
-    """
-    if nu <= -1.0:
-        raise DomainError(f"order must satisfy nu > -1, got {nu}")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise DomainError("argument of bessel_i_scaled must be >= 0")
-    return special.ive(nu, z)
 
 
 def _series_S(nu, w):

@@ -35,10 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .core import FiniteMeasure
 from .quadrature import adaptive_gl
 
-__all__ = ["SLSolution", "solve_sl", "rho_of"]
+__all__ = ["SLSolution", "solve_sl"]
 
 _ODE_TOL = 1e-12
 
@@ -223,8 +222,3 @@ def solve_sl(m):
         acc += p.rho_inc(p.hi)
 
     return SLSolution(pieces, m)
-
-
-def rho_of(sol, r):
-    """Time change ``rho_r = int_0^r phi_u^{-2} du`` of a solution."""
-    return sol.rho(r)

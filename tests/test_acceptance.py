@@ -24,7 +24,7 @@ from bessel_lab.specfun import (bridge_density, p_delta_t, q_delta_t)
 from bessel_lab.spde import (bracket_ratio, field_to_u, gamma_rs,
                              martingale_regression, run_decomposition,
                              stationary_field)
-from bessel_lab.sturm_liouville import rho_of, solve_sl
+from bessel_lab.sturm_liouville import solve_sl
 
 H = bump(0.2)
 
@@ -233,7 +233,7 @@ class TestCriterion6SigmaStructure:
             sol = ctx.sol
             for r in (0.3, 0.6):
                 phr = float(sol.phi(r))
-                rr = float(rho_of(sol, r))
+                rr = float(sol.rho(r))
                 rbar = sol.rho1 - rr
                 pref = 1.0 / (2.0 ** (delta / 2.0 - 1.0)
                               * special.gamma(delta / 2.0))
@@ -301,7 +301,7 @@ class TestCriterion9SturmLiouville:
                 math.cosh(th * (1.0 - r)) / math.cosh(th), rel=1e-10)
             want = (math.cosh(th) ** 2
                     * (math.tanh(th) - math.tanh(th * (1.0 - r))) / th)
-            assert rho_of(sol, r) == pytest.approx(want, rel=1e-10,
+            assert sol.rho(r) == pytest.approx(want, rel=1e-10,
                                                    abs=1e-12)
 
     def test_atomic_closed_form(self):
@@ -310,7 +310,7 @@ class TestCriterion9SturmLiouville:
             assert sol.phi(r) == pytest.approx(1.0 - r, abs=1e-12)
         for r in (0.6, 0.75, 1.0):
             assert sol.phi(r) == pytest.approx(0.5, abs=1e-12)
-            assert rho_of(sol, r) == pytest.approx(1.0 + 4.0 * (r - 0.5),
+            assert sol.rho(r) == pytest.approx(1.0 + 4.0 * (r - 0.5),
                                                    abs=1e-12)
 
     def test_refinement_stability(self):
@@ -319,7 +319,7 @@ class TestCriterion9SturmLiouville:
         s1, s2 = solve_sl(coarse), solve_sl(fine)
         for r in np.linspace(0.0, 1.0, 21):
             assert s1.phi(r) == pytest.approx(s2.phi(r), rel=1e-11)
-            assert rho_of(s1, r) == pytest.approx(rho_of(s2, r), rel=1e-10,
+            assert s1.rho(r) == pytest.approx(s2.rho(r), rel=1e-10,
                                                   abs=1e-12)
 
 

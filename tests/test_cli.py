@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -62,6 +63,37 @@ class TestExitCodes:
         cfg.write_text(json.dumps({
             "cases": [{"id": "x", "delta": 3}, {"id": "x", "delta": 2}]}))
         assert main(["ibpf-check", "--config", str(cfg)]) == 2
+
+    def test_null_delta_is_two(self, tmp_path, capsys):
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps({"cases": [{"delta": None}]}))
+        assert main(["ibpf-check", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_tol_flag_applies_to_cases_without_tol(self, tmp_path, capsys):
+        cfg = tmp_path / "d3.json"
+        cfg.write_text(json.dumps({"cases": [{"id": "d3", "delta": 3}]}))
+        for jobs in ("1", "2"):
+            assert main(["ibpf-check", "--config", str(cfg), "--tol",
+                         "1e-300", "--jobs", jobs]) == 1
+            assert json.loads(capsys.readouterr().out)[0]["pass"] is False
+
+    def test_auto_ids_tell_cases_apart(self, tmp_path, capsys):
+        atom = {"measure": {"atoms": [{"t": 0.6, "w": 1.0}]}}
+        cfg = tmp_path / "auto.json"
+        cfg.write_text(json.dumps({"cases": [
+            {"delta": 3}, {"delta": 3, "phi": [atom]},
+            {"delta": 3, "tol": 1e-4},
+            {"delta": 3, "h": {"type": "bump", "theta": 0.2000001}}]}))
+        assert main(["ibpf-check", "--config", str(cfg)]) == 0
+        ids = [r["case_id"] for r in json.loads(capsys.readouterr().out)]
+        assert len(set(ids)) == 4
+        assert all(re.fullmatch(r"d3_a0_ap0_bridge_bump\(0\.2\)_[0-9a-f]{8}",
+                                i) for i in ids)
+        # stable: the same case gets the same id in a later run
+        assert main(["ibpf-check", "--config", str(cfg)]) == 0
+        assert [r["case_id"] for r in
+                json.loads(capsys.readouterr().out)] == ids
 
     def test_usage_error_is_two(self, capsys):
         assert main(["ibpf-check"]) == 2
@@ -133,6 +165,12 @@ class TestDataCommands:
         assert main(["sigma", "--config", str(cfg), "--r", "0.4",
                      "--n", "3"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "b,sigma"
+
+    def test_sigma_missing_delta_is_two(self, tmp_path, capsys):
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({"a": 0.0, "measure": {}}))
+        assert main(["sigma", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_sample_deterministic(self, tmp_path, capsys):
         args = ["sample", "--delta", "1.5", "--a", "1", "--ap", "2",

@@ -1,51 +1,32 @@
 import json
 
-import io
-
 import numpy as np
 import pytest
 
-from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure,
-                             GridMesh, Path, bump, poly_bump, dir_deriv_phi,
-                             eval_phi, pair_m_hx, pair_m_x2)
+from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump,
+                             pair_paths, pairing_weights, poly_bump)
+
+TIMES = np.linspace(0.0, 1.0, 101)
 
 
-def _const_path(n=101, value=1.0):
-    t = np.linspace(0.0, 1.0, n)
-    return Path(t, np.full(n, value))
+def _const_paths(value=1.0):
+    return np.full((1, len(TIMES)), value)
 
 
-class TestGridMesh:
-    def test_points_and_spacing(self):
-        mesh = GridMesh(5)
-        assert np.allclose(mesh.points, [0, 0.25, 0.5, 0.75, 1.0])
-        assert mesh.spacing == 0.25
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            GridMesh(1)
+def _pairings(m, h, times, paths):
+    return pair_paths(pairing_weights(m, h, times), paths)
 
 
-class TestPath:
-    def test_csv_round_trip(self):
-        t = np.linspace(0.0, 1.0, 11)
-        p = Path(t, np.sin(t))
-        buf = io.StringIO()
-        p.to_csv(buf)
-        buf.seek(0)
-        assert buf.readline().strip() == "r,value"
-        buf.seek(0)
-        q = Path.from_csv(buf)
-        assert np.array_equal(p.times, q.times)
-        assert np.array_equal(p.values, q.values)
+def _dir_deriv(phi, h, paths):
+    """Directional derivative ``d/deps Phi(X + eps h)`` at ``eps = 0``:
 
-    def test_interpolation(self):
-        p = Path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-        assert p.value_at(0.25) == 0.5
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            Path([0.0, 0.6, 0.5, 1.0], [0, 0, 0, 0])
+        sum_i c_i * (-2 <m_i, h X>) * exp(-<m_i, X^2>).
+    """
+    total = 0.0
+    for c, m in phi.terms:
+        x2, hx = _pairings(m, h, TIMES, paths)
+        total = total + c * (-2.0 * hx) * np.exp(-x2)
+    return total
 
 
 class TestFiniteMeasure:
@@ -109,54 +90,52 @@ class TestBumps:
 class TestPairings:
     def test_atom_pairing_exact(self):
         m = FiniteMeasure.atom(0.5, 2.0)
-        p = _const_path(value=3.0)
-        assert pair_m_x2(m, p) == pytest.approx(2.0 * 9.0)
+        x2, _ = _pairings(m, bump(0.2), TIMES, _const_paths(3.0))
+        assert x2[0] == pytest.approx(2.0 * 9.0, rel=1e-15)
 
     def test_lebesgue_pairing(self):
         m = FiniteMeasure.lebesgue(1.0)
         t = np.linspace(0.0, 1.0, 2001)
-        p = Path(t, t)  # <Leb, X^2> = int r^2 = 1/3
-        assert pair_m_x2(m, p) == pytest.approx(1.0 / 3.0, abs=1e-6)
-
-    def test_off_mesh_atom_warns(self):
-        m = FiniteMeasure.atom(0.123456, 1.0)
-        p = _const_path(n=11)
-        with pytest.warns(UserWarning):
-            pair_m_x2(m, p)
+        x2, _ = _pairings(m, bump(0.2), t, t[None, :])
+        # <Leb, X^2> = int r^2 = 1/3
+        assert x2[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 class TestFunctionals:
     def test_phi_one(self):
-        phi = ExpFunctional.one()
-        assert eval_phi(phi, _const_path()) == pytest.approx(1.0)
+        (c, m), = ExpFunctional.one().terms
+        x2, _ = _pairings(m, bump(0.2), TIMES, _const_paths())
+        assert c * np.exp(-x2[0]) == 1.0
 
     def test_dir_deriv_example(self):
         # Phi = exp(-<delta_{1/2}, .^2>), h(1/2) = 1, X = 1 -> -2 e^{-1}
         phi = ExpFunctional.single(FiniteMeasure.atom(0.5, 1.0))
         h = bump(0.2)
         assert h(0.5) == pytest.approx(1.0)
-        val = dir_deriv_phi(phi, _const_path(), h)
-        assert val == pytest.approx(-2.0 * np.exp(-1.0), rel=1e-12)
+        val = _dir_deriv(phi, h, _const_paths())
+        assert val[0] == pytest.approx(-2.0 * np.exp(-1.0), rel=1e-12)
 
     def test_dir_deriv_outside_support(self):
         phi = ExpFunctional.single(FiniteMeasure.atom(0.1, 1.0))
         h = bump(0.2)  # h(0.1) = 0
-        p = Path(np.linspace(0, 1, 11), np.ones(11))
-        assert dir_deriv_phi(phi, p, h) == pytest.approx(0.0)
+        assert _dir_deriv(phi, h, _const_paths())[0] == pytest.approx(0.0)
 
     def test_linearity(self):
-        m1 = FiniteMeasure.atom(0.5, 1.0)
-        m2 = FiniteMeasure.lebesgue(0.5)
+        # both pairings are additive in the measure
+        m1 = FiniteMeasure(atoms=[(0.5, 1.0)], pieces=[(0.1, 0.7, [0.2, 1.0])])
+        m2 = FiniteMeasure(atoms=[(0.3, 2.0)], pieces=[(0.0, 1.0, [0.5])])
+        both = FiniteMeasure(atoms=m1.atoms + m2.atoms,
+                             pieces=m1.pieces + m2.pieces)
         h = bump(0.2)
-        p = _const_path()
-        lhs = dir_deriv_phi(ExpFunctional([(2.0, m1), (3.0, m2)]), p, h)
-        rhs = (2.0 * dir_deriv_phi(ExpFunctional.single(m1), p, h)
-               + 3.0 * dir_deriv_phi(ExpFunctional.single(m2), p, h))
-        assert lhs == pytest.approx(rhs, rel=1e-14)
+        paths = np.vstack([np.sin(3.0 * TIMES), 1.0 + TIMES**2])
+        one = _pairings(m1, h, TIMES, paths)
+        two = _pairings(m2, h, TIMES, paths)
+        for got, a, b in zip(_pairings(both, h, TIMES, paths), one, two):
+            np.testing.assert_allclose(got, a + b, rtol=1e-14)
 
     def test_zero_measure_deriv(self):
         phi = ExpFunctional.one()
-        assert dir_deriv_phi(phi, _const_path(), bump(0.2)) == 0.0
+        assert _dir_deriv(phi, bump(0.2), _const_paths())[0] == 0.0
 
 
 class TestBridgeSpec:

@@ -6,11 +6,9 @@ from scipy import integrate, special
 
 from bessel_lab.core import BridgeSpec, FiniteMeasure
 from bessel_lab.laplace_sigma import (SigmaContext, sigma_bridge,
-                                      sigma_ds_at_zero, sigma_uncond,
-                                      sigma_value_at_zero, zeta,
+                                      sigma_ds_at_zero, sigma_uncond, zeta,
                                       zeta_second_deriv)
 from bessel_lab.specfun import bridge_density, p_delta_t
-from bessel_lab.sturm_liouville import rho_of
 
 
 def ctx_of(delta, a, ap, m):
@@ -55,7 +53,7 @@ class TestSigmaReductions:
             sol = ctx.sol
             for r in (0.3, 0.6):
                 phr = float(sol.phi(r))
-                rr = float(rho_of(sol, r))
+                rr = float(sol.rho(r))
                 rbar = sol.rho1 - rr
                 pref = 1.0 / (2.0 ** (delta / 2.0 - 1.0)
                               * special.gamma(delta / 2.0))
@@ -75,7 +73,7 @@ class TestSigmaReductions:
         assert abs(up - dn) / (2.0 * h) <= 1e-8
         # non-trivially: the first s = b^2 derivative matches a one-sided fit
         s_der = sigma_ds_at_zero(ctx, 0.4, bridge=True)
-        v0 = sigma_value_at_zero(ctx, 0.4, bridge=True)
+        v0 = float(sigma_bridge(ctx, 0.4, 0.0))
         fit = (float(sigma_bridge(ctx, 0.4, 1e-3)) - v0) / 1e-6
         assert fit == pytest.approx(s_der, rel=1e-2)
 

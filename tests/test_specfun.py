@@ -5,37 +5,47 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bessel_lab.specfun import (DomainError, bessel_i_scaled,
-                                besq_density_reg, besq_density_reg_ytaylor,
-                                bridge_density, bridge_density_sq, p_delta_t,
-                                q_delta_t)
+from bessel_lab.specfun import (DomainError, besq_density_reg,
+                                besq_density_reg_ytaylor, bridge_density,
+                                bridge_density_sq, p_delta_t, q_delta_t)
 
 
 class TestBesselIScaled:
+    """The scaled-Bessel (``ive``) branch of the kernel, w = xy/(4t^2) > 25."""
+
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.25, 0.75, 1.5])
     def test_against_mpmath(self, nu):
-        zs = np.logspace(-3, math.log10(700.0), 40)
-        if nu >= 0:
-            zs = np.concatenate([[0.0], zs])  # I_nu(0) diverges for nu < 0
-        with mpmath.workdps(30):
-            ref = np.array([float(mpmath.besseli(nu, z) * mpmath.exp(-z))
-                            for z in zs])
-        got = bessel_i_scaled(nu, zs)
-        rel = np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)
-        assert np.max(rel) < 1e-12
+        # q_reg = exp(-(x+y)/2t) (xy)^{-nu/2} I_nu(sqrt(xy)/t) / (2t), for
+        # Bessel arguments sqrt(xy)/t from 10.5 to 700
+        delta, t = 2.0 * (nu + 1.0), 0.5
+        zs = np.logspace(math.log10(10.5), math.log10(700.0), 40)
+        for ratio in (1.0, 1.3):
+            x = zs * t / math.sqrt(ratio)
+            y = ratio * x
+            assert np.all(x * y / (4.0 * t * t) > 25.0)
+            with mpmath.workdps(30):
+                ref = np.array([float(
+                    mpmath.exp(-(mpmath.mpf(xi) + yi) / (2 * t))
+                    * (mpmath.mpf(xi) * yi) ** (-nu / 2)
+                    * mpmath.besseli(nu, mpmath.sqrt(mpmath.mpf(xi) * yi) / t)
+                    / (2 * t)) for xi, yi in zip(x, y)])
+            got = besq_density_reg(delta, t, x, y)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-12
 
     def test_half_order_closed_form(self):
-        want = math.exp(-1.0) * math.sinh(1.0) * math.sqrt(2.0 / math.pi)
-        assert bessel_i_scaled(0.5, 1.0) == pytest.approx(want, rel=1e-13)
-
-    def test_zero_argument(self):
-        assert bessel_i_scaled(0.0, 0.0) == pytest.approx(1.0)
+        # delta = 3: I_{1/2}(z) = sqrt(2/(pi z)) sinh(z), z = sqrt(xy)/t = 24
+        t, x, y = 0.5, 9.0, 16.0
+        z = math.sqrt(x * y) / t
+        want = (0.5 * (math.exp(-(math.sqrt(x) - math.sqrt(y)) ** 2 / (2 * t))
+                       - math.exp(-(math.sqrt(x) + math.sqrt(y)) ** 2 / (2 * t)))
+                * (x * y) ** -0.25 * math.sqrt(2.0 / (math.pi * z)) / (2 * t))
+        assert besq_density_reg(3.0, t, x, y) == pytest.approx(want, rel=1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            bessel_i_scaled(-1.5, 1.0)
+            besq_density_reg(0.0, 0.5, 9.0, 16.0)  # nu = -1
         with pytest.raises(DomainError):
-            bessel_i_scaled(0.5, -1.0)
+            besq_density_reg(2.5, 0.5, -9.0, 16.0)
 
 
 class TestQDeltaT:

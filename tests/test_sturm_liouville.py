@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bessel_lab.core import FiniteMeasure
-from bessel_lab.sturm_liouville import rho_of, solve_sl
+from bessel_lab.sturm_liouville import solve_sl
 
 
 class TestZeroMeasure:
@@ -14,7 +14,7 @@ class TestZeroMeasure:
         for r in rs:
             assert sol.phi(r) == pytest.approx(1.0, abs=1e-14)
             assert sol.dphi(r) == pytest.approx(0.0, abs=1e-14)
-            assert rho_of(sol, r) == pytest.approx(r, abs=1e-14)
+            assert sol.rho(r) == pytest.approx(r, abs=1e-14)
         assert sol.phi_prime0 == pytest.approx(0.0, abs=1e-14)
         assert sol.phi1 == pytest.approx(1.0, abs=1e-14)
 
@@ -41,7 +41,7 @@ class TestCoshClosedForm:
         for r in np.linspace(0.0, 1.0, 21):
             want = (math.cosh(th) ** 2
                     * (math.tanh(th) - math.tanh(th * (1.0 - r))) / th)
-            assert rho_of(sol, r) == pytest.approx(want, rel=1e-10, abs=1e-12)
+            assert sol.rho(r) == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     def test_boundary_conditions(self):
         sol = self._sol()
@@ -72,9 +72,9 @@ class TestAtomicClosedForm:
     def test_rho_closed_form(self):
         sol = self._sol()
         # rho(1/2) = int_0^{1/2} (1-u)^{-2} du = 1; slope 4 after.
-        assert rho_of(sol, 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert sol.rho(0.5) == pytest.approx(1.0, abs=1e-12)
         for r in (0.6, 0.75, 1.0):
-            assert rho_of(sol, r) == pytest.approx(1.0 + 4.0 * (r - 0.5),
+            assert sol.rho(r) == pytest.approx(1.0 + 4.0 * (r - 0.5),
                                                    abs=1e-12)
 
 
@@ -95,7 +95,7 @@ class TestGenericDensity:
         sol = solve_sl(m)
         rs = np.linspace(0.0, 1.0, 41)
         phis = np.array([sol.phi(r) for r in rs])
-        rhos = np.array([rho_of(sol, r) for r in rs])
+        rhos = np.array([sol.rho(r) for r in rs])
         assert np.all(phis > 0)
         assert np.all(np.diff(phis) <= 1e-14)          # phi' <= 0
         assert np.all(np.diff(rhos) > 0)               # rho increasing
@@ -109,5 +109,5 @@ class TestGenericDensity:
         s1, s2 = solve_sl(coarse), solve_sl(fine)
         for r in np.linspace(0.0, 1.0, 21):
             assert s1.phi(r) == pytest.approx(s2.phi(r), rel=1e-11)
-            assert rho_of(s1, r) == pytest.approx(rho_of(s2, r), rel=1e-10,
+            assert s1.rho(r) == pytest.approx(s2.rho(r), rel=1e-10,
                                                   abs=1e-12)
