@@ -379,25 +379,24 @@ def bridge_mean_phi(ctx, r):
 
 def lhs_bridge_analytic(case):
     """``E[d_h Phi] + E[<h'', X> Phi] = E[<h'' - 2 h m, X> Phi]`` for the
-    bridge, per exponential term through ``E[X_r Phi]``."""
+    bridge, per exponential term through ``E[X_r Phi]``: one outer integral
+    of ``(h'' - 2 h dens_m) E[X_r Phi]``, plus the atoms of ``m`` as point
+    terms."""
     if case.mode != "bridge":
         raise ValueError("bridge left-hand side needs bridge mode")
     h = case.h
     total = 0.0
     for coef, m, ctx in _term_contexts(case):
-        mean = lambda r, ctx=ctx: bridge_mean_phi(ctx, r)
-        part = _outer_integral(
-            h, m.breakpoints(),
-            _vec_over_r(lambda r: float(h.d2(r)) * mean(r)), rtol=1e-9)
+        def per_r(r, ctx=ctx, m=m):
+            weight = float(h.d2(r)) - 2.0 * float(h(r)) * m.density_at(r)
+            return weight * bridge_mean_phi(ctx, r)
+
+        part = _outer_integral(h, m.breakpoints(), _vec_over_r(per_r),
+                               rtol=1e-9)
         for t, w in m.atoms:
             hval = float(h(t))
             if hval != 0.0:
-                part -= 2.0 * w * hval * mean(t)
-        if m.pieces:
-            part -= 2.0 * _outer_integral(
-                h, m.breakpoints(),
-                _vec_over_r(lambda r: float(h(r)) * float(m.density_at(r))
-                            * mean(r)), rtol=1e-9)
+                part -= 2.0 * w * hval * bridge_mean_phi(ctx, t)
         total += coef * part
     return total
 

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
+from .quadrature import decay_cutoff
+
 __all__ = ["SmoothTestFn", "taylor_remainder", "mu_pair", "MuConvergenceError"]
 
 #: Distance to the nearest integer below which alpha is treated as integral.
@@ -172,12 +174,7 @@ def mu_pair(alpha, f, rtol=1e-11, cutoff=None):
         return (-1.0) ** k * f.deriv_at_zero(k)
 
     if cutoff is None:
-        # Probe for effective decay of |f|.
-        grid = np.linspace(0.0, 60.0, 601)
-        vals = np.abs(np.asarray(f(grid), dtype=float))
-        peak = max(float(vals.max()), 1e-300)
-        keep = np.nonzero(vals > 1e-18 * peak)[0]
-        cutoff = float(grid[min(int(keep[-1]) + 2, 600)])
+        cutoff = decay_cutoff(f, 0.0, 60.0, rel=1e-18, probes=601)
 
     inv_gamma = special.rgamma(alpha)
     if alpha > 0:

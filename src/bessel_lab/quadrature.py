@@ -17,6 +17,12 @@ import numpy as np
 
 __all__ = ["QuadratureError", "fixed_gl", "adaptive_gl", "decay_cutoff"]
 
+#: Gauss-Legendre order per panel, panel count of the first round, and the
+#: number of doublings before ``adaptive_gl`` gives up.
+GL_ORDER = 16
+START_PANELS = 4
+MAX_ROUNDS = 11
+
 
 class QuadratureError(RuntimeError):
     """Raised when a quadrature fails to reach the requested tolerance."""
@@ -28,7 +34,7 @@ def _gl_nodes(order):
     return x, w
 
 
-def fixed_gl(f, a, b, panels, order=16):
+def fixed_gl(f, a, b, panels, order):
     """Composite Gauss-Legendre rule with ``panels`` equal panels."""
     x, w = _gl_nodes(order)
     edges = np.linspace(a, b, panels + 1)
@@ -39,8 +45,7 @@ def fixed_gl(f, a, b, panels, order=16):
     return half * float(np.sum(vals @ w))
 
 
-def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, order=16,
-                start_panels=4, max_rounds=11, confirm=2):
+def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, confirm=2):
     """Integrate vectorised ``f`` over [a, b] by panel-doubling composite GL.
 
     Stops once ``confirm`` consecutive refinements agree to within the
@@ -49,12 +54,12 @@ def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, order=16,
     """
     if b <= a:
         return 0.0
-    panels = start_panels
-    prev = fixed_gl(f, a, b, panels, order)
+    panels = START_PANELS
+    prev = fixed_gl(f, a, b, panels, GL_ORDER)
     agreed = 0
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         panels *= 2
-        cur = fixed_gl(f, a, b, panels, order)
+        cur = fixed_gl(f, a, b, panels, GL_ORDER)
         if abs(cur - prev) <= max(atol, rtol * abs(cur)):
             agreed += 1
             if agreed >= confirm:

@@ -8,14 +8,17 @@ which extends to an entire function of both space arguments.  Writing
 ``nu = delta/2 - 1`` and ``w = x*y / (4*t**2)`` one has
 
     q_t(x, y) / y**nu = (2*t)**(-delta/2) * exp(-(x+y)/(2*t)) * S_nu(w),
-    S_nu(w) = sum_k w**k / (k! * Gamma(k + nu + 1)),
+    S_nu(w) = sum_k w**k / (k! * Gamma(k + nu + 1))
+            = 0F1(; nu + 1; w) / Gamma(nu + 1),
 
 and ``S_nu`` is entire, so the regularised kernel is well defined for
 ``x = 0``, ``y = 0`` and even (slightly) negative ``y`` -- which is what the
 Laplace-functional machinery needs when differentiating at the origin.  For
-large ``w`` the series is traded for the scaled modified Bessel function
-``ive`` via ``S_nu(w) = w**(-nu/2) * I_nu(2*sqrt(w))``, in which case the
-Gaussian factor combines into ``exp(-(sqrt(x)-sqrt(y))**2/(2*t))``.
+``w < 25``, ``S_nu`` is evaluated as ``hyp0f1`` times ``rgamma`` (DLMF 10.39.9,
+16.2).  For larger ``w`` the factors ``exp(-(x+y)/(2t))`` and ``S_nu``
+overflow separately, so the kernel goes through the scaled modified Bessel
+function ``ive`` via ``S_nu(w) = w**(-nu/2) * I_nu(2*sqrt(w))``, in which
+case the Gaussian factor combines into ``exp(-(sqrt(x)-sqrt(y))**2/(2*t))``.
 
 All functions are vectorised over their space arguments.
 """
@@ -31,40 +34,16 @@ __all__ = [
     "besq_density_reg_ytaylor",
     "q_delta_t",
     "p_delta_t",
-    "bridge_density_sq",
     "bridge_density",
 ]
 
-# Below this value of w = x*y/(4 t^2) the power series for S_nu is used;
-# above it the scaled-Bessel route.  The series is a sum of positive terms
-# (for w > 0) so there is no cancellation; 80 terms reach machine precision
-# for w <= _SERIES_W_MAX.
+# Below this value of w = x*y/(4 t^2) S_nu comes from hyp0f1; above it the
+# scaled-Bessel route.
 _SERIES_W_MAX = 25.0
-_SERIES_MAX_TERMS = 90
 
 
 class DomainError(ValueError):
     """Raised when a special-function argument is outside its domain."""
-
-
-def _series_S(nu, w):
-    """Entire function S_nu(w) = sum_k w^k / (k! Gamma(k+nu+1)) by its series.
-
-    Accurate for |w| <= _SERIES_W_MAX; supports negative w.
-    """
-    w = np.asarray(w, dtype=float)
-    term = np.full(w.shape, special.rgamma(nu + 1.0))
-    total = term.copy()
-    scale = float(np.max(np.abs(total))) if total.size else 1.0
-    scale = max(scale, 1e-300)
-    for k in range(1, _SERIES_MAX_TERMS):
-        term = term * (w / (k * (k + nu)))
-        total += term
-        m = float(np.max(np.abs(term))) if term.size else 0.0
-        if m <= 1e-18 * scale:
-            break
-        scale = max(scale, float(np.max(np.abs(total))))
-    return total
 
 
 def _check_qt_args(delta, t):
@@ -77,8 +56,8 @@ def _check_qt_args(delta, t):
 def besq_density_reg(delta, t, x, y):
     """Regularised squared-Bessel kernel ``q_t^delta(x, y) / y**(delta/2-1)``.
 
-    Entire in both ``x`` and ``y``; ``y`` may be slightly negative (the series
-    branch is used whenever ``x*y/(4 t^2) < 25`` or ``x*y < 0``).
+    Entire in both ``x`` and ``y``; ``y`` may be slightly negative (the
+    ``hyp0f1`` branch is used whenever ``x*y/(4 t^2) < 25`` or ``x*y < 0``).
     """
     _check_qt_args(delta, t)
     nu = 0.5 * delta - 1.0
@@ -94,7 +73,8 @@ def besq_density_reg(delta, t, x, y):
     if np.any(small):
         xs, ys, ws = x[small], y[small], w[small]
         pref = (2.0 * t) ** (-0.5 * delta) * np.exp(-(xs + ys) / (2.0 * t))
-        out[small] = pref * _series_S(nu, ws)
+        out[small] = (pref * special.hyp0f1(nu + 1.0, ws)
+                      * special.rgamma(nu + 1.0))
     big = ~small
     if np.any(big):
         xb, yb = x[big], y[big]
@@ -158,28 +138,6 @@ def p_delta_t(delta, t, a, b):
     if np.any(a < 0) or np.any(b < 0):
         raise DomainError("Bessel arguments must be >= 0")
     return 2.0 * b ** (delta - 1.0) * besq_density_reg(delta, t, a**2, b**2)
-
-
-def bridge_density_sq(delta, t, x, y, z):
-    """Marginal density at time ``t`` of the squared-Bessel bridge ``x -> y``
-    over [0, 1], evaluated at ``z``:
-
-        q_t(x, z) q_{1-t}(z, y) / q_1(x, y).
-
-    Valid for all boundary data including ``x = 0`` and/or ``y = 0``.
-    """
-    if not 0 < t < 1:
-        raise DomainError("bridge time must lie in (0, 1)")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise DomainError("evaluation point z must be >= 0")
-    num = besq_density_reg(delta, t, x, z) * besq_density_reg(delta, 1.0 - t, z, y)
-    den = besq_density_reg(delta, 1.0, x, y)
-    with np.errstate(divide="ignore"):
-        pw = np.where(z > 0, z, 1.0) ** (0.5 * delta - 1.0)
-        pw = np.where(z > 0, pw,
-                      np.inf if delta < 2 else (1.0 if delta == 2 else 0.0))
-    return pw * num / den
 
 
 def bridge_density(delta, r, a, ap, b):

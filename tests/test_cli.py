@@ -1,10 +1,8 @@
 import json
-import os
 import re
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from bessel_lab.cli import main

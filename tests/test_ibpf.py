@@ -11,8 +11,7 @@ from bessel_lab.ibpf import (IbpfCase, decay_exponent, gamma_3,
                              lhs_uncond_analytic, rel_err, rhs_ibpf,
                              uncond_from_bridge_rhs, verify)
 from bessel_lab.laplace_sigma import SigmaContext
-from bessel_lab.samplers import RngStream, bessel_bridge_general
-from bessel_lab.specfun import p_delta_t
+from bessel_lab.samplers import RngStream
 
 H = bump(0.2)
 

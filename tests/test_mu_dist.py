@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bessel_lab.mu_dist import (MuConvergenceError, SmoothTestFn, mu_pair,
-                                taylor_remainder)
+from bessel_lab.mu_dist import SmoothTestFn, mu_pair, taylor_remainder
 
 ALPHA_BATTERY = [-2.2, -1.5, -1.0, -0.5, 0.0, 0.7, 1.0, 2.3]
 
@@ -73,6 +72,13 @@ class TestMuBranches:
         for lam in (0.5, 1.0, 3.0):
             f = SmoothTestFn.exp_decay(lam)
             assert mu_pair(-1.5, f) == pytest.approx(lam**1.5, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.5, -0.5])
+    def test_zero_function(self, alpha):
+        # |f| has no peak on the decay probe grid
+        zero = SmoothTestFn([lambda x: 0.0 * np.asarray(x, float)],
+                            derivs_at_zero=np.zeros(9))
+        assert mu_pair(alpha, zero) == 0.0
 
     def test_alpha_out_of_range(self):
         f = SmoothTestFn.exp_decay(1.0)

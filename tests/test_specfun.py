@@ -7,7 +7,29 @@ from scipy import integrate
 
 from bessel_lab.specfun import (DomainError, besq_density_reg,
                                 besq_density_reg_ytaylor, bridge_density,
-                                bridge_density_sq, p_delta_t, q_delta_t)
+                                p_delta_t, q_delta_t)
+
+
+class TestHyp0f1Branch:
+    """The ``hyp0f1`` branch of the kernel, w = xy/(4t^2) < 25."""
+
+    @pytest.mark.parametrize("nu", [-0.75, -0.5, 0.0, 0.25, 0.75, 1.5])
+    def test_against_mpmath(self, nu):
+        # q_reg = (2t)^{-delta/2} exp(-(x+y)/2t) 0F1(; nu+1; w) / Gamma(nu+1)
+        # for w from -0.1 (y < 0) to just below the branch seam; the lower
+        # end stays clear of the zero of S_{-3/4} at w = -0.28.
+        delta, t = 2.0 * (nu + 1.0), 0.5
+        ws = np.linspace(-0.1, 24.99, 50)
+        for x in (2.0, 7.0):
+            y = 4.0 * t * t * ws / x
+            with mpmath.workdps(40):
+                ref = np.array([float(
+                    (2 * t) ** (-mpmath.mpf(delta) / 2)
+                    * mpmath.exp(-(x + mpmath.mpf(yi)) / (2 * t))
+                    * mpmath.hyp0f1(nu + 1, x * mpmath.mpf(yi) / (4 * t * t))
+                    / mpmath.gamma(nu + 1)) for yi in y])
+            got = besq_density_reg(delta, t, x, y)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
 
 
 class TestBesselIScaled:
@@ -157,28 +179,12 @@ class TestPDeltaT:
 
 
 class TestBridgeDensities:
-    def test_sq_normalisation(self):
-        val, _ = integrate.quad(
-            lambda z: float(bridge_density_sq(2.0, 0.5, 1.0, 1.0, z)),
-            0.0, 30.0, epsabs=1e-12, limit=200)
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_sq_symmetry(self):
-        for z in (0.3, 1.0, 2.5):
-            assert float(bridge_density_sq(2.5, 0.3, 0.7, 1.9, z)) == \
-                pytest.approx(float(bridge_density_sq(2.5, 0.7, 1.9, 0.7, z)),
+    def test_bridge_time_reversal(self):
+        # The bridge a -> ap read backwards is the bridge ap -> a.
+        for b in (0.3, 1.0, 2.5):
+            assert float(bridge_density(2.5, 0.3, 0.7, 1.9, b)) == \
+                pytest.approx(float(bridge_density(2.5, 0.7, 1.9, 0.7, b)),
                               rel=1e-12)
-
-    def test_sq_zero_boundary_closed_form(self):
-        # x = y = 0, delta = 3, t = 1/2: Gamma-type closed form.
-        from scipy.special import gamma
-        delta, t = 3.0, 0.5
-        s = t * (1.0 - t)
-        for z in (0.1, 0.5, 2.0):
-            want = (z ** (delta / 2 - 1) * math.exp(-z / (2 * s))
-                    / ((2 * s) ** (delta / 2) * gamma(delta / 2)))
-            assert float(bridge_density_sq(delta, t, 0.0, 0.0, z)) == \
-                pytest.approx(want, rel=1e-12)
 
     def test_bridge_closed_form_delta3(self):
         # delta=3, a=ap=0, r=1/2: p(b) = 16 b^2 e^{-2b^2} / sqrt(2 pi)
