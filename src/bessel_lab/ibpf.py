@@ -45,7 +45,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +119,6 @@ class VerifyReport:
     lhs_mc: float = None
     stderr: float = None
     mc_passed: bool = None
-    elapsed_s: float = 0.0
 
     def to_json_dict(self):
         return {
@@ -228,29 +226,22 @@ def decay_exponent(ctx, r, ksub, bridge=True):
 # Outer integrals in r.
 # ---------------------------------------------------------------------------
 
-def _outer_integral(h, breakpoints, f, rtol=1e-9):
-    """``int f(r) dr`` over supp h, split at the given interior breakpoints.
+def _outer_integral(h, breakpoints, per_r):
+    """``int per_r(r) dr`` over supp h, split at the given interior
+    breakpoints, for a scalar ``per_r`` evaluated node by node."""
+    def f(r):
+        return np.array([per_r(float(x)) for x in r])
 
-    ``f`` receives an array of r values and must return matching values.
-    """
     lo, hi = h.support
     pts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
     total = 0.0
     scale = 0.0
     for left, right in zip(pts[:-1], pts[1:]):
-        part = adaptive_gl(f, left, right, rtol=rtol,
+        part = adaptive_gl(f, left, right, rtol=1e-9,
                            atol=1e-13 * scale + 1e-280, confirm=1)
         total += part
         scale = max(scale, abs(part))
     return total
-
-
-def _vec_over_r(scalar_f):
-    def g(r):
-        r = np.asarray(r, dtype=float)
-        return np.array([scalar_f(float(x)) for x in r.ravel()]
-                        ).reshape(r.shape)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +291,7 @@ def rhs_ibpf(case, route="branch"):
                 return -kappa * h(r) * 0.5 * fp_s_integral(
                     ctx, r, p, ksub, bridge)
 
-        total += coef * _outer_integral(h, bps, _vec_over_r(per_r))
+        total += coef * _outer_integral(h, bps, per_r)
     return total
 
 
@@ -324,7 +315,7 @@ def _rhs_unified(case, bridge):
                 derivs_at_zero=dz, label="Sigma")
             return h(r) * mu_pair(alpha, fn)
 
-        total += coef * _outer_integral(h, bps, _vec_over_r(per_r), rtol=1e-9)
+        total += coef * _outer_integral(h, bps, per_r)
     return pref * total
 
 
@@ -347,7 +338,7 @@ def gamma_3(r, a):
 # Left-hand sides.
 # ---------------------------------------------------------------------------
 
-def lhs_uncond_analytic(case, route="finite-part"):
+def lhs_uncond_analytic(case):
     """``E[d_h Phi] + E[<h'', X> Phi]`` for the unconditioned process:
 
         sum_i c_i K(a, m_i) int h_r phi_r^{-3} zeta''(rho_r) dr.
@@ -363,10 +354,9 @@ def lhs_uncond_analytic(case, route="finite-part"):
         def per_r(r, sol=sol):
             phr = float(sol.phi(r))
             rr = float(sol.rho(r))
-            return h(r) * phr ** (-3.0) * zeta_second_deriv(d, a, rr, route)
+            return h(r) * phr ** (-3.0) * zeta_second_deriv(d, a, rr)
 
-        total += coef * ctx.K * _outer_integral(
-            h, m.breakpoints(), _vec_over_r(per_r), rtol=1e-9)
+        total += coef * ctx.K * _outer_integral(h, m.breakpoints(), per_r)
     return total
 
 
@@ -391,8 +381,7 @@ def lhs_bridge_analytic(case):
             weight = float(h.d2(r)) - 2.0 * float(h(r)) * m.density_at(r)
             return weight * bridge_mean_phi(ctx, r)
 
-        part = _outer_integral(h, m.breakpoints(), _vec_over_r(per_r),
-                               rtol=1e-9)
+        part = _outer_integral(h, m.breakpoints(), per_r)
         for t, w in m.atoms:
             hval = float(h(t))
             if hval != 0.0:
@@ -442,14 +431,13 @@ def lhs_mc(case, n, rng, mesh_n=513):
 # Verification driver.
 # ---------------------------------------------------------------------------
 
-def verify(case, mc_n=0, rng=None, route="branch"):
+def verify(case, mc_n=0, rng=None):
     """Evaluate both sides and return a :class:`VerifyReport`.
 
     ``mc_n > 0`` adds a Monte Carlo left-hand side (bridge mode only) with
     the pass rule |lhs_mc - rhs| <= 3 stderr.
     """
-    t0 = time.time()
-    rhs = rhs_ibpf(case, route=route)
+    rhs = rhs_ibpf(case)
     if case.mode == "bridge":
         lhs = lhs_bridge_analytic(case)
     else:
@@ -466,7 +454,6 @@ def verify(case, mc_n=0, rng=None, route="branch"):
         report.lhs_mc = mean
         report.stderr = se
         report.mc_passed = abs(mean - rhs) <= 3.0 * se
-    report.elapsed_s = time.time() - t0
     return report
 
 

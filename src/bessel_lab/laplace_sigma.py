@@ -35,11 +35,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .core import BridgeSpec, FiniteMeasure
 from .mu_dist import SmoothTestFn, mu_pair
-from .quadrature import decay_cutoff
+from .quadrature import adaptive_gl, decay_cutoff
 from .specfun import besq_density_reg, besq_density_reg_ytaylor
 from .sturm_liouville import solve_sl
 
@@ -184,21 +184,15 @@ def zeta(delta, a, t, rtol=1e-12):
                 / special.gamma(delta / 2.0))
 
     # E[sqrt(X_t)] = int_0^inf y^{(delta-1)/2} q_reg(delta, t, a^2, y) dy;
-    # the algebraic endpoint weight is handled by QUADPACK's QAWS rule.
-    def smooth(y):
-        return float(besq_density_reg(delta, t, a**2, float(y)))
+    # the algebraic weight at y = 0 goes to the Gauss-Jacobi end panel.
+    beta = (delta - 1.0) / 2.0
+
+    def q(y):
+        return besq_density_reg(delta, t, a**2, y)
 
     hi = (a + 14.0 * math.sqrt(t) + 6.0 * t) ** 2
-
-    def probe(y):
-        return np.asarray(y, float) ** ((delta - 1.0) / 2.0) \
-            * besq_density_reg(delta, t, a**2, np.asarray(y, float))
-
-    hi = decay_cutoff(probe, 1e-3 * hi, hi)
-    val, err = integrate.quad(smooth, 0.0, hi, weight="alg",
-                              wvar=((delta - 1.0) / 2.0, 0.0),
-                              epsabs=1e-13, epsrel=rtol, limit=400)
-    return val
+    hi = decay_cutoff(lambda y: y**beta * q(y), 1e-3 * hi, hi)
+    return adaptive_gl(q, 0.0, hi, rtol=rtol, atol=1e-13, beta=beta)
 
 
 def _zeta_second_deriv_fd(delta, a, t):

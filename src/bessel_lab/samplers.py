@@ -239,21 +239,20 @@ def mc_estimate(sample_values, n, rng, block=5000):
 
     ``sample_values(m, rng_block)`` must return ``m`` i.i.d. scalar samples
     as an array.  Blocks draw from independent substreams, so the reduction
-    is deterministic and order-independent.
+    is deterministic and order-independent.  Each block's sum of squared
+    deviations from its own mean is merged in block order (Chan, Golub and
+    LeVeque, 1983), so a large common offset does not cancel the variance.
     """
     if n < 100:
         raise ValueError("need at least 100 samples")
     total = 0.0
-    total_sq = 0.0
-    done = 0
-    idx = 0
-    while done < n:
+    m2 = 0.0
+    for idx, done in enumerate(range(0, n, block)):
         m = min(block, n - done)
         vals = np.asarray(sample_values(m, rng.substream(idx)), dtype=float)
-        total += float(vals.sum())
-        total_sq += float((vals**2).sum())
-        done += m
-        idx += 1
-    mean = total / n
-    var = max(total_sq / n - mean**2, 0.0) * n / max(n - 1, 1)
-    return mean, np.sqrt(var / n)
+        block_sum = float(vals.sum())
+        diff = block_sum / m - (total / done if done else 0.0)
+        m2 += (float(((vals - block_sum / m) ** 2).sum())
+               + diff**2 * done * m / (done + m))
+        total += block_sum
+    return total / n, np.sqrt(m2 / max(n - 1, 1) / n)

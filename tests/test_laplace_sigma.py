@@ -135,6 +135,35 @@ class TestZeta:
         fd = zeta_second_deriv(delta, a, t, route="finite-difference")
         assert fp == pytest.approx(fd, rel=1e-4)
 
+    @pytest.mark.parametrize("delta, a, t", [(0.5, 0.3, 0.01),
+                                             (0.5, 0.8, 0.05)])
+    def test_dual_routes_agree_small_t(self, delta, a, t):
+        # the Taylor data of q_reg grows like (2t)^{-j} here, so the
+        # finite-part tail switch has to move in towards 0
+        fp = zeta_second_deriv(delta, a, t, route="finite-part")
+        fd = zeta_second_deriv(delta, a, t, route="finite-difference")
+        assert fp == pytest.approx(fd, rel=1e-4)
+
+    @pytest.mark.parametrize("delta, a, t", [(0.5, 0.3, 0.01),
+                                             (1.3, 0.8, 0.05),
+                                             (3.5, 1.5, 0.3),
+                                             (4.9, 0.8, 0.7)])
+    def test_hypergeometric_closed_form(self, delta, a, t):
+        # E[X_t] = sqrt(2t) G((d+1)/2)/G(d/2) 1F1(-1/2; d/2; -a^2/(2t))
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            d, a2 = mpmath.mpf(delta), mpmath.mpf(a) ** 2
+
+            def mean(tt):
+                return (mpmath.sqrt(2 * tt) * mpmath.gamma((d + 1) / 2)
+                        / mpmath.gamma(d / 2)
+                        * mpmath.hyp1f1(-0.5, d / 2, -a2 / (2 * tt)))
+            want = float(mean(mpmath.mpf(t)))
+            want2 = float(mpmath.diff(mean, mpmath.mpf(t), 2))
+        assert zeta(delta, a, t) == pytest.approx(want, rel=1e-13)
+        assert zeta_second_deriv(delta, a, t) == pytest.approx(want2,
+                                                               rel=1e-11)
+
     def test_unknown_route(self):
         with pytest.raises(ValueError):
             zeta_second_deriv(2.0, 0.0, 0.5, route="magic")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bessel_lab.mu_dist import SmoothTestFn, mu_pair, taylor_remainder
+from bessel_lab.mu_dist import MuConvergenceError, SmoothTestFn, mu_pair
 
 ALPHA_BATTERY = [-2.2, -1.5, -1.0, -0.5, 0.0, 0.7, 1.0, 2.3]
 
@@ -29,33 +29,6 @@ def x_times(f, orders=8):
                         label="x*" + f.label)
 
 
-class TestTaylorRemainder:
-    def test_exp_order_zero(self):
-        f = SmoothTestFn.exp_decay(1.0)
-        assert taylor_remainder(f, 0, 1.0) == pytest.approx(
-            math.exp(-1.0) - 1.0, rel=1e-14)
-
-    def test_negative_order_is_value(self):
-        f = SmoothTestFn.exp_decay(2.0)
-        assert taylor_remainder(f, -1, 0.7) == pytest.approx(
-            math.exp(-1.4), rel=1e-14)
-
-    def test_polynomial_exactness(self):
-        # degree-2 polynomial annihilated by T^2
-        evs = [lambda x: 1.0 + 2.0 * np.asarray(x, float)
-               + 3.0 * np.asarray(x, float) ** 2,
-               lambda x: 2.0 + 6.0 * np.asarray(x, float),
-               lambda x: 6.0 + 0.0 * np.asarray(x, float),
-               lambda x: 0.0 * np.asarray(x, float)]
-        f = SmoothTestFn(evs)
-        for x in (0.0, 0.3, 2.0):
-            assert taylor_remainder(f, 2, x) == pytest.approx(0.0, abs=1e-13)
-
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            taylor_remainder(SmoothTestFn.exp_decay(), 5, 1.0)
-
-
 class TestMuBranches:
     def test_mu0_is_dirac(self):
         for f in stock_fns():
@@ -79,6 +52,26 @@ class TestMuBranches:
         zero = SmoothTestFn([lambda x: 0.0 * np.asarray(x, float)],
                             derivs_at_zero=np.zeros(9))
         assert mu_pair(alpha, zero) == 0.0
+
+    @pytest.mark.parametrize("alpha", [-2.2, -1.5, -0.5, 0.7, 3.5])
+    def test_too_few_derivatives(self, alpha):
+        # max(ceil(-alpha), 0) + 3 orders are needed; one fewer is refused
+        need = max(math.ceil(-alpha), 0) + 3
+        f = SmoothTestFn.exp_decay(1.0)
+        short = SmoothTestFn(f.evaluators[:need])
+        with pytest.raises(ValueError, match="needs derivatives"):
+            mu_pair(alpha, short)
+        enough = SmoothTestFn(f.evaluators[:need + 1])
+        assert mu_pair(alpha, enough) == pytest.approx(1.0, rel=1e-10)
+
+    def test_nonconvergence_is_typed(self):
+        # a decaying f that no panel count resolves
+        rough = SmoothTestFn(
+            [lambda x: np.exp(-np.asarray(x, float))
+             * np.sign(np.sin(1e7 * np.asarray(x, float)))],
+            derivs_at_zero=np.zeros(9))
+        with pytest.raises(MuConvergenceError):
+            mu_pair(-0.5, rough)
 
     def test_alpha_out_of_range(self):
         f = SmoothTestFn.exp_decay(1.0)

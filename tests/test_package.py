@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -19,6 +20,42 @@ def test_module_all_resolves(name):
 def test_package_all_resolves():
     missing = [n for n in bessel_lab.__all__ if not hasattr(bessel_lab, n)]
     assert missing == []
+
+
+def _unused_imports(tree):
+    """Names bound by imports that no expression and no ``__all__`` entry
+    refers to (``from __future__`` imports excepted)."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_unused_imports(name):
+    path = Path(bessel_lab.__path__[0]) / f"{name}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unused_imports(tree) == []
+
+
+def test_unused_import_detector():
+    tree = ast.parse("import os\nimport numpy as np\n"
+                     "from math import pi, tau\nfrom x import y\n"
+                     "__all__ = ['y']\nprint(np.pi, tau)\n")
+    assert _unused_imports(tree) == [(1, "os"), (3, "pi")]
 
 
 def test_version_matches_pyproject():

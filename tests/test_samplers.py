@@ -171,6 +171,20 @@ class TestMcEstimate:
         r2 = mc_estimate(sample, 12345, RngStream(21, 2))
         assert r1 == r2
 
+    def test_large_offset_keeps_variance(self):
+        # the same draws with and without a 1e8 offset: raw sums of squares
+        # cancel to a zero variance, merged block deviations do not
+        def sample(n, rng):
+            return rng.generator.standard_normal(n)
+
+        def offset(n, rng):
+            return 1e8 + sample(n, rng)
+
+        _, se = mc_estimate(sample, 20000, RngStream(22, 3))
+        _, se_off = mc_estimate(offset, 20000, RngStream(22, 3))
+        assert se == pytest.approx(1.0 / math.sqrt(20000), rel=0.05)
+        assert se_off == pytest.approx(se, rel=1e-6)
+
     def test_min_samples(self):
         with pytest.raises(ValueError):
             mc_estimate(lambda n, rng: np.zeros(n), 10, RngStream(0))
