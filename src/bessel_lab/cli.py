@@ -235,8 +235,8 @@ def cmd_sl_solve(args):
     m = _measure_from_config(config)
     sol = solve_sl(m)
     rs = np.linspace(0.0, 1.0, args.n)
-    rows = [(float(r), float(sol.phi(r)), float(sol.dphi(r)),
-             float(sol.rho(r))) for r in rs]
+    rows = np.column_stack([rs, sol.phi(rs), sol.dphi(rs),
+                            sol.rho(rs)]).tolist()
     _emit_csv(rows, ("r", "phi", "phi_prime", "rho"), args.out)
     return 0
 

@@ -203,25 +203,6 @@ def fp_s_integral(ctx, r, p, ksub, bridge=True, order=SERIES_ORDER):
     return near + mid + tail
 
 
-def decay_exponent(ctx, r, ksub, bridge=True):
-    """Empirical log-slope of ``|T^{2k}_b Sigma|`` near b = 0 (diagnostic).
-
-    After subtracting ``ksub`` s-Taylor terms the remainder is
-    ``O(b^{2 ksub})``, so the slope should be >= 2*ksub (up to noise).
-    """
-    c = sigma_s_series(ctx, r, bridge)
-    series_scale, _ = _s_scales(ctx, r, bridge)
-    b = np.sqrt(series_scale) * np.array([0.05, 0.1])
-    vals = []
-    for bb in b:
-        s = bb * bb
-        sig = float(sigma_s(ctx, r, s, bridge))
-        for j in range(ksub):
-            sig -= c[j] * s**j
-        vals.append(abs(sig) + 1e-300)
-    return float(np.log(vals[1] / vals[0]) / np.log(b[1] / b[0]))
-
-
 # ---------------------------------------------------------------------------
 # Outer integrals in r.
 # ---------------------------------------------------------------------------

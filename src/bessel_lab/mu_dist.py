@@ -59,6 +59,11 @@ _TAIL_SWITCH = 0.05
 #: alpha = -2.5, and as accurate on the finite-part zeta''.
 _SWITCH_REL = 1e-13
 
+#: First window probed for f's decay cutoff, and how often it may double
+#: before f counts as not decaying.
+_DECAY_WINDOW = 60.0
+_WINDOW_DOUBLINGS = 8
+
 
 class MuConvergenceError(RuntimeError):
     """Raised when the defining quadrature fails to converge."""
@@ -184,8 +189,18 @@ def mu_pair(alpha, f):
     def far(x):
         return (f(x) - np.polyval(head[1:], x)) * x ** (alpha - 1.0)
 
-    # f is negligible past its decay cutoff, so a cutoff below 1 moves to 1
-    cutoff = max(decay_cutoff(f, 0.0, 60.0, rel=1e-18, probes=601), 1.0)
+    # f is negligible past its decay cutoff, found inside a window that
+    # doubles until it holds one; a cutoff below 1 moves to 1
+    window = _DECAY_WINDOW
+    for _ in range(_WINDOW_DOUBLINGS + 1):
+        cutoff = decay_cutoff(f, 0.0, window, rel=1e-18, probes=601)
+        if cutoff < window:
+            break
+        window *= 2.0
+    else:
+        raise MuConvergenceError(f"{f.label} has not decayed below 1e-18 of "
+                                 f"its peak by x = {window / 2.0:g}")
+    cutoff = max(cutoff, 1.0)
     try:
         # [0, 1]: int (f - P_{k+1}) x^{alpha-1} on the Gauss-Jacobi panel of
         # x^beta, beta in (0, 1] for alpha < 1, plus the c_{k+1} term.

@@ -10,7 +10,7 @@ function ``phi`` with
 
     rho_r = int_0^r phi_u^(-2) du.
 
-Because the ODE is linear, no shooting is required: integrate backwards from
+Because the ODE is linear, no shooting is required: sweep backwards from
 ``phi~(1) = 1, phi~'(1) = 0`` (positivity is automatic: the solution is >= 1
 and decreasing in the backward direction since m >= 0) and normalise by
 ``phi~(0)``.  Atoms of ``m`` at ``t`` produce slope jumps
@@ -18,207 +18,178 @@ and decreasing in the backward direction since m >= 0) and normalise by
 reported boundary slope ``phi'(0)`` (taken as the limit from the left), which
 is exactly what the Laplace-transform normalisation constant requires.
 
-On intervals where the density of ``m`` is constant the solution is a
-hyperbolic (or linear) closed form; general polynomial densities fall back to
-a high-accuracy ODE integration.  The time change uses the Wronskian
-identity: if ``psi`` solves the same ODE with ``psi(lo) = 0, psi'(lo) = 1``
-then ``int_lo^r phi^(-2) = psi(r) / (phi(lo) phi(r))``, which on
-constant-density pieces gives ``psi`` in closed form as ``sinh(omega u)/omega``.
+No ODE solver and no quadrature run here.  Every interval on which the
+density ``p`` is one polynomial is cut into sub-pieces of length
+``h <= 1/sqrt(2 max p)``, and each sub-piece carries two Taylor series whose
+coefficients follow from ``(n+2)(n+1) a_{n+2} = 2 sum_j p_j a_{n-j}``, with
+``p_j`` the coefficients of ``h^2 p`` in the series' variable:
+
+* ``phi`` about the sub-piece's right end, in ``(hi - r) / h``, seeded with
+  the sweep's ``(phi~, -phi~')``.  The sweep runs in the direction in which
+  ``phi~`` grows; on constant densities every term of the series of ``phi``
+  and of ``phi'`` then has one sign, and Horner's rule sums them without
+  cancellation.  Expanding about the left end instead gives
+  ``phi_lo cosh(w (r - lo)) + (phi'_lo / w) sinh(w (r - lo))``, two nearly
+  equal terms of opposite sign: on a Lebesgue density ``theta^2 / 2`` that loses every digit
+  by ``theta = 20``.
+* ``psi`` about its left end, in ``(r - lo) / h``, with ``psi(lo) = 0`` and
+  ``psi'(lo) = 1``.  The Wronskian ``phi psi' - phi' psi = phi(lo)`` is
+  constant (Abel's identity), so
+  ``rho(r) = rho(lo) + psi(r) / (phi(lo) phi(r))`` on every sub-piece.
+
+Since ``2 p h^2 <= 1``, the n-th coefficient in these scaled variables is at
+most about ``1/n!`` of the leading ones, so the series are cut at degree 28,
+and no coefficient overflows before ``phi~`` itself does.
+
+Range: ``phi(1) = 1/phi~(0)``, so ``phi(1)`` underflows exactly when the
+sweep overflows, and no rescaling brings such a measure into float64.
+:func:`solve_sl` raises ``OverflowError`` when ``phi~(0)`` or ``rho(1)`` is
+not a finite double; for a Lebesgue density ``theta^2 / 2`` that happens past
+``theta ~ 355``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+import sys
 
 import numpy as np
-from scipy import integrate
-
-from .quadrature import adaptive_gl
+from numpy.polynomial.polynomial import polyadd
 
 __all__ = ["SLSolution", "solve_sl"]
 
-_ODE_TOL = 1e-12
+#: Degree of the Taylor series carried on each sub-piece.
+_DEGREE = 28
+_N = _DEGREE + 1
+
+# A sub-piece's column of the solution table: its ends, rho at its left end,
+# 1/phi at its left end, then the coefficients of phi and phi' in
+# (hi - r) / (hi - lo) and of psi in (r - lo) / (hi - lo).
+_LO, _HI, _RHO_LO, _INV_PHI_LO = range(4)
+_PHI = slice(4, 4 + _N)
+_DPHI = slice(4 + _N, 4 + 2 * _N)
+_PSI = slice(4 + 2 * _N, 4 + 3 * _N)
 
 
-@dataclass
-class _Piece:
-    """Solution on one sub-interval, anchored at its left end."""
+def _horner(coeffs, x):
+    """``sum_n coeffs[n] x^n``; the coefficients are floats, or arrays that
+    broadcast with ``x``."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
-    lo: float
-    hi: float
-    phi_lo: float
-    dphi_lo: float
-    omega: float = 0.0        # constant-density pieces: phi'' = omega^2 phi
-    interp: object = None     # dense output for non-constant densities
-    dinterp: object = None
-    rho_lo: float = 0.0       # accumulated rho at the left end
 
-    def phi(self, r):
-        u = np.asarray(r, dtype=float) - self.lo
-        if self.interp is not None:
-            return np.asarray(self.interp(np.asarray(r, dtype=float)))
-        if self.omega == 0.0:
-            return self.phi_lo + self.dphi_lo * u
-        w = self.omega
-        return self.phi_lo * np.cosh(w * u) + (self.dphi_lo / w) * np.sinh(w * u)
+def _taylor(c, x0, s, y0, dy0):
+    """Taylor coefficients in ``t``, up to degree ``_DEGREE``, of
+    ``y(x0 + s t)``, where ``y'' = 2 c(r) y``, ``y(x0) = y0`` and
+    ``y'(x0) = dy0``; ``c`` holds the density's ascending coefficients."""
+    # s^2 c(x0 + s t) in powers of t: the density seen by d^2/dt^2
+    q = [s ** (k + 2) * sum(math.comb(j, k) * c[j] * x0 ** (j - k)
+                            for j in range(k, len(c)))
+         for k in range(len(c))]
+    a = [y0, s * dy0]
+    for n in range(_DEGREE - 1):
+        acc = sum(qj * a[n - j] for j, qj in enumerate(q[:n + 1]))
+        a.append(2.0 * acc / ((n + 2) * (n + 1)))
+    return a
 
-    def dphi(self, r):
-        u = np.asarray(r, dtype=float) - self.lo
-        if self.interp is not None:
-            return np.asarray(self.dinterp(np.asarray(r, dtype=float)))
-        if self.omega == 0.0:
-            return self.dphi_lo * np.ones_like(u)
-        w = self.omega
-        return (self.phi_lo * w * np.sinh(w * u)
-                + self.dphi_lo * np.cosh(w * u))
 
-    def rho_inc(self, r):
-        """int_lo^r phi^(-2) du for scalar r in [lo, hi]."""
-        if self.interp is not None:
-            return adaptive_gl(lambda s: 1.0 / self.phi(s) ** 2, self.lo, r,
-                               rtol=1e-12, atol=1e-15)
-        u = r - self.lo
-        psi = u if self.omega == 0.0 else math.sinh(self.omega * u) / self.omega
-        return psi / (self.phi_lo * float(self.phi(r)))
+def _range_error(name, value):
+    return OverflowError(
+        f"{name} = {value!r} is beyond the double range (largest finite "
+        f"double {sys.float_info.max:.4g}): the measure is too heavy to "
+        f"solve in float64")
 
 
 class SLSolution:
-    """Solution ``phi`` of the transform together with its time change."""
+    """Solution ``phi`` of the transform together with its time change.
 
-    def __init__(self, pieces, measure):
-        self.pieces = pieces
-        self.measure = measure
-        self._edges = [p.lo for p in pieces]
-        self.phi1 = float(pieces[-1].phi(1.0))
+    ``phi``, ``dphi`` and ``rho`` take a scalar ``r``, returning a float, or
+    an array, returning an array of its shape; one evaluator serves both.
+    """
+
+    def __init__(self, table, atom_at_0):
+        self._table = table
+        self._rows = table.T.tolist()
+        self._cut = table[_LO, 1:]
+        self.phi1 = self.phi(1.0)
         self.rho1 = self.rho(1.0)
-        # Boundary slope, including the jump of any atom sitting at 0.
-        slope = float(pieces[0].dphi_lo)
-        for t, w in measure.atoms:
-            if t == 0.0:
-                slope -= 2.0 * w * float(pieces[0].phi_lo)
-        self.phi_prime0 = slope
+        # Boundary slope phi'(0-): the jump of an atom at 0 (phi(0) = 1).
+        self.phi_prime0 = self.dphi(0.0) - 2.0 * atom_at_0
 
-    def _locate(self, r):
-        idx = bisect_right(self._edges, r) - 1
-        return self.pieces[max(0, min(idx, len(self.pieces) - 1))]
+    def _piece(self, r):
+        """``r`` and the table column of the sub-piece holding it (the right
+        one at an edge): Python floats for a scalar ``r``, which keeps
+        scalar calls cheap, and arrays of ``r``'s shape otherwise."""
+        r = np.asarray(r, dtype=float)
+        i = self._cut.searchsorted(r, side="right")
+        if r.ndim == 0:
+            return float(r), self._rows[i]
+        return r, self._table[:, i]
 
     def phi(self, r):
-        r = np.asarray(r, dtype=float)
-        if r.ndim == 0:
-            return float(self._locate(float(r)).phi(float(r)))
-        return np.array([float(self._locate(x).phi(x)) for x in r.ravel()]
-                        ).reshape(r.shape)
+        r, c = self._piece(r)
+        return _horner(c[_PHI], (c[_HI] - r) / (c[_HI] - c[_LO]))
 
     def dphi(self, r):
         """Right-hand derivative phi'(r+) (limits at atoms from the right)."""
-        r = np.asarray(r, dtype=float)
-        if r.ndim == 0:
-            return float(self._locate(float(r)).dphi(float(r)))
-        return np.array([float(self._locate(x).dphi(x)) for x in r.ravel()]
-                        ).reshape(r.shape)
+        r, c = self._piece(r)
+        return _horner(c[_DPHI], (c[_HI] - r) / (c[_HI] - c[_LO]))
 
     def rho(self, r):
-        r = np.asarray(r, dtype=float)
-
-        def one(x):
-            p = self._locate(x)
-            return p.rho_lo + p.rho_inc(x)
-
-        if r.ndim == 0:
-            return one(float(r))
-        return np.array([one(x) for x in r.ravel()]).reshape(r.shape)
-
-
-def _advance_backward(density_coeffs, lo, hi, phi_hi, dphi_hi):
-    """Propagate (phi, phi') from hi to lo through phi'' = 2 density phi.
-
-    Returns (phi_lo, dphi_lo, omega, interp, dinterp).
-    """
-    length = hi - lo
-    coeffs = list(density_coeffs)
-    if len(coeffs) <= 1:
-        c = coeffs[0] if coeffs else 0.0
-        if c == 0.0:
-            return phi_hi - dphi_hi * length, dphi_hi, 0.0, None, None
-        w = math.sqrt(2.0 * c)
-        ch, sh = math.cosh(w * length), math.sinh(w * length)
-        phi_lo = phi_hi * ch - (dphi_hi / w) * sh
-        dphi_lo = -phi_hi * w * sh + dphi_hi * ch
-        return phi_lo, dphi_lo, w, None, None
-
-    def rhs(r, state):
-        dens = np.polynomial.polynomial.polyval(r, coeffs)
-        return [state[1], 2.0 * dens * state[0]]
-
-    sol = integrate.solve_ivp(rhs, (hi, lo), [phi_hi, dphi_hi],
-                              rtol=_ODE_TOL, atol=_ODE_TOL,
-                              dense_output=True, method="DOP853")
-    if not sol.success:
-        raise RuntimeError(f"ODE integration failed on [{lo}, {hi}]: {sol.message}")
-    phi_lo, dphi_lo = sol.y[0, -1], sol.y[1, -1]
-
-    dense = sol.sol
-
-    def interp(r):
-        return dense(np.asarray(r, dtype=float))[0]
-
-    def dinterp(r):
-        return dense(np.asarray(r, dtype=float))[1]
-
-    return float(phi_lo), float(dphi_lo), 0.0, interp, dinterp
+        r, c = self._piece(r)
+        h = c[_HI] - c[_LO]
+        psi = _horner(c[_PSI], (r - c[_LO]) / h)
+        return c[_RHO_LO] + psi * c[_INV_PHI_LO] / _horner(c[_PHI],
+                                                          (c[_HI] - r) / h)
 
 
 def solve_sl(m):
-    """Solve the transform for a :class:`FiniteMeasure`; returns SLSolution."""
+    """Solve the transform for a :class:`FiniteMeasure`; returns SLSolution.
+
+    Raises ``OverflowError`` when ``phi~(0)`` or ``rho(1)`` is not a finite
+    double.
+    """
     edges = m.breakpoints()
     atom_weight = {}
     for t, w in m.atoms:
         atom_weight[t] = atom_weight.get(t, 0.0) + w
 
-    # Backward sweep: state (phi~, phi~') at the right end of each interval.
+    # Backward sweep: (phi~, phi~') at the right end of each sub-piece.
     phi, dphi = 1.0, 0.0
-    raw = []  # (lo, hi, phi_lo, dphi_lo, omega, interp, dinterp)
+    columns = []
     for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
-        if hi in atom_weight:
-            dphi = dphi - 2.0 * atom_weight[hi] * phi
-        # Density restricted to (lo, hi): sum of pieces covering it.
+        dphi -= 2.0 * atom_weight.get(hi, 0.0) * phi
+        # Density on (lo, hi): the sum of the pieces covering it.
         mid = 0.5 * (lo + hi)
-        coeffs = [0.0]
-        for plo, phi_, pcoeffs in m.pieces:
-            if plo <= mid <= phi_:
-                n = max(len(coeffs), len(pcoeffs))
-                coeffs = [
-                    (coeffs[i] if i < len(coeffs) else 0.0)
-                    + (pcoeffs[i] if i < len(pcoeffs) else 0.0)
-                    for i in range(n)
-                ]
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs.pop()
-        phi_lo, dphi_lo, omega, interp, dinterp = _advance_backward(
-            coeffs, lo, hi, phi, dphi)
-        raw.append((lo, hi, phi_lo, dphi_lo, omega, interp, dinterp))
-        phi, dphi = phi_lo, dphi_lo
+        p = [0.0]
+        for p_lo, p_hi, c in m.pieces:
+            if p_lo <= mid <= p_hi:
+                p = polyadd(p, c).tolist()
+        # sum_j |p_j| hi^j bounds p on [lo, hi], a part of [0, 1].
+        top = sum(abs(pj) * hi**j for j, pj in enumerate(p))
+        count = max(1, math.ceil((hi - lo) * math.sqrt(2.0 * top)))
+        grid = np.linspace(lo, hi, count + 1).tolist()
+        for a, b in zip(grid[-2::-1], grid[:0:-1]):
+            phi_c = _taylor(p, b, a - b, phi, dphi)
+            dphi_c = [(n + 1) * phi_c[n + 1] / (a - b)
+                      for n in range(_DEGREE)] + [0.0]
+            psi_c = _taylor(p, a, b - a, 0.0, 1.0)
+            columns.append([a, b, 0.0, 0.0] + phi_c + dphi_c + psi_c)
+            phi, dphi = _horner(phi_c, 1.0), _horner(dphi_c, 1.0)
+            if not math.isfinite(phi):  # phi~ grows leftwards: so does phi~(0)
+                raise _range_error(f"phi~({a})", phi)
 
-    scale = phi  # value of phi~ at 0; normalise so phi(0) = 1
-    if not scale > 0:
-        raise RuntimeError("transform produced a non-positive solution")
-
-    pieces = []
-    for lo, hi, phi_lo, dphi_lo, omega, interp, dinterp in reversed(raw):
-        if interp is not None:
-            interp_s = (lambda r, g=interp, s=scale: g(r) / s)
-            dinterp_s = (lambda r, g=dinterp, s=scale: g(r) / s)
-        else:
-            interp_s = dinterp_s = None
-        pieces.append(_Piece(lo, hi, phi_lo / scale, dphi_lo / scale, omega,
-                             interp_s, dinterp_s))
-
-    # Accumulate rho at piece boundaries.
-    acc = 0.0
-    for p in pieces:
-        p.rho_lo = acc
-        acc += p.rho_inc(p.hi)
-
-    return SLSolution(pieces, m)
+    table = np.array(columns[::-1]).T
+    table[_PHI] /= phi
+    table[_DPHI] /= phi
+    with np.errstate(over="ignore"):  # an infinite rho(1) is raised below
+        table[_INV_PHI_LO] = 1.0 / _horner(table[_PHI], 1.0)
+        # rho(hi) - rho(lo) = psi(hi) / (phi(lo) phi(hi)) on each sub-piece
+        inc = _horner(table[_PSI], 1.0) * table[_INV_PHI_LO] / table[_PHI][0]
+        table[_RHO_LO, 1:] = np.cumsum(inc[:-1])
+    sol = SLSolution(table, atom_weight.get(0.0, 0.0))
+    if not math.isfinite(sol.rho1):
+        raise _range_error("rho(1)", sol.rho1)
+    return sol

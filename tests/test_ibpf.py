@@ -6,11 +6,10 @@ from scipy import integrate, special
 
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump,
                              poly_bump)
-from bessel_lab.ibpf import (IbpfCase, decay_exponent, gamma_3,
-                             lhs_bridge_analytic, lhs_mc,
+from bessel_lab.ibpf import (IbpfCase, gamma_3, lhs_bridge_analytic, lhs_mc,
                              lhs_uncond_analytic, rel_err, rhs_ibpf,
                              uncond_from_bridge_rhs, verify)
-from bessel_lab.laplace_sigma import SigmaContext
+from bessel_lab.laplace_sigma import SigmaContext, sigma_s, sigma_s_series
 from bessel_lab.samplers import RngStream
 
 H = bump(0.2)
@@ -68,10 +67,23 @@ class TestRhsBranches:
     @pytest.mark.parametrize("delta,ksub", [(0.5, 2), (1.5, 1), (2.5, 1)])
     def test_subtracted_integrand_decay(self, delta, ksub):
         # log-slope of the subtracted Sigma in b near 0 is >= 2*ksub - 0.1
-        # (the remainder after ksub s-Taylor subtractions is O(b^{2 ksub})).
+        # (the remainder after ksub s-Taylor subtractions is O(b^{2 ksub})),
+        # taken between b = 0.05 and 0.1 times the series scale
+        # sqrt(2 min(rho_r, rho_1 - rho_r)) phi_r.
         case = simple_case(delta, 1.0, 0.0, FiniteMeasure.atom(0.6, 1.0))
         ctx = SigmaContext(case.spec, case.phi.terms[0][1])
-        slope = decay_exponent(ctx, 0.5, ksub, bridge=True)
+        r, sol = 0.5, ctx.sol
+        c = sigma_s_series(ctx, r, True)
+        rr = sol.rho(r)
+        b = (math.sqrt(2.0 * min(rr, sol.rho1 - rr)) * sol.phi(r)
+             * np.array([0.05, 0.1]))
+        rem = []
+        for s in b * b:
+            sig = float(sigma_s(ctx, r, s, True))
+            for j in range(ksub):
+                sig -= c[j] * s**j
+            rem.append(abs(sig) + 1e-300)
+        slope = math.log(rem[1] / rem[0]) / math.log(b[1] / b[0])
         assert slope >= 2.0 * ksub - 0.1
 
     def test_rhs_sign_negative_for_plain_cases(self):

@@ -73,6 +73,18 @@ class TestMuBranches:
         with pytest.raises(MuConvergenceError):
             mu_pair(-0.5, rough)
 
+    def test_slow_decay_cutoff(self):
+        # exp(-x/2) is still at 1e-13 at x = 60; the cutoff must look further
+        f = SmoothTestFn.exp_decay(0.5)
+        for alpha in np.arange(-25, 51) / 10.0:
+            if alpha != round(alpha):
+                assert mu_pair(alpha, f) == pytest.approx(2.0**alpha,
+                                                          rel=1e-11)
+
+    def test_no_decay_is_typed(self):
+        with pytest.raises(MuConvergenceError, match="not decayed"):
+            mu_pair(0.5, SmoothTestFn.exp_decay(1e-4))
+
     def test_alpha_out_of_range(self):
         f = SmoothTestFn.exp_decay(1.0)
         with pytest.raises(ValueError):

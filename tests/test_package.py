@@ -58,6 +58,38 @@ def test_unused_import_detector():
     assert _unused_imports(tree) == [(1, "os"), (3, "pi")]
 
 
+def _integrate_imports(tree):
+    """Lines that import ``scipy.integrate`` or names from it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
+               for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_scipy_integrate(name):
+    # one quadrature stack: integrals go through bessel_lab.quadrature
+    path = Path(bessel_lab.__path__[0]) / f"{name}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _integrate_imports(tree) == []
+
+
+def test_integrate_import_detector():
+    tree = ast.parse("import scipy.integrate\nfrom scipy import integrate\n"
+                     "from scipy.integrate import quad\n"
+                     "import scipy.integrate as si\nfrom scipy import special\n"
+                     "import scipy\n")
+    assert _integrate_imports(tree) == [1, 2, 3, 4]
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -19,36 +19,30 @@ class TestZeroMeasure:
         assert sol.phi1 == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("theta", [1.0, 4.0, 10.0, 20.0, 100.0, 300.0])
 class TestCoshClosedForm:
-    # m = (theta^2/2) Lebesgue with theta = 1:
-    # phi_r = cosh(theta(1-r))/cosh(theta),
-    # rho_r = cosh^2(theta) (tanh(theta) - tanh(theta(1-r)))/theta.
-    theta = 1.0
-
-    def _sol(self):
-        return solve_sl(FiniteMeasure.lebesgue(self.theta**2 / 2.0))
-
-    def test_phi(self):
-        sol = self._sol()
-        th = self.theta
+    # m = (theta^2/2) Lebesgue: phi_r = cosh(theta(1-r))/cosh(theta) and,
+    # free of cancellation, rho_r = cosh(theta) sinh(theta r)
+    #                              / (theta cosh(theta(1-r))).
+    def test_phi(self, theta):
+        sol = solve_sl(FiniteMeasure.lebesgue(theta**2 / 2.0))
         for r in np.linspace(0.0, 1.0, 21):
-            want = math.cosh(th * (1.0 - r)) / math.cosh(th)
-            assert sol.phi(r) == pytest.approx(want, rel=1e-10)
+            want = math.cosh(theta * (1.0 - r)) / math.cosh(theta)
+            assert sol.phi(r) == pytest.approx(want, rel=1e-12)
 
-    def test_rho(self):
-        sol = self._sol()
-        th = self.theta
+    def test_rho(self, theta):
+        sol = solve_sl(FiniteMeasure.lebesgue(theta**2 / 2.0))
         for r in np.linspace(0.0, 1.0, 21):
-            want = (math.cosh(th) ** 2
-                    * (math.tanh(th) - math.tanh(th * (1.0 - r))) / th)
-            assert sol.rho(r) == pytest.approx(want, rel=1e-10, abs=1e-12)
+            want = (math.cosh(theta) * math.sinh(theta * r)
+                    / (theta * math.cosh(theta * (1.0 - r))))
+            assert sol.rho(r) == pytest.approx(want, rel=1e-12)
 
-    def test_boundary_conditions(self):
-        sol = self._sol()
+    def test_boundary_conditions(self, theta):
+        sol = solve_sl(FiniteMeasure.lebesgue(theta**2 / 2.0))
         assert sol.phi(0.0) == pytest.approx(1.0, abs=1e-12)
         assert sol.dphi(1.0) == pytest.approx(0.0, abs=1e-12)
-        assert sol.phi_prime0 == pytest.approx(-math.tanh(self.theta),
-                                               rel=1e-10)
+        assert sol.phi_prime0 == pytest.approx(-theta * math.tanh(theta),
+                                               rel=1e-12)
 
 
 class TestAtomicClosedForm:
@@ -111,3 +105,51 @@ class TestGenericDensity:
             assert s1.phi(r) == pytest.approx(s2.phi(r), rel=1e-11)
             assert s1.rho(r) == pytest.approx(s2.rho(r), rel=1e-10,
                                                   abs=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [[0.5, 0.3, 0.2], [0.0, 40.0],
+                                    [0.0, 150.0], [200.0]],
+                         ids=["quadratic", "40r", "150r", "const200"])
+def test_polynomial_density_against_mpmath(coeffs):
+    # phi~(s) = phi~(1 - r) solves phi~'' = 2 p(1 - s) phi~ forward from
+    # (1, 0); phi = phi~(1 - r)/phi~(1) and rho by quadrature of phi^(-2).
+    mp = pytest.importorskip("mpmath")
+    sol = solve_sl(FiniteMeasure(pieces=[(0.0, 1.0, coeffs)]))
+    with mp.workdps(30):
+        def dens(x):
+            return sum(mp.mpf(c) * x**j for j, c in enumerate(coeffs))
+
+        back = mp.odefun(lambda s, y: [y[1], 2 * dens(1 - s) * y[0]],
+                         0, [mp.mpf(1), mp.mpf(0)])
+        top = back(1)[0]
+        for r in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            want_phi = back(1 - mp.mpf(r))[0] / top
+            want_rho = mp.quad(lambda u: (top / back(1 - u)[0]) ** 2,
+                               [0, mp.mpf(r)])
+            assert sol.phi(r) == pytest.approx(float(want_phi), rel=1e-13)
+            assert sol.rho(r) == pytest.approx(float(want_rho), rel=1e-13)
+
+
+def test_array_calls_match_scalar_calls():
+    m = FiniteMeasure(atoms=[(0.0, 0.3), (0.25, 0.5), (0.7, 1.0)],
+                      pieces=[(0.1, 0.6, [1.0, 2.0]),
+                              (0.4, 1.0, [30.0, 0.0, 5.0])])
+    sol = solve_sl(m)
+    rs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 37),
+                                   m.breakpoints()]))
+    for f in (sol.phi, sol.dphi, sol.rho):
+        scalars = [f(r) for r in rs]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(f(rs), scalars)
+        assert np.array_equal(f(rs.reshape(-1, 1)), np.c_[scalars])
+    for t, _ in m.atoms:  # dphi keeps its right-hand limit at an atom
+        assert sol.dphi(t) == pytest.approx(sol.dphi(t + 1e-12), abs=1e-9)
+
+
+@pytest.mark.parametrize("m", [
+    FiniteMeasure.lebesgue(1e6),
+    FiniteMeasure(pieces=[(0.0, 0.5, [3.2e5]), (0.5, 1.0, [3.2e5])]),
+])
+def test_beyond_double_range_is_typed(m):
+    with pytest.raises(OverflowError, match="double range"):
+        solve_sl(m)
