@@ -28,9 +28,9 @@ are evaluated by independent numerical routes:
   (disabled in a small guard band around delta = 2, where the prefactor
   pole is only removable analytically).
 
-The delicate object is the inner b-integral: after the Taylor subtraction
-the integrand vanishes to high order at 0 and direct evaluation loses all
-precision there.  Working in ``s = b^2``, the integral splits into
+The delicate object is the branch RHS's inner b-integral: after the Taylor
+subtraction the integrand vanishes to high order at 0 and direct evaluation
+loses all precision there.  Working in ``s = b^2``, the integral splits into
 
 * [0, s0]: closed form from the exact Taylor coefficients of Sigma in s
   (obtained by convolving the y-Taylor series of the two regularised
@@ -38,6 +38,10 @@ precision there.  Working in ``s = b^2``, the integral splits into
 * [s0, S]: direct adaptive quadrature (subtraction is benign there);
 * [S, inf): Sigma itself is negligible; the power tails of the subtracted
   monomials are added in closed form.
+
+The split belongs to that RHS alone: the analytic bridge LHS's integrand
+``s^{(delta-1)/2} Sigma(s)`` subtracts nothing, and its power is the weight
+of a Gauss-Jacobi first panel.
 """
 
 from __future__ import annotations
@@ -155,23 +159,24 @@ def _s_scales(ctx, r, bridge):
     return series_scale, decay_scale
 
 
-def fp_s_integral(ctx, r, p, ksub, bridge=True, order=SERIES_ORDER):
-    """``int_0^inf s^p [Sigma(s) - sum_{j<ksub} c_j s^j] ds``.
+def fp_s_integral(ctx, r, p, ksub, bridge):
+    """``int_0^inf s^p [Sigma(s) - sum_{j<ksub} c_j s^j] ds``, the inner
+    integral of the dimension-branch RHS.
 
     Requires p + ksub + 1 > 0 (integrable at 0 after subtraction) and
     p + ksub < 0 or Sigma decaying (it does, exponentially).
     """
-    c = sigma_s_series(ctx, r, bridge, order)
+    c = sigma_s_series(ctx, r, bridge)
     series_scale, decay_scale = _s_scales(ctx, r, bridge)
     s0 = min(0.4 * series_scale, 0.25 * decay_scale)
 
     # [0, s0]: closed form from the series.
     near = 0.0
-    for j in range(ksub, order + 1):
+    for j in range(ksub, SERIES_ORDER + 1):
         q = p + j + 1.0
         near += c[j] * s0**q / q
-    # truncation diagnostic: the last retained term must be negligible
-    tail_term = abs(c[order]) * s0 ** (p + order + 1.0) / abs(p + order + 1.0)
+    # truncation diagnostic: the last term (q of j = SERIES_ORDER) must be tiny
+    tail_term = abs(c[SERIES_ORDER]) * s0**q / abs(q)
     scale_ref = abs(near) + abs(c[0]) * s0 ** abs(p + 1.0) + 1e-300
 
     # [s0, S]: direct quadrature with explicit subtraction.
@@ -343,9 +348,15 @@ def lhs_uncond_analytic(case):
 
 def bridge_mean_phi(ctx, r):
     """``E[X_r Phi]`` for one exponential term under the bridge law:
-    ``(1/2) int_0^inf s^{(delta-1)/2} Sigma(s) ds``."""
-    d = ctx.spec.delta
-    return 0.5 * fp_s_integral(ctx, r, (d - 1.0) / 2.0, 0, bridge=True)
+    ``(1/2) int_0^inf s^{(delta-1)/2} Sigma(s) ds``, with the power taken
+    by the Gauss-Jacobi end panel and the range cut where Sigma has decayed
+    (the integrand is positive, so the relative tolerance alone decides)."""
+    def sig(s):
+        return sigma_s(ctx, r, s, True)
+
+    big_s = decay_cutoff(sig, 0.0, _s_scales(ctx, r, True)[1], probes=100)
+    return 0.5 * adaptive_gl(sig, 0.0, big_s, rtol=1e-10, atol=1e-300,
+                             confirm=1, beta=(ctx.spec.delta - 1.0) / 2.0)
 
 
 def lhs_bridge_analytic(case):
@@ -375,23 +386,24 @@ def lhs_bridge_analytic(case):
 # Monte Carlo left-hand side.
 # ---------------------------------------------------------------------------
 
-def mc_times(case, mesh_n=513):
-    """Sample times: uniform mesh augmented with the atom locations of every
-    measure in the functional (so atom pairings are exact, not interpolated)."""
-    pts = set(np.linspace(0.0, 1.0, mesh_n))
+def mc_times(case):
+    """Sample times: the uniform 513-point mesh augmented with the atom
+    locations of every measure in the functional (so atom pairings are exact,
+    not interpolated)."""
+    pts = set(np.linspace(0.0, 1.0, 513))
     for _, m in case.phi.terms:
         pts.update(t for t, _ in m.atoms)
     return np.array(sorted(pts))
 
 
-def lhs_mc(case, n, rng, mesh_n=513):
+def lhs_mc(case, n, rng):
     """Monte Carlo estimate (mean, stderr) of ``E[<h'' - 2 h m, X> Phi]``
     over exactly sampled bridge paths."""
     if case.mode != "bridge":
         raise ValueError("Monte Carlo left-hand side needs bridge mode")
     spec = case.spec
     h = case.h
-    times = mc_times(case, mesh_n)
+    times = mc_times(case)
     w_h2 = hat_weights(times, h.d2)
     prepared = [(coef, pairing_weights(m, h, times))
                 for coef, m in case.phi.terms]
@@ -438,15 +450,15 @@ def verify(case, mc_n=0, rng=None):
     return report
 
 
-def uncond_from_bridge_rhs(case_template, a, nodes=32, amax=None):
+def uncond_from_bridge_rhs(case_template, a):
     """Conditioning identity: integrate the bridge right-hand side over the
-    endpoint law, ``int rhs(a, ap) p^delta_1(a, ap) dap``; must match the
-    unconstrained right-hand side at the same ``a``."""
+    endpoint law, ``int_0^{a+6} rhs(a, ap) p^delta_1(a, ap) dap`` by 32-node
+    Gauss-Legendre; must match the unconstrained right-hand side at the same
+    ``a``."""
     d = case_template.spec.delta
-    if amax is None:
-        amax = a + 6.0
+    amax = a + 6.0
 
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(32)
     x = 0.5 * amax * (x + 1.0)
     w = 0.5 * amax * w
     total = 0.0

@@ -49,13 +49,9 @@ __all__ = [
     "sigma_bridge",
     "sigma_s",
     "sigma_s_series",
-    "sigma_ds_at_zero",
     "zeta",
     "zeta_second_deriv",
 ]
-
-#: Step sizes (in s = b^2) for the Richardson derivative at the origin.
-_DS_STEPS = (1e-3, 5e-4, 2.5e-4)
 
 #: Number of s-Taylor coefficients of Sigma carried by the series pieces.
 SERIES_ORDER = 14
@@ -68,13 +64,11 @@ class SigmaContext:
 
     spec: BridgeSpec
     m: FiniteMeasure
-    sol: object = None
 
     def __post_init__(self):
-        if self.sol is None:
-            self.sol = solve_sl(self.m)
+        #: The measure's Sturm-Liouville solution (phi, rho).
+        self.sol = sol = solve_sl(self.m)
         d, a, ap = self.spec.delta, self.spec.a, self.spec.ap
-        sol = self.sol
         #: Normalisation ``exp(a^2 phi'(0)/2) phi(1)^{delta/2}`` (1 for m = 0).
         self.K = math.exp(a**2 * sol.phi_prime0 / 2.0) * sol.phi1 ** (d / 2.0)
         #: Bridge prefactor ``2 exp(a^2 phi'(0)/2) phi(1)^{-delta/2}``.
@@ -153,27 +147,11 @@ def sigma_bridge(ctx, r, b):
     return _sigma_bridge_s(ctx, r, b**2)
 
 
-def sigma_ds_at_zero(ctx, r, bridge=True):
-    """``d/ds Sigma(Phi | sqrt(s))`` at ``s = 0``.
-
-    Central differences in ``s`` (the kernel extends analytically to small
-    negative ``s``) with Richardson extrapolation over the three stock steps.
-    """
-    ests = []
-    for h in _DS_STEPS:
-        up = float(sigma_s(ctx, r, +h, bridge))
-        dn = float(sigma_s(ctx, r, -h, bridge))
-        ests.append((up - dn) / (2.0 * h))
-    # steps halve: two Richardson levels for the O(h^2) central difference
-    r1 = [(4.0 * ests[i + 1] - ests[i]) / 3.0 for i in range(2)]
-    return (16.0 * r1[1] - r1[0]) / 15.0
-
-
 # ---------------------------------------------------------------------------
 # Mean of the Bessel process and its second time-derivative.
 # ---------------------------------------------------------------------------
 
-def zeta(delta, a, t, rtol=1e-12):
+def zeta(delta, a, t):
     """``E[X_t]`` for the Bessel process of dimension delta started at a.
 
     Closed form for ``a = 0``; otherwise quadrature of the transition
@@ -192,7 +170,7 @@ def zeta(delta, a, t, rtol=1e-12):
 
     hi = (a + 14.0 * math.sqrt(t) + 6.0 * t) ** 2
     hi = decay_cutoff(lambda y: y**beta * q(y), 1e-3 * hi, hi)
-    return adaptive_gl(q, 0.0, hi, rtol=rtol, atol=1e-13, beta=beta)
+    return adaptive_gl(q, 0.0, hi, rtol=1e-12, atol=1e-13, beta=beta)
 
 
 def _zeta_second_deriv_fd(delta, a, t):

@@ -42,13 +42,23 @@ def _gl_nodes(order):
 
 @lru_cache(maxsize=None)
 def _gj_nodes(order, beta):
-    """Gauss-Jacobi rule for the weight ``(1 + x)^beta`` on [-1, 1], with
-    weights 2^{beta+1} / ((1 - x_i^2) P_n'(x_i)^2) at the nodes: those of
-    ``roots_jacobi`` miss the moments by up to 1.6e-13 at beta = -0.75."""
-    x, _ = special.roots_jacobi(order, 0.0, beta)
-    dp = 0.5 * (order + beta + 1.0) * special.eval_jacobi(
-        order - 1, 1.0, beta + 1.0, x)
-    return x, 2.0 ** (beta + 1.0) / ((1.0 - x * x) * dp * dp)
+    """Gauss-Jacobi rule for the weight ``(1 + x)^beta`` on [-1, 1]: nodes
+    from the Jacobi matrix of P_n^{(0, beta)} and two Newton steps (not
+    ``special.roots_jacobi``, which imports ``scipy.linalg``), weights
+    2^{beta+1} / ((1 - x_i^2) P_n'(x_i)^2) at the nodes."""
+    k = np.arange(1, order, dtype=float)
+    s = 2.0 * k + beta
+    diag = np.r_[beta / (beta + 2.0), beta * beta / (s * (s + 2.0))]
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+    def dp(x):
+        return 0.5 * (order + beta + 1.0) * special.eval_jacobi(
+            order - 1, 1.0, beta + 1.0, x)
+
+    for _ in range(2):
+        x = x - special.eval_jacobi(order, 0.0, beta, x) / dp(x)
+    return x, 2.0 ** (beta + 1.0) / ((1.0 - x * x) * dp(x) ** 2)
 
 
 def fixed_gl(f, a, b, panels, order, beta=None):

@@ -45,6 +45,9 @@ __all__ = [
 #: Largest supported number of mesh points for bridge sampling.
 MAX_MESH = 2049
 
+#: Samples per ``mc_estimate`` block; each block draws from its own substream.
+MC_BLOCK = 5000
+
 
 class RngStream:
     """Counter-based random stream keyed by (seed, stream id).
@@ -234,7 +237,7 @@ def bessel_process(delta, a, times, rng, size=1):
     return np.sqrt(out)
 
 
-def mc_estimate(sample_values, n, rng, block=5000):
+def mc_estimate(sample_values, n, rng):
     """Monte Carlo mean and standard error.
 
     ``sample_values(m, rng_block)`` must return ``m`` i.i.d. scalar samples
@@ -247,8 +250,8 @@ def mc_estimate(sample_values, n, rng, block=5000):
         raise ValueError("need at least 100 samples")
     total = 0.0
     m2 = 0.0
-    for idx, done in enumerate(range(0, n, block)):
-        m = min(block, n - done)
+    for idx, done in enumerate(range(0, n, MC_BLOCK)):
+        m = min(MC_BLOCK, n - done)
         vals = np.asarray(sample_values(m, rng.substream(idx)), dtype=float)
         block_sum = float(vals.sum())
         diff = block_sum / m - (total / done if done else 0.0)

@@ -41,7 +41,7 @@ __all__ = [
     "stationary_field",
 ]
 
-#: Default spatial synthesis mesh size.
+#: Spatial synthesis mesh size.
 SYNTH_MESH = 257
 
 
@@ -203,7 +203,7 @@ class DecompositionSeries:
 
 
 def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
-                      mesh_n=SYNTH_MESH, store_every=1):
+                      store_every=1):
     """Simulate the stationary field and accumulate the decomposition.
 
     ``h`` is a :class:`~.core.TestFunctionC2c`.  All replicas advance in one
@@ -214,7 +214,7 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-12 * max(t_final, 1.0):
         raise ValueError("t_final must be an integer multiple of dt")
-    x = np.linspace(0.0, 1.0, mesh_n)
+    x = np.linspace(0.0, 1.0, SYNTH_MESH)
     wq = _trapz_weights(x)
     hv = np.asarray(h(x), dtype=float) * wq
     h2v = np.asarray(h.d2(x), dtype=float) * wq
@@ -254,10 +254,10 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
                                n_drift=n_out, mart=mart)
 
 
-def h_l2_norm_sq(h, rtol=1e-12):
+def h_l2_norm_sq(h):
     """``int h(r)^2 dr`` over the support of ``h``."""
     lo, hi = h.support
-    return adaptive_gl(lambda r: np.asarray(h(r))**2, lo, hi, rtol=rtol)
+    return adaptive_gl(lambda r: np.asarray(h(r))**2, lo, hi, rtol=1e-12)
 
 
 def bracket_ratio(series, h):

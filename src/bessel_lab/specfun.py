@@ -101,17 +101,13 @@ def besq_density_reg_ytaylor(delta, t, x, order):
         raise DomainError("start point x must be >= 0")
     nu = 0.5 * delta - 1.0
     c = x / (4.0 * t * t)
-    # S_nu(c*y) has y-coefficients  c^l / (l! Gamma(l+nu+1));
-    # exp(-y/(2t)) has coefficients (-1/(2t))^i / i!.  Convolve.
-    s_coef = [c**l / special.gamma(l + 1.0) * special.rgamma(l + nu + 1.0)
-              for l in range(order + 1)]
-    e_coef = [(-1.0 / (2.0 * t)) ** i / special.gamma(i + 1.0)
-              for i in range(order + 1)]
+    # S_nu(c*y) has y-coefficients  c^k / (k! Gamma(k+nu+1));
+    # exp(-y/(2t)) has coefficients (-1/(2t))^k / k!.  Convolve.
+    k = np.arange(order + 1.0)
+    s_coef = c**k * special.rgamma(k + 1.0) * special.rgamma(k + nu + 1.0)
+    e_coef = (-1.0 / (2.0 * t)) ** k * special.rgamma(k + 1.0)
     pref = (2.0 * t) ** (-0.5 * delta) * np.exp(-x / (2.0 * t))
-    out = []
-    for j in range(order + 1):
-        out.append(pref * sum(e_coef[i] * s_coef[j - i] for i in range(j + 1)))
-    return np.array(out)
+    return pref * np.convolve(e_coef, s_coef)[: order + 1]
 
 
 def q_delta_t(delta, t, x, y):

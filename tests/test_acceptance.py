@@ -68,7 +68,7 @@ def _mc_case(idx):
     phi = ExpFunctional.one() if m is None else ExpFunctional.single(m)
     case = IbpfCase(BridgeSpec(delta, a, ap), phi, H)
     rhs = rhs_ibpf(case)
-    mean, se = lhs_mc(case, 100000, RngStream(2026, 100 + idx), mesh_n=513)
+    mean, se = lhs_mc(case, 100000, RngStream(2026, 100 + idx))
     return abs(mean - rhs) / se
 
 

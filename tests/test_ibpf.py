@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from bessel_lab import ibpf, laplace_sigma
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump,
                              poly_bump)
 from bessel_lab.ibpf import (IbpfCase, gamma_3, lhs_bridge_analytic, lhs_mc,
@@ -107,6 +108,26 @@ class TestLhs:
                                  0.2, 0.8, epsabs=1e-13, epsrel=1e-11,
                                  limit=200)
         assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("delta,m", [
+        (0.5, FiniteMeasure.lebesgue(0.5)), (0.5, None), (2.5, None)],
+        ids=["d0.5_a1_ap2_leb", "d0.5_a1_ap2_m0", "d2.5_a1_ap2_m0"])
+    def test_bridge_matches_branch_rhs(self, delta, m):
+        # the battery cells where the LHS's own error once dominated
+        case = simple_case(delta, 1.0, 2.0, m)
+        assert rel_err(lhs_bridge_analytic(case), rhs_ibpf(case)) <= 1e-10
+
+    def test_bridge_shares_no_rhs_integrand(self, monkeypatch):
+        # routes stay independent: E[X_r Phi] needs neither the Sigma
+        # series nor the finite-part integral of the branch RHS
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bridge LHS reached an RHS integrand")
+
+        monkeypatch.setattr(ibpf, "fp_s_integral", forbidden)
+        monkeypatch.setattr(ibpf, "sigma_s_series", forbidden)
+        monkeypatch.setattr(laplace_sigma, "sigma_s_series", forbidden)
+        case = simple_case(1.5, 1.0, 2.0, FiniteMeasure.atom(0.6, 1.0))
+        assert np.isfinite(lhs_bridge_analytic(case))
 
     def test_uncond_zero_measure_reduction(self):
         # a = 0, m = 0, Phi = 1: LHS = int h(r) zeta''(r) dr with the a = 0

@@ -6,7 +6,7 @@ from scipy import integrate, special
 
 from bessel_lab.core import BridgeSpec, FiniteMeasure
 from bessel_lab.laplace_sigma import (SigmaContext, sigma_bridge,
-                                      sigma_ds_at_zero, sigma_uncond, zeta,
+                                      sigma_s_series, sigma_uncond, zeta,
                                       zeta_second_deriv)
 from bessel_lab.specfun import bridge_density, p_delta_t
 
@@ -69,10 +69,10 @@ class TestSigmaReductions:
         ctx = ctx_of(2.5, 1.0, 0.5, FiniteMeasure.atom(0.6, 1.0))
         h = 1e-4
         up = float(sigma_bridge(ctx, 0.4, h))
-        dn = float(sigma_bridge(ctx, 0.4, -h)) if True else up
+        dn = float(sigma_bridge(ctx, 0.4, -h))
         assert abs(up - dn) / (2.0 * h) <= 1e-8
         # non-trivially: the first s = b^2 derivative matches a one-sided fit
-        s_der = sigma_ds_at_zero(ctx, 0.4, bridge=True)
+        s_der = sigma_s_series(ctx, 0.4, True)[1]
         v0 = float(sigma_bridge(ctx, 0.4, 0.0))
         fit = (float(sigma_bridge(ctx, 0.4, 1e-3)) - v0) / 1e-6
         assert fit == pytest.approx(s_der, rel=1e-2)

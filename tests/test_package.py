@@ -1,6 +1,10 @@
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +92,34 @@ def test_integrate_import_detector():
                      "import scipy.integrate as si\nfrom scipy import special\n"
                      "import scipy\n")
     assert _integrate_imports(tree) == [1, 2, 3, 4]
+
+
+_LINALG_PROBE = """
+import json, sys
+import bessel_lab
+from bessel_lab.core import BridgeSpec, ExpFunctional, FiniteMeasure, bump
+from bessel_lab.ibpf import IbpfCase, verify
+from bessel_lab.quadrature import adaptive_gl
+adaptive_gl(lambda x: x, 0.0, 1.0, beta=0.25)
+case = IbpfCase(BridgeSpec(2.5, 1.0, 0.0),
+                ExpFunctional.single(FiniteMeasure.atom(0.6, 1.0)), bump(0.2))
+assert verify(case).passed
+names = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
+print(json.dumps(names))
+"""
+
+
+def test_no_scipy_linalg():
+    # scipy.linalg adds about 5 MB of resident memory and the package has no
+    # use for it; Gauss-Jacobi nodes come from numpy.linalg
+    src = str(Path(bessel_lab.__path__[0]).parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _LINALG_PROBE], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    assert json.loads(out.stdout) == []
 
 
 def test_version_matches_pyproject():

@@ -3,7 +3,7 @@ import pytest
 
 from bessel_lab.quadrature import QuadratureError, adaptive_gl, fixed_gl
 
-BETAS = [-0.75, -0.25, 0.5, 4.0]
+BETAS = [-0.75, -0.25, 0.0, 0.5, 1.25, 4.0]
 
 
 def monomial(j):
