@@ -42,6 +42,10 @@ loses all precision there.  Working in ``s = b^2``, the integral splits into
 The split belongs to that RHS alone: the analytic bridge LHS's integrand
 ``s^{(delta-1)/2} Sigma(s)`` subtracts nothing, and its power is the weight
 of a Gauss-Jacobi first panel.
+
+Each outer integral in r hands its integrand one Gauss-Legendre panel of
+r-nodes, and the inner s-integrals of a panel run as one row-batched
+quadrature on (r-node x s-node) grids of Sigma.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .core import (BridgeSpec, ExpFunctional, TestFunctionC2c, hat_weights,
 from .laplace_sigma import (SERIES_ORDER, SigmaContext, sigma_s,
                             sigma_s_series, zeta_second_deriv)
 from .mu_dist import SmoothTestFn, mu_pair
-from .quadrature import adaptive_gl, decay_cutoff
+from .quadrature import GL_ORDER, adaptive_gl, decay_cutoff
 from .samplers import bessel_bridge_general, mc_estimate
 from .specfun import p_delta_t
 
@@ -143,67 +147,58 @@ def rel_err(lhs, rhs):
 
 
 def _s_scales(ctx, r, bridge):
-    """(series scale, decay scale) of Sigma as a function of s."""
+    """(series scale, decay scale) of Sigma as a function of s, one entry
+    per entry of ``r``."""
     sol = ctx.sol
-    phr = float(sol.phi(r))
-    rr = float(sol.rho(r))
+    phr, rr = sol.phi(r), sol.rho(r)
     if bridge:
         t2 = sol.rho1 - rr
-        tmin = min(rr, t2)
+        tmin = np.minimum(rr, t2)
         th = 1.0 / (1.0 / rr + 1.0 / t2)  # harmonic decay time
     else:
         tmin = th = rr
-    a, ap = ctx.spec.a, ctx.spec.ap
     series_scale = 2.0 * tmin * phr**2
-    decay_scale = phr**2 * (2.0 * th * 120.0 + 8.0 * (a**2 + ap**2) + 4.0)
+    decay_scale = phr**2 * (2.0 * th * 120.0
+                            + 8.0 * (ctx.spec.a**2 + ctx.spec.ap**2) + 4.0)
     return series_scale, decay_scale
 
 
 def fp_s_integral(ctx, r, p, ksub, bridge):
     """``int_0^inf s^p [Sigma(s) - sum_{j<ksub} c_j s^j] ds``, the inner
-    integral of the dimension-branch RHS.
+    integral of the dimension-branch RHS, per entry of the 1-d ``r``.
 
     Requires p + ksub + 1 > 0 (integrable at 0 after subtraction) and
-    p + ksub < 0 or Sigma decaying (it does, exponentially).
+    p + ksub < 0 (tails integrable); rhs_ibpf's p and ksub meet both.
     """
     c = sigma_s_series(ctx, r, bridge)
     series_scale, decay_scale = _s_scales(ctx, r, bridge)
-    s0 = min(0.4 * series_scale, 0.25 * decay_scale)
+    s0 = np.minimum(0.4 * series_scale, 0.25 * decay_scale)
+    q = p + np.arange(SERIES_ORDER + 1.0) + 1.0
 
     # [0, s0]: closed form from the series.
-    near = 0.0
-    for j in range(ksub, SERIES_ORDER + 1):
-        q = p + j + 1.0
-        near += c[j] * s0**q / q
-    # truncation diagnostic: the last term (q of j = SERIES_ORDER) must be tiny
-    tail_term = abs(c[SERIES_ORDER]) * s0**q / abs(q)
-    scale_ref = abs(near) + abs(c[0]) * s0 ** abs(p + 1.0) + 1e-300
+    near_terms = c * s0[:, None] ** q / q
+    near = near_terms[:, ksub:].sum(axis=1)
+    # truncation diagnostic: the last term (j = SERIES_ORDER) must be tiny
+    tail_term = np.abs(near_terms[:, -1])
+    scale_ref = np.abs(near) + np.abs(c[:, 0]) * s0 ** abs(p + 1.0) + 1e-300
 
     # [s0, S]: direct quadrature with explicit subtraction.
     def f(s):
-        s = np.asarray(s, dtype=float)
-        sig = np.asarray(sigma_s(ctx, r, s, bridge), dtype=float)
-        for j in range(ksub):
-            sig = sig - c[j] * s**j
-        return s**p * sig
+        powers = s[:, None, :] ** np.arange(ksub)[:, None]
+        sub = np.sum(c[:, :ksub, None] * powers, axis=1)
+        return s**p * (sigma_s(ctx, r[:, None], s, bridge) - sub)
 
     def probe(s):
-        s = np.asarray(s, dtype=float)
-        return s**p * np.asarray(sigma_s(ctx, r, s, bridge), dtype=float)
+        return s**p * sigma_s(ctx, r[:, None], s, bridge)
 
     big_s = decay_cutoff(probe, s0, decay_scale, probes=100)
     mid = adaptive_gl(f, s0, big_s, rtol=1e-10,
                       atol=1e-13 * scale_ref + 1e-250, confirm=1)
 
     # [S, inf): Sigma negligible; power tails of the subtracted monomials.
-    tail = 0.0
-    for j in range(ksub):
-        q = p + j + 1.0
-        if q >= 0.0:
-            raise ValueError("subtracted monomial not integrable at infinity")
-        tail += c[j] * big_s**q / q
+    tail = np.sum(c[:, :ksub] * big_s[:, None] ** q[:ksub] / q[:ksub], axis=1)
 
-    if tail_term > 1e-9 * (abs(near + mid + tail) + scale_ref):
+    if np.any(tail_term > 1e-9 * (np.abs(near + mid + tail) + scale_ref)):
         raise RuntimeError("Sigma series truncation too coarse for s0")
     return near + mid + tail
 
@@ -214,9 +209,11 @@ def fp_s_integral(ctx, r, p, ksub, bridge):
 
 def _outer_integral(h, breakpoints, per_r):
     """``int per_r(r) dr`` over supp h, split at the given interior
-    breakpoints, for a scalar ``per_r`` evaluated node by node."""
+    breakpoints; ``per_r`` gets one Gauss-Legendre panel of r-nodes per call
+    (a round of up to 128 nodes at once would put Sigma on 128 x 512 grids
+    and raise the peak memory by a tenth)."""
     def f(r):
-        return np.array([per_r(float(x)) for x in r])
+        return np.concatenate([per_r(x) for x in r.reshape(-1, GL_ORDER)])
 
     lo, hi = h.support
     pts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
@@ -230,13 +227,21 @@ def _outer_integral(h, breakpoints, per_r):
     return total
 
 
+def _sum_terms(case, per_r, point=lambda ctx: 0.0):
+    """``sum_i c_i (int per_r(ctx_i, r) dr + point(ctx_i))`` over the terms
+    ``c_i exp(-<m_i, X^2>)`` of Phi, split at the breakpoints of m_i."""
+    total = 0.0
+    for coef, m in case.phi.terms:
+        ctx = SigmaContext(case.spec, m)
+        part = _outer_integral(case.h, m.breakpoints(),
+                               lambda r, ctx=ctx: per_r(ctx, r))
+        total += coef * (part + point(ctx))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Right-hand sides.
 # ---------------------------------------------------------------------------
-
-def _term_contexts(case):
-    return [(coef, m, SigmaContext(case.spec, m)) for coef, m in case.phi.terms]
-
 
 def rhs_ibpf(case, route="branch"):
     """The right-hand side of the IbPF for the case, by the requested route
@@ -245,8 +250,6 @@ def rhs_ibpf(case, route="branch"):
     d = case.spec.delta
     bridge = case.mode == "bridge"
     h = case.h
-    is3 = abs(d - 3.0) < _INT_GUARD
-    is1 = abs(d - 1.0) < _INT_GUARD
 
     if route == "unified":
         if abs(d - 2.0) < _DELTA2_GUARD:
@@ -257,28 +260,23 @@ def rhs_ibpf(case, route="branch"):
     if route != "branch":
         raise ValueError(f"unknown route {route!r}")
 
-    total = 0.0
-    for coef, m, ctx in _term_contexts(case):
-        bps = m.breakpoints()
-        if is3:
-            def per_r(r, ctx=ctx):
-                return -0.5 * h(r) * sigma_s_series(ctx, r, bridge, 2)[0]
-        elif is1:
-            def per_r(r, ctx=ctx):
-                # d^2/db^2 Sigma |_0 = 2 c_1, times the prefactor 1/4
-                return 0.5 * h(r) * sigma_s_series(ctx, r, bridge, 2)[1]
-        else:
-            kappa = (d - 3.0) * (d - 1.0) / 4.0
-            ksub = max(math.floor((3.0 - d) / 2.0) + 1, 0)
-            p = (d - 5.0) / 2.0
+    if abs(d - 3.0) < _INT_GUARD:
+        def per_r(ctx, r):
+            return -0.5 * h(r) * sigma_s_series(ctx, r, bridge)[:, 0]
+    elif abs(d - 1.0) < _INT_GUARD:
+        def per_r(ctx, r):
+            # d^2/db^2 Sigma |_0 = 2 c_1, times the prefactor 1/4
+            return 0.5 * h(r) * sigma_s_series(ctx, r, bridge)[:, 1]
+    else:
+        kappa = (d - 3.0) * (d - 1.0) / 4.0
+        ksub = max(math.floor((3.0 - d) / 2.0) + 1, 0)
+        p = (d - 5.0) / 2.0
 
-            def per_r(r, ctx=ctx, kappa=kappa, ksub=ksub, p=p):
-                # the 1/2 converts the b-integral to the s-integral
-                return -kappa * h(r) * 0.5 * fp_s_integral(
-                    ctx, r, p, ksub, bridge)
-
-        total += coef * _outer_integral(h, bps, per_r)
-    return total
+        def per_r(ctx, r):
+            # the 1/2 converts the b-integral to the s-integral
+            return -kappa * h(r) * 0.5 * fp_s_integral(ctx, r, p, ksub,
+                                                       bridge)
+    return _sum_terms(case, per_r)
 
 
 def _rhs_unified(case, bridge):
@@ -286,23 +284,22 @@ def _rhs_unified(case, bridge):
     h = case.h
     alpha = d - 3.0
     pref = -special.gamma(d) / (4.0 * (d - 2.0))
-    total = 0.0
-    for coef, m, ctx in _term_contexts(case):
-        bps = m.breakpoints()
+    # even b-derivatives at 0 from the s-coefficients
+    fac = special.factorial(2 * np.arange(SERIES_ORDER + 1))
 
-        def per_r(r, ctx=ctx):
-            c = sigma_s_series(ctx, r, bridge)
-            dz = np.zeros(2 * len(c) - 1)
-            fac = special.factorial(2 * np.arange(len(c)))
-            dz[::2] = c * fac  # even b-derivatives from s-coefficients
+    def per_r(ctx, r):
+        pairs = []
+        for rn, c in zip(r, sigma_s_series(ctx, r, bridge)):
+            dz = np.zeros(2 * SERIES_ORDER + 1)
+            dz[::2] = c * fac
             fn = SmoothTestFn(
-                [lambda b, ctx=ctx, r=r: np.asarray(
-                    sigma_s(ctx, r, np.asarray(b, float) ** 2, bridge))],
+                [lambda b, rn=rn: sigma_s(ctx, rn, np.asarray(b, float) ** 2,
+                                          bridge)],
                 derivs_at_zero=dz, label="Sigma")
-            return h(r) * mu_pair(alpha, fn)
+            pairs.append(mu_pair(alpha, fn))
+        return h(r) * np.array(pairs)
 
-        total += coef * _outer_integral(h, bps, per_r)
-    return pref * total
+    return pref * _sum_terms(case, per_r)
 
 
 def gamma_3(r, a):
@@ -333,26 +330,22 @@ def lhs_uncond_analytic(case):
         raise ValueError("unconditioned left-hand side needs unconstrained mode")
     d, a = case.spec.delta, case.spec.a
     h = case.h
-    total = 0.0
-    for coef, m, ctx in _term_contexts(case):
-        sol = ctx.sol
 
-        def per_r(r, sol=sol):
-            phr = float(sol.phi(r))
-            rr = float(sol.rho(r))
-            return h(r) * phr ** (-3.0) * zeta_second_deriv(d, a, rr)
+    def per_r(ctx, r):
+        zpp = [zeta_second_deriv(d, a, rr) for rr in ctx.sol.rho(r)]
+        return ctx.K * h(r) * ctx.sol.phi(r) ** (-3.0) * np.array(zpp)
 
-        total += coef * ctx.K * _outer_integral(h, m.breakpoints(), per_r)
-    return total
+    return _sum_terms(case, per_r)
 
 
 def bridge_mean_phi(ctx, r):
-    """``E[X_r Phi]`` for one exponential term under the bridge law:
-    ``(1/2) int_0^inf s^{(delta-1)/2} Sigma(s) ds``, with the power taken
-    by the Gauss-Jacobi end panel and the range cut where Sigma has decayed
-    (the integrand is positive, so the relative tolerance alone decides)."""
+    """``E[X_r Phi]`` for one exponential term under the bridge law, per
+    entry of ``r``: ``(1/2) int_0^inf s^{(delta-1)/2} Sigma(s) ds``, with
+    the power taken by the Gauss-Jacobi end panel and the range cut where
+    Sigma has decayed (the integrand is positive, so the relative tolerance
+    alone decides), all entries in one row-batched quadrature."""
     def sig(s):
-        return sigma_s(ctx, r, s, True)
+        return sigma_s(ctx, np.asarray(r)[..., None], s, True)
 
     big_s = decay_cutoff(sig, 0.0, _s_scales(ctx, r, True)[1], probes=100)
     return 0.5 * adaptive_gl(sig, 0.0, big_s, rtol=1e-10, atol=1e-300,
@@ -367,19 +360,16 @@ def lhs_bridge_analytic(case):
     if case.mode != "bridge":
         raise ValueError("bridge left-hand side needs bridge mode")
     h = case.h
-    total = 0.0
-    for coef, m, ctx in _term_contexts(case):
-        def per_r(r, ctx=ctx, m=m):
-            weight = float(h.d2(r)) - 2.0 * float(h(r)) * m.density_at(r)
-            return weight * bridge_mean_phi(ctx, r)
 
-        part = _outer_integral(h, m.breakpoints(), per_r)
-        for t, w in m.atoms:
-            hval = float(h(t))
-            if hval != 0.0:
-                part -= 2.0 * w * hval * bridge_mean_phi(ctx, t)
-        total += coef * part
-    return total
+    def per_r(ctx, r):
+        weight = h.d2(r) - 2.0 * h(r) * ctx.m.density_at(r)
+        return weight * bridge_mean_phi(ctx, r)
+
+    def atoms(ctx):
+        return sum(-2.0 * w * h(t) * bridge_mean_phi(ctx, t)
+                   for t, w in ctx.m.atoms if h(t) != 0.0)
+
+    return _sum_terms(case, per_r, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +436,7 @@ def verify(case, mc_n=0, rng=None):
         mean, se = lhs_mc(case, mc_n, rng)
         report.lhs_mc = mean
         report.stderr = se
-        report.mc_passed = abs(mean - rhs) <= 3.0 * se
+        report.mc_passed = bool(abs(mean - rhs) <= 3.0 * se)
     return report
 
 

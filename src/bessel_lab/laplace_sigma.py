@@ -40,7 +40,8 @@ from scipy import special
 from .core import BridgeSpec, FiniteMeasure
 from .mu_dist import SmoothTestFn, mu_pair
 from .quadrature import adaptive_gl, decay_cutoff
-from .specfun import besq_density_reg, besq_density_reg_ytaylor
+from .specfun import (besq_density_reg, besq_density_reg_ytaylor,
+                      cauchy_product)
 from .sturm_liouville import solve_sl
 
 __all__ = [
@@ -83,8 +84,7 @@ class SigmaContext:
 def _sigma_uncond_s(ctx, r, s):
     """Unconditioned Sigma as a function of s = b^2 (s may be slightly < 0)."""
     d, a = ctx.spec.delta, ctx.spec.a
-    phr = float(ctx.sol.phi(r))
-    rr = float(ctx.sol.rho(r))
+    phr, rr = ctx.sol.phi(r), ctx.sol.rho(r)
     z = np.asarray(s, dtype=float) / phr**2
     return 2.0 * ctx.K * phr ** (-d) * besq_density_reg(d, rr, a**2, z)
 
@@ -97,8 +97,7 @@ def _sigma_bridge_s(ctx, r, s):
     extends to negative values."""
     d, a = ctx.spec.delta, ctx.spec.a
     sol = ctx.sol
-    phr = float(sol.phi(r))
-    rr = float(sol.rho(r))
+    phr, rr = sol.phi(r), sol.rho(r)
     z = np.asarray(s, dtype=float) / phr**2
     pref = ctx.bridge_pref * phr ** (-d)
     num = (besq_density_reg(d, rr, a**2, z)
@@ -108,43 +107,42 @@ def _sigma_bridge_s(ctx, r, s):
 
 def sigma_s(ctx, r, s, bridge):
     """Bridge (``bridge=True``) or unconditioned Sigma as a function of
-    ``s = b^2``."""
+    ``s = b^2``; ``r`` and ``s`` broadcast."""
     return _sigma_bridge_s(ctx, r, s) if bridge else _sigma_uncond_s(ctx, r, s)
 
 
-def sigma_s_series(ctx, r, bridge=True, order=SERIES_ORDER):
-    """Taylor coefficients ``c_j`` of ``s -> Sigma(Phi | sqrt(s))`` at 0.
+def sigma_s_series(ctx, r, bridge=True):
+    """Taylor coefficients ``c_j``, ``j <= SERIES_ORDER``, of
+    ``s -> Sigma(Phi | sqrt(s))`` at 0, one row per entry of ``r``.
 
     Exact (up to rounding): obtained from the y-Taylor series of the
-    regularised squared Bessel kernel, convolved for the bridge where Sigma
-    is a product of two kernels in the same variable.
+    regularised squared Bessel kernel, multiplied as power series for the
+    bridge, where Sigma is a product of two kernels in the same variable.
     """
     d, a, ap = ctx.spec.delta, ctx.spec.a, ctx.spec.ap
     sol = ctx.sol
-    phr = float(sol.phi(r))
-    rr = float(sol.rho(r))
-    av = besq_density_reg_ytaylor(d, rr, a**2, order)
+    phr = np.asarray(sol.phi(r))[..., None]
+    rr = sol.rho(r)
+    av = besq_density_reg_ytaylor(d, rr, a**2, SERIES_ORDER)
     if bridge:
         bv = besq_density_reg_ytaylor(d, sol.rho1 - rr, (ap / sol.phi1) ** 2,
-                                      order)
-        conv = np.convolve(av, bv)[: order + 1]
-        coeffs = ctx.bridge_pref * phr ** (-d) / ctx.bridge_den * conv
+                                      SERIES_ORDER)
+        coeffs = (ctx.bridge_pref * phr ** (-d) / ctx.bridge_den
+                  * cauchy_product(av, bv))
     else:
         coeffs = 2.0 * ctx.K * phr ** (-d) * av
     # account for z = s / phr^2
-    return coeffs * phr ** (-2.0 * np.arange(order + 1))
+    return coeffs * phr ** (-2.0 * np.arange(SERIES_ORDER + 1))
 
 
 def sigma_uncond(ctx, r, b):
     """``Sigma_a(exp(-<m, X^2>) | X_r = b)`` for the unconditioned process."""
-    b = np.asarray(b, dtype=float)
-    return _sigma_uncond_s(ctx, r, b**2)
+    return _sigma_uncond_s(ctx, r, np.asarray(b, dtype=float) ** 2)
 
 
 def sigma_bridge(ctx, r, b):
     """``Sigma_{a,ap}(exp(-<m, X^2>) | X_r = b)`` for the bridge."""
-    b = np.asarray(b, dtype=float)
-    return _sigma_bridge_s(ctx, r, b**2)
+    return _sigma_bridge_s(ctx, r, np.asarray(b, dtype=float) ** 2)
 
 
 # ---------------------------------------------------------------------------

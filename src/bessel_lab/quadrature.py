@@ -5,13 +5,16 @@ substitutions applied at call sites, but their integrands are only cheap when
 evaluated on whole arrays at once.  ``adaptive_gl`` therefore refines by
 doubling the number of equal panels (each carrying a fixed-order rule) and
 evaluates the integrand on the full node set in a single vectorised call per
-refinement round.  Convergence requires two consecutive agreements to guard
-against accidental coincidences on under-resolved grids.
+refinement round.  Array ends ``a``, ``b`` are one interval per entry: the
+integrand gets one row of nodes each, and all share one panel count, which
+stops only when every entry passes its own tolerance test.  Convergence
+requires two consecutive agreements to guard against accidental
+coincidences on under-resolved grids.
 
-An algebraic end-point weight ``(x - a)^beta`` is integrated exactly: with
-``beta`` set, the first panel carries the Gauss-Jacobi rule of that weight
-(Golub & Welsch, Math. Comp. 23, 1969) and the other panels the weighted
-integrand under Gauss-Legendre.
+An algebraic end-point weight ``(x - a)^beta`` is integrated exactly: the
+first panel carries the Gauss-Jacobi rule of that weight (Golub & Welsch,
+Math. Comp. 23, 1969), plain Gauss-Legendre at ``beta = 0``, and the other
+panels the weighted integrand under Gauss-Legendre.
 """
 
 from __future__ import annotations
@@ -35,17 +38,13 @@ class QuadratureError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _gl_nodes(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-@lru_cache(maxsize=None)
 def _gj_nodes(order, beta):
-    """Gauss-Jacobi rule for the weight ``(1 + x)^beta`` on [-1, 1]: nodes
-    from the Jacobi matrix of P_n^{(0, beta)} and two Newton steps (not
-    ``special.roots_jacobi``, which imports ``scipy.linalg``), weights
-    2^{beta+1} / ((1 - x_i^2) P_n'(x_i)^2) at the nodes."""
+    """Gauss-Jacobi rule for the weight ``(1 + x)^beta`` on [-1, 1] (Legendre
+    at beta = 0): nodes from the Jacobi matrix of P_n^{(0, beta)} and two
+    Newton steps (not ``special.roots_jacobi``, which imports
+    ``scipy.linalg``), weights 2^{beta+1} / ((1 - x_i^2) P_n'(x_i)^2)."""
+    if beta == 0.0:
+        return np.polynomial.legendre.leggauss(order)
     k = np.arange(1, order, dtype=float)
     s = 2.0 * k + beta
     diag = np.r_[beta / (beta + 2.0), beta * beta / (s * (s + 2.0))]
@@ -61,44 +60,50 @@ def _gj_nodes(order, beta):
     return x, 2.0 ** (beta + 1.0) / ((1.0 - x * x) * dp(x) ** 2)
 
 
-def fixed_gl(f, a, b, panels, order, beta=None):
-    """Composite Gauss-Legendre rule with ``panels`` equal panels.
+def _linspace(lo, hi, num):
+    """``np.linspace(lo, hi, num, axis=-1)`` for scalar or array ends, by
+    the same arithmetic at a fraction of its call overhead."""
+    lo, hi = (np.asarray(v, dtype=float)[..., None] for v in (lo, hi))
+    grid = np.arange(float(num)) * ((hi - lo) / (num - 1)) + lo
+    grid[..., -1:] = hi
+    return grid
 
-    With ``beta`` (> -1) it integrates ``f(x) (x - a)^beta``, the first
-    panel by the Gauss-Jacobi rule of that weight.
-    """
-    x, w = _gl_nodes(order)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = mid[:, None] + half * x[None, :]
-    if beta is None:
-        vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(panels, order)
-        return half * float(np.sum(vals @ w))
+
+def fixed_gl(f, a, b, panels, order, beta=0.0):
+    """Composite rule with ``panels`` equal panels for ``int_a^b f(x)
+    (x - a)^beta dx`` (beta > -1), the first panel by the Gauss-Jacobi rule
+    of the weight.  Array ends give one integral per entry."""
+    x, w = _gj_nodes(order, 0.0)
     xj, wj = _gj_nodes(order, beta)
-    nodes[0] = a + half * (1.0 + xj)
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(panels, order)
-    rest = vals[1:] * (nodes[1:] - a) ** beta
-    return half * (half**beta * float(vals[0] @ wj) + float(np.sum(rest @ w)))
+    edges = _linspace(a, b, panels + 1)
+    a = edges[..., :1]
+    half = 0.5 * (edges[..., 1] - edges[..., 0])[..., None, None]
+    nodes = 0.5 * (edges[..., :-1, None] + edges[..., 1:, None]) + half * x
+    nodes[..., 0, :] = a + half[..., 0] * (1.0 + xj)
+    vals = np.asarray(f(nodes.reshape(*nodes.shape[:-2], -1)),
+                      dtype=float).reshape(nodes.shape)
+    sums = (vals * (nodes - a[..., None]) ** beta) @ w
+    sums[..., 0] = half[..., 0, 0] ** beta * (vals[..., 0, :] @ wj)
+    return (half[..., 0, 0] * np.sum(sums, axis=-1))[()]
 
 
-def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, confirm=2, beta=None):
-    """Integrate vectorised ``f`` over [a, b] by panel-doubling composite GL,
-    against the weight ``(x - a)^beta`` when ``beta`` is given.
+def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, confirm=2, beta=0.0):
+    """Integrate vectorised ``f`` over [a, b] (0 if b <= a) by panel-doubling
+    composite GL, against the weight ``(x - a)^beta``; ``atol`` may be an
+    array of the ends' shape.
 
     Stops once ``confirm`` consecutive refinements agree to within the
     tolerance (``confirm=1`` trades the coincidence guard for speed on
     integrands known to be smooth).
     """
-    if b <= a:
-        return 0.0
+    b = np.maximum(a, b)
     panels = START_PANELS
     prev = fixed_gl(f, a, b, panels, GL_ORDER, beta)
     agreed = 0
     for _ in range(MAX_ROUNDS):
         panels *= 2
         cur = fixed_gl(f, a, b, panels, GL_ORDER, beta)
-        if abs(cur - prev) <= max(atol, rtol * abs(cur)):
+        if np.all(np.abs(cur - prev) <= np.maximum(atol, rtol * np.abs(cur))):
             agreed += 1
             if agreed >= confirm:
                 return cur
@@ -113,13 +118,12 @@ def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, confirm=2, beta=None):
 
 def decay_cutoff(f, lo, hi, rel=1e-22, probes=400):
     """Find ``B <= hi`` past which ``|f|`` has decayed below ``rel`` times its
-    maximum, by probing on a uniform grid.  Used to truncate rapidly decaying
-    semi-infinite integrals before handing them to ``adaptive_gl``."""
-    grid = np.linspace(lo, hi, probes)
+    maximum, by probing on a uniform grid (one per entry of array ends), to
+    truncate rapidly decaying semi-infinite integrals for ``adaptive_gl``."""
+    grid = _linspace(lo, hi, probes)
     vals = np.abs(np.asarray(f(grid), dtype=float))
-    peak = float(vals.max())
-    if peak == 0.0:
-        return lo + (hi - lo) / probes
-    keep = np.nonzero(vals > rel * peak)[0]
-    idx = min(int(keep[-1]) + 2, probes - 1)
-    return float(grid[idx])
+    peak = vals.max(axis=-1, keepdims=True)
+    last = probes - 1 - np.argmax(vals[..., ::-1] > rel * peak, axis=-1)
+    idx = np.minimum(last + 2, probes - 1)
+    cut = np.take_along_axis(grid, idx[..., None], axis=-1)[..., 0]
+    return np.where(peak[..., 0] == 0.0, lo + (hi - lo) / probes, cut)[()]

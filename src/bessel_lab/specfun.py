@@ -20,7 +20,8 @@ overflow separately, so the kernel goes through the scaled modified Bessel
 function ``ive`` via ``S_nu(w) = w**(-nu/2) * I_nu(2*sqrt(w))``, in which
 case the Gaussian factor combines into ``exp(-(sqrt(x)-sqrt(y))**2/(2*t))``.
 
-All functions are vectorised over their space arguments.
+All functions are vectorised over their space arguments, and the kernel
+and its y-Taylor coefficients over the time ``t`` as well.
 """
 
 from __future__ import annotations
@@ -46,11 +47,13 @@ class DomainError(ValueError):
     """Raised when a special-function argument is outside its domain."""
 
 
-def _check_qt_args(delta, t):
+def _check_qt_args(delta, t, x):
     if not delta > 0:
         raise DomainError(f"dimension must be positive, got delta={delta}")
-    if not t > 0:
+    if not (t > 0).all():
         raise DomainError(f"time must be positive, got t={t}")
+    if (x < 0).any():
+        raise DomainError("start point x must be >= 0")
 
 
 def besq_density_reg(delta, t, x, y):
@@ -58,56 +61,56 @@ def besq_density_reg(delta, t, x, y):
 
     Entire in both ``x`` and ``y``; ``y`` may be slightly negative (the
     ``hyp0f1`` branch is used whenever ``x*y/(4 t^2) < 25`` or ``x*y < 0``).
+    ``t``, ``x`` and ``y`` broadcast against each other.
     """
-    _check_qt_args(delta, t)
+    t, x, y = (np.asarray(v, dtype=float) for v in (t, x, y))
+    _check_qt_args(delta, t, x)
     nu = 0.5 * delta - 1.0
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("start point x must be >= 0")
-    x, y = np.broadcast_arrays(x, y)
     w = x * y / (4.0 * t * t)
-    out = np.empty(w.shape, dtype=float)
-
-    small = w < _SERIES_W_MAX  # includes all negative w
-    if np.any(small):
-        xs, ys, ws = x[small], y[small], w[small]
-        pref = (2.0 * t) ** (-0.5 * delta) * np.exp(-(xs + ys) / (2.0 * t))
-        out[small] = (pref * special.hyp0f1(nu + 1.0, ws)
-                      * special.rgamma(nu + 1.0))
-    big = ~small
-    if np.any(big):
-        xb, yb = x[big], y[big]
+    big = w >= _SERIES_W_MAX  # the rest, all negative w too, is hyp0f1's
+    # 2t at full shape: scalar and array t then go through the same loops
+    t2 = 2.0 * t + np.zeros(w.shape)
+    pref = t2 ** (-0.5 * delta) * np.exp(-(x + y) / t2)
+    out = np.asarray(pref * special.hyp0f1(nu + 1.0, np.where(big, 0.0, w))
+                     * special.rgamma(nu + 1.0))
+    if big.any():
+        xb, yb, tb = (np.broadcast_to(v, w.shape)[big] for v in (x, y, t))
         sx, sy = np.sqrt(xb), np.sqrt(yb)
-        arg = sx * sy / t
+        arg = sx * sy / tb
         out[big] = (
-            np.exp(-((sx - sy) ** 2) / (2.0 * t))
+            np.exp(-((sx - sy) ** 2) / (2.0 * tb))
             * (xb * yb) ** (-0.5 * nu)
             * special.ive(nu, arg)
-            / (2.0 * t)
+            / (2.0 * tb)
         )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return out[()]
+
+
+def cauchy_product(u, v):
+    """The first ``n`` coefficients of the product of two power series given
+    by their first ``n`` along the last axis; leading axes broadcast."""
+    k = np.arange(u.shape[-1])
+    lag = k[:, None] - k  # lag[j, i] = j - i
+    return (np.where(lag >= 0, v[..., lag], 0.0) @ u[..., None])[..., 0]
 
 
 def besq_density_reg_ytaylor(delta, t, x, order):
     """Taylor coefficients in ``y`` at 0 of ``y -> besq_density_reg(delta,t,x,y)``.
 
-    Returns ``c[0..order]`` with ``besq_density_reg = sum_j c[j] * y**j + O(y^{order+1})``.
+    Returns ``c[..., 0..order]``, one row per entry of the broadcast ``t``
+    and ``x``, with ``besq_density_reg = sum_j c[..., j] y**j + O(y^{order+1})``.
     """
-    _check_qt_args(delta, t)
-    if x < 0:
-        raise DomainError("start point x must be >= 0")
+    t, x = (np.asarray(v, dtype=float)[..., None] for v in (t, x))
+    _check_qt_args(delta, t, x)
     nu = 0.5 * delta - 1.0
     c = x / (4.0 * t * t)
     # S_nu(c*y) has y-coefficients  c^k / (k! Gamma(k+nu+1));
-    # exp(-y/(2t)) has coefficients (-1/(2t))^k / k!.  Convolve.
+    # exp(-y/(2t)) has coefficients (-1/(2t))^k / k!.  Multiply.
     k = np.arange(order + 1.0)
     s_coef = c**k * special.rgamma(k + 1.0) * special.rgamma(k + nu + 1.0)
     e_coef = (-1.0 / (2.0 * t)) ** k * special.rgamma(k + 1.0)
     pref = (2.0 * t) ** (-0.5 * delta) * np.exp(-x / (2.0 * t))
-    return pref * np.convolve(e_coef, s_coef)[: order + 1]
+    return pref * cauchy_product(e_coef, s_coef)
 
 
 def q_delta_t(delta, t, x, y):

@@ -11,6 +11,7 @@ from bessel_lab.ibpf import (IbpfCase, gamma_3, lhs_bridge_analytic, lhs_mc,
                              lhs_uncond_analytic, rel_err, rhs_ibpf,
                              uncond_from_bridge_rhs, verify)
 from bessel_lab.laplace_sigma import SigmaContext, sigma_s, sigma_s_series
+from bessel_lab.quadrature import GL_ORDER
 from bessel_lab.samplers import RngStream
 
 H = bump(0.2)
@@ -143,6 +144,28 @@ class TestLhs:
         assert got == pytest.approx(want, rel=1e-8)
 
 
+def test_sigma_sees_one_outer_panel_of_r(monkeypatch):
+    # the outer r-integral hands Sigma one Gauss-Legendre panel of r-nodes
+    # per call: the peak memory of a case rests on that bound
+    seen = []
+
+    def recording(fn):
+        def wrapped(ctx, r, *args):
+            seen.append(np.size(r))
+            return fn(ctx, r, *args)
+        return wrapped
+
+    for mod, name in [(laplace_sigma, "_sigma_bridge_s"),
+                      (laplace_sigma, "_sigma_uncond_s"),
+                      (ibpf, "sigma_s_series")]:
+        monkeypatch.setattr(mod, name, recording(getattr(mod, name)))
+    m = FiniteMeasure.atom(0.6, 1.0)
+    verify(simple_case(2.5, 1.0, 0.0, m))  # branch RHS and bridge LHS
+    rhs_ibpf(simple_case(3.0, 1.0, 0.0, m))  # the series alone
+    rhs_ibpf(simple_case(2.5, 1.0, m=m, mode="unconstrained"))
+    assert max(seen) == GL_ORDER
+
+
 class TestVerify:
     def test_bridge_case_passes(self):
         rep = verify(simple_case(2.5, 1.0, 0.0, FiniteMeasure.atom(0.6, 1.0)))
@@ -161,6 +184,16 @@ class TestVerify:
         assert set(d) == {"case_id", "lhs_analytic", "lhs_mc", "stderr",
                           "rhs", "abs_err", "rel_err", "pass"}
         assert d["pass"] is True
+
+    def test_failed_mc_check_fails_the_report(self, monkeypatch):
+        # an MC estimate 1000 stderr off the RHS must fail the report
+        case = simple_case(3.0)
+        rhs = rhs_ibpf(case)
+        monkeypatch.setattr(ibpf, "lhs_mc", lambda case, n, rng: (rhs + 1.0,
+                                                                  1e-3))
+        rep = verify(case, mc_n=100, rng=RngStream(1, 1))
+        assert rep.mc_passed is False
+        assert rep.to_json_dict()["pass"] is False
 
     def test_mc_crosscheck_and_determinism(self):
         case = simple_case(2.0, 0.0, 0.0, FiniteMeasure.atom(0.6, 1.0))

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -120,6 +121,37 @@ def test_no_scipy_linalg():
                          capture_output=True, text=True, check=True,
                          timeout=300)
     assert json.loads(out.stdout) == []
+
+
+def test_tracer_names_resolve(monkeypatch):
+    # the benchmark's tracer wraps package functions by name and positional
+    # signature; installing it must find each one, and a traced case must
+    # reach the wrapped layers
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    for name in MODULES:
+        importlib.import_module(f"bessel_lab.{name}")
+    from bessel_lab import ibpf
+    from bessel_lab.core import BridgeSpec, ExpFunctional, bump
+    original = ibpf.rhs_ibpf
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        for delta in (2.5, 3.0):
+            ibpf.rhs_ibpf(ibpf.IbpfCase(BridgeSpec(delta, 1.0, 0.0),
+                                        ExpFunctional.one(), bump(0.2)))
+    finally:
+        tracer.uninstall()
+    assert ibpf.rhs_ibpf is original
+    calls = {k: v["calls"] for k, v in tracer.summary().items()}
+    for name in ("ibpf.rhs_ibpf", "ibpf.fp_s_integral", "ibpf.sigma_s_series",
+                 "laplace_sigma.sigma_s", "quadrature.adaptive_gl",
+                 "quadrature.decay_cutoff", "specfun.besq_density_reg"):
+        assert calls.get(name, 0) > 0, name
+    assert tracer.counters["quadrature.adaptive_gl.nodes"] > 0
 
 
 def test_version_matches_pyproject():

@@ -143,23 +143,37 @@ class TestQDeltaT:
                 float(besq_density_reg(delta, t, x, y)), rel=1e-10)
 
     @pytest.mark.parametrize("delta,t,x", [
-        (0.5, 0.05, 3.0), (1.5, 0.35, 1.1), (3.5, 1.2, 0.0), (4.9, 0.01, 0.4)])
+        (0.5, 0.05, 3.0), (1.5, 0.35, 1.1), (3.5, 1.2, 0.0), (4.9, 0.01, 0.4),
+        (2.5, [0.05, 0.35, 1.2], [3.0, 1.1, 0.0])])
     def test_ytaylor_matches_cauchy_product(self, delta, t, x):
         # reference: the term-by-term Cauchy product of the S_nu and exp
         # series; summation order may differ, so a few ulp of the sum of
-        # absolute terms
+        # absolute terms.  Array (t, x) gives one row of coefficients each.
+        t, x = np.asarray(t), np.asarray(x)
         nu, c, n = 0.5 * delta - 1.0, x / (4.0 * t * t), 15
         s = [c**k / math.factorial(k) / math.gamma(k + nu + 1.0)
              for k in range(n)]
         e = [(-0.5 / t) ** k / math.factorial(k) for k in range(n)]
-        pref = (2.0 * t) ** (-0.5 * delta) * math.exp(-x / (2.0 * t))
+        pref = (2.0 * t) ** (-0.5 * delta) * np.exp(-x / (2.0 * t))
         want = [pref * sum(e[i] * s[j - i] for i in range(j + 1))
                 for j in range(n)]
-        scale = [pref * sum(abs(e[i] * s[j - i]) for i in range(j + 1))
+        scale = [pref * sum(np.abs(e[i] * s[j - i]) for i in range(j + 1))
                  for j in range(n)]
         got = besq_density_reg_ytaylor(delta, t, x, n - 1)
-        err = np.abs(got - np.array(want))
-        assert np.all(err <= 8.0 * np.finfo(float).eps * np.array(scale))
+        assert got.shape == t.shape + (n,)
+        err = np.abs(got - np.stack(want, axis=-1))
+        assert np.all(err <= 8.0 * np.finfo(float).eps
+                      * np.stack(scale, axis=-1))
+
+    def test_array_t_matches_scalar_t(self):
+        # both branches (w up to about 6000), one row per time
+        delta, x = 2.2, 2.0
+        t = np.array([0.05, 0.3, 1.2])
+        y = np.linspace(-0.05, 30.0, 41)
+        got = besq_density_reg(delta, t[:, None], x, y)
+        for ti, row in zip(t, got):
+            np.testing.assert_array_max_ulp(
+                row, besq_density_reg(delta, ti, x, y), maxulp=1)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
