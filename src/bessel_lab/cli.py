@@ -209,6 +209,8 @@ def cmd_mu(args):
     if args.fn not in _STOCK_FNS:
         raise ConfigError(f"unknown stock function {args.fn!r}; "
                           f"choose from {sorted(_STOCK_FNS)}")
+    if args.fn == "exp" and not 0.0 < args.lam < np.inf:
+        raise ConfigError(f"exp needs a finite --lambda > 0, got {args.lam}")
     fn = _STOCK_FNS[args.fn](args.lam)
     val = mu_pair(args.alpha, fn)
     payload = {"alpha": args.alpha, "fn": args.fn, "value": val}
@@ -473,7 +475,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,9 +43,10 @@ The split belongs to that RHS alone: the analytic bridge LHS's integrand
 ``s^{(delta-1)/2} Sigma(s)`` subtracts nothing, and its power is the weight
 of a Gauss-Jacobi first panel.
 
-Each outer integral in r hands its integrand one Gauss-Legendre panel of
-r-nodes, and the inner s-integrals of a panel run as one row-batched
-quadrature on (r-node x s-node) grids of Sigma.
+Every route's outer integral in r hands its integrand one Gauss-Legendre
+panel of r-nodes, whose inner integrals run as one row-batched quadrature:
+on (r-node x s-node) grids of Sigma, or as one ``mu_pair`` of a row of
+functions (the unified RHS; zeta'' on the unconditioned LHS).
 """
 
 from __future__ import annotations
@@ -288,16 +289,12 @@ def _rhs_unified(case, bridge):
     fac = special.factorial(2 * np.arange(SERIES_ORDER + 1))
 
     def per_r(ctx, r):
-        pairs = []
-        for rn, c in zip(r, sigma_s_series(ctx, r, bridge)):
-            dz = np.zeros(2 * SERIES_ORDER + 1)
-            dz[::2] = c * fac
-            fn = SmoothTestFn(
-                [lambda b, rn=rn: sigma_s(ctx, rn, np.asarray(b, float) ** 2,
-                                          bridge)],
-                derivs_at_zero=dz, label="Sigma")
-            pairs.append(mu_pair(alpha, fn))
-        return h(r) * np.array(pairs)
+        dz = np.zeros((2 * SERIES_ORDER + 1, r.size))
+        dz[::2] = (sigma_s_series(ctx, r, bridge) * fac).T
+        fn = SmoothTestFn(
+            [lambda b: sigma_s(ctx, r[:, None], b**2, bridge)],
+            derivs_at_zero=dz, label="Sigma")
+        return h(r) * mu_pair(alpha, fn)
 
     return pref * _sum_terms(case, per_r)
 
@@ -332,8 +329,8 @@ def lhs_uncond_analytic(case):
     h = case.h
 
     def per_r(ctx, r):
-        zpp = [zeta_second_deriv(d, a, rr) for rr in ctx.sol.rho(r)]
-        return ctx.K * h(r) * ctx.sol.phi(r) ** (-3.0) * np.array(zpp)
+        zpp = zeta_second_deriv(d, a, ctx.sol.rho(r))
+        return ctx.K * h(r) * ctx.sol.phi(r) ** (-3.0) * zpp
 
     return _sum_terms(case, per_r)
 

@@ -150,13 +150,14 @@ def sigma_bridge(ctx, r, b):
 # ---------------------------------------------------------------------------
 
 def zeta(delta, a, t):
-    """``E[X_t]`` for the Bessel process of dimension delta started at a.
+    """``E[X_t]`` for the Bessel process of dimension delta started at a,
+    per entry of ``t``.
 
     Closed form for ``a = 0``; otherwise quadrature of the transition
     density.
     """
     if a == 0.0:
-        return (math.sqrt(2.0 * t) * special.gamma((delta + 1.0) / 2.0)
+        return (np.sqrt(2.0 * t) * special.gamma((delta + 1.0) / 2.0)
                 / special.gamma(delta / 2.0))
 
     # E[sqrt(X_t)] = int_0^inf y^{(delta-1)/2} q_reg(delta, t, a^2, y) dy;
@@ -164,9 +165,9 @@ def zeta(delta, a, t):
     beta = (delta - 1.0) / 2.0
 
     def q(y):
-        return besq_density_reg(delta, t, a**2, y)
+        return besq_density_reg(delta, np.asarray(t)[..., None], a**2, y)
 
-    hi = (a + 14.0 * math.sqrt(t) + 6.0 * t) ** 2
+    hi = (a + 14.0 * np.sqrt(t) + 6.0 * t) ** 2
     hi = decay_cutoff(lambda y: y**beta * q(y), 1e-3 * hi, hi)
     return adaptive_gl(q, 0.0, hi, rtol=1e-12, atol=1e-13, beta=beta)
 
@@ -184,24 +185,22 @@ def _zeta_second_deriv_fd(delta, a, t):
 
 
 def _zeta_second_deriv_fp(delta, a, t):
-    """Finite-part route:
+    """Finite-part route, one row of ``mu_pair`` per entry of ``t``:
 
         zeta''(t) = -Gamma((delta+1)/2) <mu_{(delta-3)/2}(y), q_reg(delta, t, a^2, y)>.
     """
     coeffs = besq_density_reg_ytaylor(delta, t, a**2, 8)
-    derivs = coeffs * special.factorial(np.arange(9))
     fn = SmoothTestFn(
-        [lambda y: besq_density_reg(delta, t, a**2, np.asarray(y, dtype=float))],
-        derivs_at_zero=derivs,
-        label="q_reg",
-    )
+        [lambda y: besq_density_reg(delta, np.asarray(t)[..., None], a**2, y)],
+        derivs_at_zero=(coeffs * special.factorial(np.arange(9))).T,
+        label="q_reg")
     alpha = (delta - 3.0) / 2.0
     return -special.gamma((delta + 1.0) / 2.0) * mu_pair(alpha, fn)
 
 
 def zeta_second_deriv(delta, a, t, route="finite-part"):
-    """Second time-derivative of the Bessel mean, by the requested route
-    (``"finite-part"`` or ``"finite-difference"``)."""
+    """Second time-derivative of the Bessel mean per entry of ``t``, by the
+    requested route (``"finite-part"`` or ``"finite-difference"``)."""
     if route == "finite-part":
         return _zeta_second_deriv_fp(delta, a, t)
     if route == "finite-difference":

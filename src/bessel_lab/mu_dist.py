@@ -71,13 +71,15 @@ class MuConvergenceError(RuntimeError):
 
 @dataclass
 class SmoothTestFn:
-    """A smooth rapidly-decaying test function with derivative data.
+    """A smooth rapidly-decaying test function with derivative data, or a
+    row of such functions.
 
     ``evaluators[j]`` is a vectorised evaluator of the j-th derivative; at
-    least the function itself (j = 0) must be supplied.  Higher derivatives
-    may be given by their values at the origin only, in ``derivs_at_zero``:
-    :func:`mu_pair` evaluates f itself and reads f^(j)(0) up to order
-    ``max(ceil(-alpha), 0) + 3`` (the stock examples carry orders 0 to 8).
+    least the function itself (j = 0) must be supplied.  ``derivs_at_zero``
+    gives f^(j)(0) directly and takes precedence: :func:`mu_pair` evaluates
+    f itself and reads f^(j)(0) up to order ``max(ceil(-alpha), 0) + 3``
+    (the stock examples carry orders 0 to 8).  Shape (orders, rows) there
+    makes a row of functions, evaluated on (rows, x) grids.
     """
 
     evaluators: list
@@ -94,10 +96,10 @@ class SmoothTestFn:
         return self.evaluators[0](x)
 
     def deriv_at_zero(self, j):
+        if self.derivs_at_zero is not None and j < len(self.derivs_at_zero):
+            return self.derivs_at_zero[j]  # one value per row of functions
         if j < len(self.evaluators):
             return float(self.evaluators[j](0.0))
-        if self.derivs_at_zero is not None and j < len(self.derivs_at_zero):
-            return float(self.derivs_at_zero[j])
         raise ValueError(f"derivative of order {j} unavailable for {self.label}")
 
     def max_order(self):
@@ -106,15 +108,6 @@ class SmoothTestFn:
         if self.derivs_at_zero is not None:
             n = max(n, len(self.derivs_at_zero) - 1)
         return n
-
-    def derivative(self):
-        """The derivative as a SmoothTestFn (needs full evaluators)."""
-        if len(self.evaluators) < 2:
-            raise ValueError("derivative evaluators unavailable")
-        dz = None
-        if self.derivs_at_zero is not None and len(self.derivs_at_zero) > 1:
-            dz = self.derivs_at_zero[1:]
-        return SmoothTestFn(self.evaluators[1:], dz, label=self.label + "'")
 
     # -- stock examples ----------------------------------------------------
 
@@ -154,7 +147,8 @@ def mu_pair(alpha, f):
 
     ``f`` is a :class:`SmoothTestFn` with vectorised values and derivatives
     at the origin up to order ``max(ceil(-alpha), 0) + 3`` (non-integer
-    ``alpha``) or ``-alpha`` (integer ``alpha <= 0``).
+    ``alpha``) or ``-alpha`` (integer ``alpha <= 0``).  A row of functions
+    gives one pairing per row, from one row-batched quadrature.
     """
     if not ALPHA_MIN <= alpha <= ALPHA_MAX:
         raise ValueError(f"alpha={alpha} outside supported range "
@@ -170,42 +164,45 @@ def mu_pair(alpha, f):
         raise ValueError(f"mu_{alpha:g} needs derivatives of {f.label} at 0 "
                          f"up to order {k + 4}, have {n}")
     c = np.array([f.deriv_at_zero(j) / math.factorial(j)
-                  for j in range(n + 1)])
-    head, tail = c[k + 1::-1], c[:k + 1:-1]  # highest power first
+                  for j in range(n + 1)])  # (orders,) or (orders, rows)
+    rows = c.shape[1:]
+    # highest power first, one column per row for the (rows, x) grids
+    head, tail = c[k + 1::-1, ..., None], c[:k + 1:-1, ..., None]
     beta = alpha + (k + 1)  # exact for k = -1 and small alpha
 
     # Below the switch, (f - P_{k+1}) / x^{k+2} comes from the tail of the
     # Taylor series: direct subtraction cancels there.  The switch moves in
     # until the tail's last term is small against the head.
-    switch = _TAIL_SWITCH
-    while abs(c[n]) * switch**n > _SWITCH_REL * np.polyval(np.abs(head),
-                                                           switch):
-        switch *= 0.5
+    switch = np.full(rows, _TAIL_SWITCH)
+    while (big := np.abs(c[n]) * switch**n > _SWITCH_REL * np.polyval(
+            np.abs(c[k + 1::-1]), switch)).any():
+        switch = np.where(big, 0.5 * switch, switch)
 
     def near(x):
         direct = (f(x) - np.polyval(head, x)) / x ** (k + 2)
-        return np.where(x < switch, np.polyval(tail, x), direct)
+        return np.where(x < switch[..., None], np.polyval(tail, x), direct)
 
     def far(x):
         return (f(x) - np.polyval(head[1:], x)) * x ** (alpha - 1.0)
 
     # f is negligible past its decay cutoff, found inside a window that
     # doubles until it holds one; a cutoff below 1 moves to 1
-    window = _DECAY_WINDOW
+    window = np.full(rows, _DECAY_WINDOW)
     for _ in range(_WINDOW_DOUBLINGS + 1):
         cutoff = decay_cutoff(f, 0.0, window, rel=1e-18, probes=601)
-        if cutoff < window:
+        if (cutoff < window).all():
             break
-        window *= 2.0
+        window = np.where(cutoff < window, window, 2.0 * window)
     else:
         raise MuConvergenceError(f"{f.label} has not decayed below 1e-18 of "
-                                 f"its peak by x = {window / 2.0:g}")
-    cutoff = max(cutoff, 1.0)
+                                 f"its peak by x = {window.max() / 2.0:g}")
+    cutoff = np.maximum(cutoff, 1.0)
     try:
         # [0, 1]: int (f - P_{k+1}) x^{alpha-1} on the Gauss-Jacobi panel of
         # x^beta, beta in (0, 1] for alpha < 1, plus the c_{k+1} term.
         total = c[k + 1] / beta + adaptive_gl(
-            near, 0.0, 1.0, rtol=1e-11, atol=1e-13, beta=beta)
+            near, np.zeros(rows), np.ones(rows), rtol=1e-11, atol=1e-13,
+            beta=beta)
         total += adaptive_gl(far, 1.0, cutoff, rtol=1e-11, atol=1e-13)
     except QuadratureError as exc:
         raise MuConvergenceError(str(exc)) from exc

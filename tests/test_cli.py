@@ -147,6 +147,20 @@ class TestDataCommands:
     def test_mu_unknown_fn(self, capsys):
         assert main(["mu", "--alpha", "0.5", "--fn", "nope"]) == 2
 
+    @pytest.mark.parametrize("lam", ["0", "-1"])
+    def test_mu_nonpositive_lambda(self, lam, capsys):
+        # e^{-lam x} does not decay: a config error, not a traceback
+        assert main(["mu", "--alpha", "0.5", "--fn", "exp",
+                     "--lambda", lam]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_sl_solve_too_heavy_measure(self, tmp_path, capsys):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"measure": {
+            "pieces": [{"lo": 0, "hi": 1, "coeffs": [1e6]}]}}))
+        assert main(["sl-solve", "--config", str(cfg)]) == 2
+        assert "double range" in capsys.readouterr().err
+
     def test_sl_solve(self, tmp_path, capsys):
         cfg = tmp_path / "m.json"
         cfg.write_text(json.dumps({"measure": {"atoms": [], "pieces": []}}))

@@ -146,8 +146,9 @@ class TestLhs:
 
 def test_sigma_sees_one_outer_panel_of_r(monkeypatch):
     # the outer r-integral hands Sigma one Gauss-Legendre panel of r-nodes
-    # per call: the peak memory of a case rests on that bound
-    seen = []
+    # per call, and mu_pair one row of functions per panel: the peak memory
+    # of a case rests on that bound
+    seen, rows = [], []
 
     def recording(fn):
         def wrapped(ctx, r, *args):
@@ -155,15 +156,26 @@ def test_sigma_sees_one_outer_panel_of_r(monkeypatch):
             return fn(ctx, r, *args)
         return wrapped
 
+    def row_count(fn):
+        def wrapped(alpha, f):
+            rows.append(np.shape(f.derivs_at_zero)[1:] or (1,))
+            return fn(alpha, f)
+        return wrapped
+
     for mod, name in [(laplace_sigma, "_sigma_bridge_s"),
                       (laplace_sigma, "_sigma_uncond_s"),
                       (ibpf, "sigma_s_series")]:
         monkeypatch.setattr(mod, name, recording(getattr(mod, name)))
+    for mod in (ibpf, laplace_sigma):
+        monkeypatch.setattr(mod, "mu_pair", row_count(mod.mu_pair))
     m = FiniteMeasure.atom(0.6, 1.0)
     verify(simple_case(2.5, 1.0, 0.0, m))  # branch RHS and bridge LHS
     rhs_ibpf(simple_case(3.0, 1.0, 0.0, m))  # the series alone
     rhs_ibpf(simple_case(2.5, 1.0, m=m, mode="unconstrained"))
+    rhs_ibpf(simple_case(2.5, 1.0, 0.0, m), route="unified")
+    lhs_uncond_analytic(simple_case(2.5, 1.0, m=m, mode="unconstrained"))
     assert max(seen) == GL_ORDER
+    assert rows and set(rows) == {(GL_ORDER,)}
 
 
 class TestVerify:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from bessel_lab import mu_dist
 from bessel_lab.mu_dist import MuConvergenceError, SmoothTestFn, mu_pair
+from bessel_lab.quadrature import decay_cutoff
 
 ALPHA_BATTERY = [-2.2, -1.5, -1.0, -0.5, 0.0, 0.7, 1.0, 2.3]
 
@@ -11,6 +13,11 @@ ALPHA_BATTERY = [-2.2, -1.5, -1.0, -0.5, 0.0, 0.7, 1.0, 2.3]
 def stock_fns():
     return [SmoothTestFn.exp_decay(1.0), SmoothTestFn.gauss(),
             SmoothTestFn.poly_exp()]
+
+
+def derivative(f):
+    """f' as a SmoothTestFn, from f's evaluators of order 1 and up."""
+    return SmoothTestFn(f.evaluators[1:], label=f.label + "'")
 
 
 def x_times(f, orders=8):
@@ -93,12 +100,55 @@ class TestMuBranches:
             mu_pair(5.5, f)
 
 
+def exp_rows(lams):
+    """The row of functions exp(-lam x), one row per entry of ``lams``
+    (lam = 0 is the zero function here, not the constant 1)."""
+    lams = np.asarray(lams, dtype=float)
+    amp = (lams != 0.0).astype(float)
+    return SmoothTestFn(
+        [lambda x: amp[:, None] * np.exp(-lams[:, None] * x)],
+        derivs_at_zero=np.array([amp * (-lams) ** j for j in range(9)]),
+        label="exp rows")
+
+
+class TestMuRows:
+    # e^{-x/2} and e^{-x/4} need one and two window doublings, 1, 3 and
+    # the zero function none
+    LAMS = [0.5, 1.0, 3.0, 0.0, 0.25]
+
+    @pytest.mark.parametrize("alpha", ALPHA_BATTERY)
+    def test_rows_equal_scalar_pairings(self, alpha):
+        got = mu_pair(alpha, exp_rows(self.LAMS))
+        assert np.shape(got) == (len(self.LAMS),)
+        for lam, val in zip(self.LAMS, got):
+            if lam == 0.0:
+                assert val == 0.0
+            else:
+                want = mu_pair(alpha, SmoothTestFn.exp_decay(lam))
+                assert val == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_window_doubles_per_row(self, monkeypatch):
+        windows = []
+
+        def recording(f, lo, hi, **kw):
+            windows.append(np.array(hi))
+            return decay_cutoff(f, lo, hi, **kw)
+
+        monkeypatch.setattr(mu_dist, "decay_cutoff", recording)
+        mu_pair(-0.5, exp_rows(self.LAMS))
+        assert np.array_equal(windows[-1], [120.0, 60.0, 60.0, 60.0, 240.0])
+
+    def test_one_row_without_decay_is_typed(self):
+        with pytest.raises(MuConvergenceError, match="not decayed"):
+            mu_pair(0.5, exp_rows([1.0, 1e-4, 3.0]))
+
+
 class TestMuIdentities:
     @pytest.mark.parametrize("alpha", [a for a in ALPHA_BATTERY if a >= -1.5])
     def test_derivative_identity(self, alpha):
         # <mu_alpha, f'> = -<mu_{alpha-1}, f>
         for f in stock_fns():
-            lhs = mu_pair(alpha, f.derivative())
+            lhs = mu_pair(alpha, derivative(f))
             rhs = -mu_pair(alpha - 1.0, f)
             assert lhs == pytest.approx(rhs, abs=1e-8, rel=1e-8)
 

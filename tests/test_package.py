@@ -143,13 +143,21 @@ def test_tracer_names_resolve(monkeypatch):
         for delta in (2.5, 3.0):
             ibpf.rhs_ibpf(ibpf.IbpfCase(BridgeSpec(delta, 1.0, 0.0),
                                         ExpFunctional.one(), bump(0.2)))
+        ibpf.rhs_ibpf(ibpf.IbpfCase(BridgeSpec(2.5, 0.0, 0.0),
+                                    ExpFunctional.one(), bump(0.2)),
+                      route="unified")
+        ibpf.lhs_uncond_analytic(ibpf.IbpfCase(
+            BridgeSpec(2.5, 0.0, 0.0), ExpFunctional.one(), bump(0.2),
+            mode="unconstrained"))
     finally:
         tracer.uninstall()
     assert ibpf.rhs_ibpf is original
     calls = {k: v["calls"] for k, v in tracer.summary().items()}
     for name in ("ibpf.rhs_ibpf", "ibpf.fp_s_integral", "ibpf.sigma_s_series",
                  "laplace_sigma.sigma_s", "quadrature.adaptive_gl",
-                 "quadrature.decay_cutoff", "specfun.besq_density_reg"):
+                 "quadrature.decay_cutoff", "specfun.besq_density_reg",
+                 "ibpf.lhs_uncond_analytic", "mu_dist.mu_pair",
+                 "laplace_sigma.zeta_second_deriv"):
         assert calls.get(name, 0) > 0, name
     assert tracer.counters["quadrature.adaptive_gl.nodes"] > 0
 
