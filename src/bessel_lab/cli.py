@@ -11,9 +11,10 @@ sample      emit exact Bessel bridge paths as CSV
 spde-sim    run the weak delta=2 decomposition; per-replica CSV + JSON summary
 run-suite   orchestrate ibpf-check and spde-sim from one config file
 
-Exit codes: 0 all checks passed, 1 at least one case failed, 2 configuration
-or parse error.  All outputs are byte-identical for identical (config, seed):
-reports carry no timestamps and floats use repr-exact formatting.
+Exit codes: 0 all checks passed, 1 at least one case failed, 2 configuration,
+parse or numerical error.  All outputs are byte-identical for identical
+(config, seed): reports carry no timestamps and floats use repr-exact
+formatting.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 
 from .core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump, poly_bump)
 from .ibpf import IbpfCase, verify
-from .mu_dist import SmoothTestFn, mu_pair
+from .mu_dist import MuConvergenceError, SmoothTestFn, mu_pair
+from .quadrature import QuadratureError
 from .samplers import RngStream, bessel_bridge_general
 from .specfun import bridge_density
 from .sturm_liouville import solve_sl
@@ -475,7 +477,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, QuadratureError,
+            MuConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

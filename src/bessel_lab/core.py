@@ -5,7 +5,7 @@ These are the vocabulary types used throughout the laboratory:
 * :class:`FiniteMeasure` -- a finite non-negative measure on [0, 1] given by
   point atoms plus a piecewise-polynomial density, with a JSON round trip;
 * :class:`TestFunctionC2c` -- C^2 test functions of compact support in (0, 1)
-  with analytic first and second derivatives;
+  with an analytic second derivative;
 * :class:`ExpFunctional` -- linear combinations of exponential functionals
   ``X -> sum_i c_i exp(-<m_i, X^2>)``;
 * :class:`BridgeSpec` -- dimension and boundary data of a Bessel bridge;
@@ -16,7 +16,6 @@ These are the vocabulary types used throughout the laboratory:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,14 +77,6 @@ class FiniteMeasure:
             return float(out)
         return out
 
-    def total_mass(self):
-        mass = sum(w for _, w in self.atoms)
-        for lo, hi, coeffs in self.pieces:
-            integ = np.polynomial.polynomial.polyint(coeffs)
-            mass += (np.polynomial.polynomial.polyval(hi, integ)
-                     - np.polynomial.polynomial.polyval(lo, integ))
-        return float(mass)
-
     def breakpoints(self):
         """Sorted distinct points where the measure is singular or the
         density changes polynomial law, always including 0 and 1."""
@@ -111,13 +102,6 @@ class FiniteMeasure:
                     for p in d.get("pieces", [])],
         )
 
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_dict(json.loads(s))
-
     @classmethod
     def zero(cls):
         return cls()
@@ -135,12 +119,11 @@ class FiniteMeasure:
 class TestFunctionC2c:
     """C^2 function with compact support inside (0, 1).
 
-    ``f``, ``d1``, ``d2`` are vectorised evaluators of h, h', h''; the
-    support is the open interval (theta, 1 - theta).
+    ``f`` and ``d2`` evaluate h and h'' on arrays; the support is
+    the open interval (theta, 1 - theta).
     """
 
     f: object
-    d1: object
     d2: object
     theta: float
     label: str = "h"
@@ -171,11 +154,6 @@ def bump(theta=0.2):
     def f(r):
         return _pieces(r)[4]
 
-    def d1(r):
-        r, p, inside, psafe, h = _pieces(r)
-        dp = 1.0 - 2.0 * r
-        return np.where(inside, h * dp / psafe**2, 0.0)
-
     def d2(r):
         r, p, inside, psafe, h = _pieces(r)
         dp = 1.0 - 2.0 * r
@@ -183,7 +161,7 @@ def bump(theta=0.2):
         g2 = -2.0 / psafe**2 - 2.0 * dp**2 / psafe**3   # (-1/P)''
         return np.where(inside, h * (g2 + g1**2), 0.0)
 
-    return TestFunctionC2c(f, d1, d2, theta, label=f"bump({theta:g})")
+    return TestFunctionC2c(f, d2, theta, label=f"bump({theta:g})")
 
 
 def poly_bump(theta=0.2):
@@ -203,15 +181,11 @@ def poly_bump(theta=0.2):
         u, v, inside = _uv(r)
         return np.where(inside, u**3 * v**3 / m, 0.0)
 
-    def d1(r):
-        u, v, inside = _uv(r)
-        return np.where(inside, 3.0 * u**2 * v**2 * (v - u) / m, 0.0)
-
     def d2(r):
         u, v, inside = _uv(r)
         return np.where(inside, 6.0 * u * v * (v**2 - 3.0 * u * v + u**2) / m, 0.0)
 
-    return TestFunctionC2c(f, d1, d2, theta, label=f"poly_bump({theta:g})")
+    return TestFunctionC2c(f, d2, theta, label=f"poly_bump({theta:g})")
 
 
 @dataclass

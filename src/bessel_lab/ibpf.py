@@ -281,19 +281,20 @@ def rhs_ibpf(case, route="branch"):
 
 
 def _rhs_unified(case, bridge):
+    """The unified finite-part RHS: one ``mu_pair`` per panel of r-nodes, of
+    the row of functions ``b -> Sigma(Phi | b)``, whose b-Taylor
+    coefficients are the s-coefficients of ``sigma_s_series`` at the even
+    orders (``s = b^2``) and 0 at the odd ones."""
     d = case.spec.delta
     h = case.h
     alpha = d - 3.0
     pref = -special.gamma(d) / (4.0 * (d - 2.0))
-    # even b-derivatives at 0 from the s-coefficients
-    fac = special.factorial(2 * np.arange(SERIES_ORDER + 1))
 
     def per_r(ctx, r):
-        dz = np.zeros((2 * SERIES_ORDER + 1, r.size))
-        dz[::2] = (sigma_s_series(ctx, r, bridge) * fac).T
-        fn = SmoothTestFn(
-            [lambda b: sigma_s(ctx, r[:, None], b**2, bridge)],
-            derivs_at_zero=dz, label="Sigma")
+        taylor = np.zeros((r.size, 2 * SERIES_ORDER + 1))
+        taylor[:, ::2] = sigma_s_series(ctx, r, bridge)
+        fn = SmoothTestFn(lambda b: sigma_s(ctx, r[:, None], b**2, bridge),
+                          taylor, label="Sigma")
         return h(r) * mu_pair(alpha, fn)
 
     return pref * _sum_terms(case, per_r)

@@ -173,15 +173,15 @@ def zeta(delta, a, t):
 
 
 def _zeta_second_deriv_fd(delta, a, t):
-    """Richardson-extrapolated central second difference of zeta in t."""
-    h0 = 0.1 * t
-    ests = []
-    for lvl in range(3):
-        h = h0 / 2**lvl
-        ests.append((zeta(delta, a, t + h) - 2.0 * zeta(delta, a, t)
-                     + zeta(delta, a, t - h)) / h**2)
-    r1 = [(4.0 * ests[i + 1] - ests[i]) / 3.0 for i in range(2)]
-    return (16.0 * r1[1] - r1[0]) / 15.0
+    """Richardson-extrapolated central second difference of zeta in t, with
+    steps h_l = 0.1 t / 2^l, from one ``zeta`` call on the stencil
+    ``t, t + h_l, t - h_l``."""
+    t = np.asarray(t, dtype=float)[..., None]
+    h = 0.1 * t / 2.0 ** np.arange(3)
+    z = zeta(delta, a, np.concatenate([t, t + h, t - h], axis=-1))
+    ests = (z[..., 1:4] - 2.0 * z[..., :1] + z[..., 4:]) / h**2
+    r1 = (4.0 * ests[..., 1:] - ests[..., :-1]) / 3.0
+    return ((16.0 * r1[..., 1] - r1[..., 0]) / 15.0)[()]
 
 
 def _zeta_second_deriv_fp(delta, a, t):
@@ -189,11 +189,9 @@ def _zeta_second_deriv_fp(delta, a, t):
 
         zeta''(t) = -Gamma((delta+1)/2) <mu_{(delta-3)/2}(y), q_reg(delta, t, a^2, y)>.
     """
-    coeffs = besq_density_reg_ytaylor(delta, t, a**2, 8)
     fn = SmoothTestFn(
-        [lambda y: besq_density_reg(delta, np.asarray(t)[..., None], a**2, y)],
-        derivs_at_zero=(coeffs * special.factorial(np.arange(9))).T,
-        label="q_reg")
+        lambda y: besq_density_reg(delta, np.asarray(t)[..., None], a**2, y),
+        besq_density_reg_ytaylor(delta, t, a**2, 8), label="q_reg")
     alpha = (delta - 3.0) / 2.0
     return -special.gamma((delta + 1.0) / 2.0) * mu_pair(alpha, fn)
 

@@ -45,7 +45,7 @@ INTEGER_GUARD = 1e-12
 #: Supported range of the parameter.
 ALPHA_MIN, ALPHA_MAX = -2.5, 5.0
 
-#: Number of stock derivative evaluators (orders 0 .. _STOCK_ORDERS-1).
+#: Number of Taylor coefficients of the stock functions (orders 0 .. 8).
 _STOCK_ORDERS = 9
 
 #: Largest point below which the Taylor remainder is evaluated by its tail
@@ -71,100 +71,82 @@ class MuConvergenceError(RuntimeError):
 
 @dataclass
 class SmoothTestFn:
-    """A smooth rapidly-decaying test function with derivative data, or a
-    row of such functions.
+    """A smooth rapidly-decaying test function with its Taylor coefficients
+    at 0, or a row of such functions.
 
-    ``evaluators[j]`` is a vectorised evaluator of the j-th derivative; at
-    least the function itself (j = 0) must be supplied.  ``derivs_at_zero``
-    gives f^(j)(0) directly and takes precedence: :func:`mu_pair` evaluates
-    f itself and reads f^(j)(0) up to order ``max(ceil(-alpha), 0) + 3``
-    (the stock examples carry orders 0 to 8).  Shape (orders, rows) there
-    makes a row of functions, evaluated on (rows, x) grids.
+    ``f`` is a vectorised evaluator and ``taylor[..., j] = f^(j)(0)/j!``;
+    :func:`mu_pair` reads orders up to ``max(ceil(-alpha), 0) + 3`` (the
+    stock examples carry orders 0 to 8).  Leading axes of ``taylor`` make a
+    row of functions, rows x orders, evaluated on (rows, x) grids.
     """
 
-    evaluators: list
-    derivs_at_zero: np.ndarray = None
+    f: object
+    taylor: np.ndarray
     label: str = "f"
 
     def __post_init__(self):
-        if not self.evaluators:
-            raise ValueError("need at least the order-0 evaluator")
-        if self.derivs_at_zero is not None:
-            self.derivs_at_zero = np.asarray(self.derivs_at_zero, dtype=float)
+        self.taylor = np.asarray(self.taylor, dtype=float)
+        if not self.taylor.size:
+            raise ValueError(f"{self.label} needs Taylor coefficients at 0")
 
     def __call__(self, x):
-        return self.evaluators[0](x)
-
-    def deriv_at_zero(self, j):
-        if self.derivs_at_zero is not None and j < len(self.derivs_at_zero):
-            return self.derivs_at_zero[j]  # one value per row of functions
-        if j < len(self.evaluators):
-            return float(self.evaluators[j](0.0))
-        raise ValueError(f"derivative of order {j} unavailable for {self.label}")
-
-    def max_order(self):
-        """Highest derivative order available at the origin."""
-        n = len(self.evaluators) - 1
-        if self.derivs_at_zero is not None:
-            n = max(n, len(self.derivs_at_zero) - 1)
-        return n
+        return self.f(x)
 
     # -- stock examples ----------------------------------------------------
 
     @classmethod
     def exp_decay(cls, lam=1.0):
-        """f(x) = exp(-lam x)."""
-        evs = [(lambda x, k=k: (-lam) ** k * np.exp(-lam * np.asarray(x, float)))
-               for k in range(_STOCK_ORDERS)]
-        return cls(evs, label=f"exp(-{lam:g}x)")
+        """f(x) = exp(-lam x), with c_k = (-lam)^k / k!."""
+        return cls(lambda x: np.exp(-lam * np.asarray(x, float)),
+                   [(-lam) ** k / math.factorial(k)
+                    for k in range(_STOCK_ORDERS)],
+                   label=f"exp(-{lam:g}x)")
 
     @classmethod
     def gauss(cls):
-        """f(x) = exp(-x^2)."""
-        # Derivatives via Hermite polynomials: f^(k) = (-1)^k H_k(x) e^{-x^2}.
-        def ev(k):
-            def g(x, k=k):
-                x = np.asarray(x, dtype=float)
-                return (-1.0) ** k * special.eval_hermite(k, x) * np.exp(-x * x)
-            return g
-        return cls([ev(k) for k in range(_STOCK_ORDERS)], label="exp(-x^2)")
+        """f(x) = exp(-x^2), with c_{2j} = (-1)^j / j! and odd orders 0."""
+        taylor = np.zeros(_STOCK_ORDERS)
+        taylor[::2] = [(-1.0) ** j / math.factorial(j)
+                       for j in range(len(taylor[::2]))]
+        return cls(lambda x: np.exp(-np.asarray(x, float) ** 2), taylor,
+                   label="exp(-x^2)")
 
     @classmethod
     def poly_exp(cls):
-        """f(x) = (1 + x) exp(-2x)."""
-        # f^(k) = (-2)^k (1 + x - k/2) e^{-2x} by Leibniz.
-        def ev(k):
-            def g(x, k=k):
-                x = np.asarray(x, dtype=float)
-                return (-2.0) ** k * (1.0 + x - 0.5 * k) * np.exp(-2.0 * x)
-            return g
-        return cls([ev(k) for k in range(_STOCK_ORDERS)],
+        """f(x) = (1 + x) exp(-2x), with c_k = (-2)^k (1 - k/2) / k!."""
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            return (1.0 + x) * np.exp(-2.0 * x)
+        return cls(f, [(-2.0) ** k * (1.0 - 0.5 * k) / math.factorial(k)
+                       for k in range(_STOCK_ORDERS)],
                    label="(1+x)exp(-2x)")
 
 
 def mu_pair(alpha, f):
     """The pairing ``<mu_alpha, f>`` for ``alpha`` in [-2.5, 5].
 
-    ``f`` is a :class:`SmoothTestFn` with vectorised values and derivatives
-    at the origin up to order ``max(ceil(-alpha), 0) + 3`` (non-integer
-    ``alpha``) or ``-alpha`` (integer ``alpha <= 0``).  A row of functions
-    gives one pairing per row, from one row-batched quadrature.
+    ``f`` is a :class:`SmoothTestFn` whose Taylor coefficients at the origin
+    reach order ``max(ceil(-alpha), 0) + 3`` (non-integer ``alpha``) or
+    ``-alpha`` (integer ``alpha <= 0``).  A row of functions gives one
+    pairing per row, from one row-batched quadrature.
     """
     if not ALPHA_MIN <= alpha <= ALPHA_MAX:
         raise ValueError(f"alpha={alpha} outside supported range "
                          f"[{ALPHA_MIN}, {ALPHA_MAX}]")
+    c = np.moveaxis(f.taylor, -1, 0)  # (orders,) or (orders, rows)
+    n = len(c) - 1
     nearest = round(alpha)
-    if abs(alpha - nearest) < INTEGER_GUARD and nearest <= 0:
-        k = -int(nearest)
-        return (-1.0) ** k * f.deriv_at_zero(k)
-
-    k = max(math.floor(-alpha), -1)  # T^k f; k = -1 is no subtraction
-    n = f.max_order()
-    if n < k + 4:
+    integral = abs(alpha - nearest) < INTEGER_GUARD and nearest <= 0
+    # T^k f; k = -1 is no subtraction
+    k = -int(nearest) if integral else max(math.floor(-alpha), -1)
+    need = k if integral else k + 4
+    if n < need:
         raise ValueError(f"mu_{alpha:g} needs derivatives of {f.label} at 0 "
-                         f"up to order {k + 4}, have {n}")
-    c = np.array([f.deriv_at_zero(j) / math.factorial(j)
-                  for j in range(n + 1)])  # (orders,) or (orders, rows)
+                         f"up to order {need}, have {n}")
+    if integral:
+        # + 0.0: a vanishing odd-order coefficient reads 0.0, not -0.0
+        return (-1.0) ** k * math.factorial(k) * c[k] + 0.0
+
     rows = c.shape[1:]
     # highest power first, one column per row for the (rows, x) grids
     head, tail = c[k + 1::-1, ..., None], c[:k + 1:-1, ..., None]

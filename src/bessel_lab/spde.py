@@ -157,10 +157,6 @@ class Mollifier:
         """The scaled mollifier rho_eta(y)."""
         return self.profile(np.asarray(y, dtype=float) / self.eta) / self.eta
 
-    def half_mass(self):
-        """int_0^eta rho_eta = 1/2 by symmetry (verified by quadrature)."""
-        return adaptive_gl(self, 0.0, self.eta, rtol=1e-13, atol=1e-16)
-
 
 def f_eps_eta(x, eps, eta, mollifier=None):
     """``(1/4)(1_{x >= eps}/x^3 - (2/eps) rho_eta(x)/x)``; vanishes on

@@ -113,6 +113,13 @@ class SLSolution:
         self._table = table
         self._rows = table.T.tolist()
         self._cut = table[_LO, 1:]
+        # Horner stops at the highest order that is nonzero on any sub-piece
+        # (exact zeros add nothing): order 1 on zero-density measures.
+        used = np.any(table[_PHI.start:].reshape(3, _N, -1) != 0.0,
+                      axis=(0, 2))
+        top = int(np.flatnonzero(used)[-1]) + 1
+        self._phi, self._dphi, self._psi = (slice(s.start, s.start + top)
+                                            for s in (_PHI, _DPHI, _PSI))
         self.phi1 = self.phi(1.0)
         self.rho1 = self.rho(1.0)
         # Boundary slope phi'(0-): the jump of an atom at 0 (phi(0) = 1).
@@ -130,18 +137,18 @@ class SLSolution:
 
     def phi(self, r):
         r, c = self._piece(r)
-        return _horner(c[_PHI], (c[_HI] - r) / (c[_HI] - c[_LO]))
+        return _horner(c[self._phi], (c[_HI] - r) / (c[_HI] - c[_LO]))
 
     def dphi(self, r):
         """Right-hand derivative phi'(r+) (limits at atoms from the right)."""
         r, c = self._piece(r)
-        return _horner(c[_DPHI], (c[_HI] - r) / (c[_HI] - c[_LO]))
+        return _horner(c[self._dphi], (c[_HI] - r) / (c[_HI] - c[_LO]))
 
     def rho(self, r):
         r, c = self._piece(r)
         h = c[_HI] - c[_LO]
-        psi = _horner(c[_PSI], (r - c[_LO]) / h)
-        return c[_RHO_LO] + psi * c[_INV_PHI_LO] / _horner(c[_PHI],
+        psi = _horner(c[self._psi], (r - c[_LO]) / h)
+        return c[_RHO_LO] + psi * c[_INV_PHI_LO] / _horner(c[self._phi],
                                                           (c[_HI] - r) / h)
 
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: marginal CDF oracles and the standard case battery."""
+"""Shared test helpers: marginal CDF oracles, the standard case battery and
+the stock test functions of the mu_alpha calculus."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump)
 from bessel_lab.ibpf import IbpfCase
+from bessel_lab.mu_dist import SmoothTestFn
 from bessel_lab.specfun import besq_density_reg
 
 
@@ -63,3 +65,31 @@ def standard_battery():
                     tol=1e-5,
                     case_id=f"d{delta:g}_a{a:g}_ap{ap:g}_{tag}"))
     return cases
+
+
+def stock_fns():
+    """The stock test functions of :class:`SmoothTestFn`."""
+    return [SmoothTestFn.exp_decay(1.0), SmoothTestFn.gauss(),
+            SmoothTestFn.poly_exp()]
+
+
+#: Closed-form derivatives of the stock functions, by label.
+_STOCK_PRIMES = {
+    "exp(-1x)": lambda x: -np.exp(-x),
+    "exp(-x^2)": lambda x: -2.0 * x * np.exp(-x * x),
+    "(1+x)exp(-2x)": lambda x: -(1.0 + 2.0 * x) * np.exp(-2.0 * x),
+}
+
+
+def derivative(f):
+    """f' of a stock function: its closed form, with f's Taylor data moved
+    down one order (c'_j = (j + 1) c_{j+1})."""
+    k = np.arange(1, f.taylor.shape[-1])
+    return SmoothTestFn(_STOCK_PRIMES[f.label], f.taylor[1:] * k,
+                        label=f.label + "'")
+
+
+def x_times(f):
+    """The function x f(x), whose Taylor data is f's moved up one order."""
+    return SmoothTestFn(lambda x: x * f(x), np.r_[0.0, f.taylor[:-1]],
+                        label="x*" + f.label)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from conftest import bridge_marginal_cdf, standard_battery
+from conftest import (bridge_marginal_cdf, derivative, standard_battery,
+                      stock_fns, x_times)
 
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump)
 from bessel_lab.ibpf import (IbpfCase, gamma_3, lhs_mc, rel_err, rhs_ibpf,
@@ -111,42 +112,20 @@ class TestCriterion3SecondDerivativeRoutes:
 ALPHAS = [-2.2, -1.5, -1.0, -0.5, 0.0, 0.7, 1.0, 2.3]
 
 
-def _mu_fns():
-    return [SmoothTestFn.exp_decay(1.0), SmoothTestFn.gauss(),
-            SmoothTestFn.poly_exp()]
-
-
-def _derivative(f):
-    return SmoothTestFn(f.evaluators[1:])
-
-
-def _x_times(f):
-    def ev(k):
-        def g(x, k=k):
-            x = np.asarray(x, dtype=float)
-            val = x * f.evaluators[k](x)
-            if k >= 1:
-                val = val + k * f.evaluators[k - 1](x)
-            return val
-        return g
-    n = len(f.evaluators) - 1
-    return SmoothTestFn([ev(k) for k in range(n + 1)])
-
-
 class TestCriterion4MuCalculus:
     """Derivative/multiplication identities to 1e-8; exponential eigen
     relation to 1e-8; integer-crossing continuity to 1e-5."""
 
     @pytest.mark.parametrize("alpha", [a for a in ALPHAS if a >= -1.5])
     def test_derivative_identity(self, alpha):
-        for f in _mu_fns():
-            assert mu_pair(alpha, _derivative(f)) == pytest.approx(
+        for f in stock_fns():
+            assert mu_pair(alpha, derivative(f)) == pytest.approx(
                 -mu_pair(alpha - 1.0, f), abs=1e-8, rel=1e-8)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_multiplication_identity(self, alpha):
-        for f in _mu_fns():
-            assert mu_pair(alpha, _x_times(f)) == pytest.approx(
+        for f in stock_fns():
+            assert mu_pair(alpha, x_times(f)) == pytest.approx(
                 alpha * mu_pair(alpha + 1.0, f), abs=1e-8, rel=1e-8)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -157,7 +136,7 @@ class TestCriterion4MuCalculus:
 
     @pytest.mark.parametrize("k", [-2, -1, 0])
     def test_integer_crossing(self, k):
-        for f in _mu_fns():
+        for f in stock_fns():
             mid = mu_pair(float(k), f)
             scale = max(abs(mid), 1.0)
             assert abs(mu_pair(k - 1e-6, f) - mid) < 1e-5 * scale

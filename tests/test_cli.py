@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from bessel_lab import cli
 from bessel_lab.cli import main
+from bessel_lab.quadrature import QuadratureError
 
 CASES = {
     "cases": [
@@ -153,6 +155,21 @@ class TestDataCommands:
         assert main(["mu", "--alpha", "0.5", "--fn", "exp",
                      "--lambda", lam]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_mu_no_decay_is_two(self, capsys):
+        # e^{-x/1000} has not decayed within the window: a typed numerical
+        # failure, reported as a message
+        assert main(["mu", "--alpha", "0.5", "--fn", "exp",
+                     "--lambda", "1e-3"]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_quadrature_failure_is_two(self, monkeypatch, capsys):
+        def fail(alpha, f):
+            raise QuadratureError("did not converge")
+
+        monkeypatch.setattr(cli, "mu_pair", fail)
+        assert main(["mu", "--alpha", "0.5", "--fn", "exp"]) == 2
+        assert "error: did not converge" in capsys.readouterr().err
 
     def test_sl_solve_too_heavy_measure(self, tmp_path, capsys):
         cfg = tmp_path / "m.json"

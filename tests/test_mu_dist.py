@@ -3,37 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import derivative, stock_fns, x_times
+
 from bessel_lab import mu_dist
 from bessel_lab.mu_dist import MuConvergenceError, SmoothTestFn, mu_pair
 from bessel_lab.quadrature import decay_cutoff
 
 ALPHA_BATTERY = [-2.2, -1.5, -1.0, -0.5, 0.0, 0.7, 1.0, 2.3]
-
-
-def stock_fns():
-    return [SmoothTestFn.exp_decay(1.0), SmoothTestFn.gauss(),
-            SmoothTestFn.poly_exp()]
-
-
-def derivative(f):
-    """f' as a SmoothTestFn, from f's evaluators of order 1 and up."""
-    return SmoothTestFn(f.evaluators[1:], label=f.label + "'")
-
-
-def x_times(f, orders=8):
-    """The function g(x) = x f(x) with derivative evaluators
-    g^(k) = x f^(k) + k f^(k-1)."""
-    def ev(k):
-        def g(x, k=k):
-            x = np.asarray(x, dtype=float)
-            val = x * f.evaluators[k](x)
-            if k >= 1:
-                val = val + k * f.evaluators[k - 1](x)
-            return val
-        return g
-    n = min(orders, len(f.evaluators) - 1)
-    return SmoothTestFn([ev(k) for k in range(n + 1)],
-                        label="x*" + f.label)
 
 
 class TestMuBranches:
@@ -56,27 +32,28 @@ class TestMuBranches:
     @pytest.mark.parametrize("alpha", [0.5, -0.5])
     def test_zero_function(self, alpha):
         # |f| has no peak on the decay probe grid
-        zero = SmoothTestFn([lambda x: 0.0 * np.asarray(x, float)],
-                            derivs_at_zero=np.zeros(9))
+        zero = SmoothTestFn(lambda x: 0.0 * np.asarray(x, float), np.zeros(9))
         assert mu_pair(alpha, zero) == 0.0
 
-    @pytest.mark.parametrize("alpha", [-2.2, -1.5, -0.5, 0.7, 3.5])
+    @pytest.mark.parametrize("alpha", [-2.2, -2.0, -1.5, -1.0, -0.5, 0.7,
+                                       3.5])
     def test_too_few_derivatives(self, alpha):
-        # max(ceil(-alpha), 0) + 3 orders are needed; one fewer is refused
-        need = max(math.ceil(-alpha), 0) + 3
+        # max(ceil(-alpha), 0) + 3 orders are needed (order -alpha at
+        # integer alpha <= 0); one fewer is refused
+        need = (int(-alpha) if alpha == round(alpha)
+                else max(math.ceil(-alpha), 0) + 3)
         f = SmoothTestFn.exp_decay(1.0)
-        short = SmoothTestFn(f.evaluators[:need])
+        short = SmoothTestFn(f.f, f.taylor[:need])
         with pytest.raises(ValueError, match="needs derivatives"):
             mu_pair(alpha, short)
-        enough = SmoothTestFn(f.evaluators[:need + 1])
+        enough = SmoothTestFn(f.f, f.taylor[:need + 1])
         assert mu_pair(alpha, enough) == pytest.approx(1.0, rel=1e-10)
 
     def test_nonconvergence_is_typed(self):
         # a decaying f that no panel count resolves
         rough = SmoothTestFn(
-            [lambda x: np.exp(-np.asarray(x, float))
-             * np.sign(np.sin(1e7 * np.asarray(x, float)))],
-            derivs_at_zero=np.zeros(9))
+            lambda x: np.exp(-np.asarray(x, float))
+            * np.sign(np.sin(1e7 * np.asarray(x, float))), np.zeros(9))
         with pytest.raises(MuConvergenceError):
             mu_pair(-0.5, rough)
 
@@ -106,8 +83,9 @@ def exp_rows(lams):
     lams = np.asarray(lams, dtype=float)
     amp = (lams != 0.0).astype(float)
     return SmoothTestFn(
-        [lambda x: amp[:, None] * np.exp(-lams[:, None] * x)],
-        derivs_at_zero=np.array([amp * (-lams) ** j for j in range(9)]),
+        lambda x: amp[:, None] * np.exp(-lams[:, None] * x),
+        np.array([amp * (-lams) ** j / math.factorial(j)
+                  for j in range(9)]).T,
         label="exp rows")
 
 
@@ -179,23 +157,12 @@ class TestMuIdentities:
 
 
 class TestSmoothTestFn:
-    def test_stock_derivatives_match_fd(self):
-        xs = np.linspace(0.1, 3.0, 7)
-        eps = 1e-6
+    def test_stock_taylor_matches_f(self):
+        xs = np.linspace(0.0, 0.05, 11)
         for f in stock_fns():
-            for k in range(3):
-                fk, fk1 = f.evaluators[k], f.evaluators[k + 1]
-                fd = (fk(xs + eps) - fk(xs - eps)) / (2 * eps)
-                assert np.max(np.abs(fd - fk1(xs))) < 1e-6 * max(
-                    1.0, float(np.max(np.abs(fk1(xs)))))
+            series = np.polyval(f.taylor[::-1], xs)
+            assert np.max(np.abs(series - f(xs))) < 1e-13
 
-    def test_deriv_at_zero_sources(self):
-        f = SmoothTestFn([lambda x: np.exp(-np.asarray(x, float))],
-                         derivs_at_zero=[1.0, -1.0, 1.0])
-        assert f.deriv_at_zero(2) == 1.0
+    def test_needs_taylor(self):
         with pytest.raises(ValueError):
-            f.deriv_at_zero(3)
-
-    def test_needs_evaluator(self):
-        with pytest.raises(ValueError):
-            SmoothTestFn([])
+            SmoothTestFn(np.exp, [])

@@ -134,9 +134,13 @@ def test_tracer_names_resolve(monkeypatch):
     spec.loader.exec_module(tracer_mod)
     for name in MODULES:
         importlib.import_module(f"bessel_lab.{name}")
-    from bessel_lab import ibpf
-    from bessel_lab.core import BridgeSpec, ExpFunctional, bump
+    from bessel_lab import ibpf, spde
+    from bessel_lab.core import BridgeSpec, ExpFunctional, FiniteMeasure, bump
+    from bessel_lab.samplers import RngStream
     original = ibpf.rhs_ibpf
+    mc_case = ibpf.IbpfCase(BridgeSpec(2.5, 1.0, 2.0),
+                            ExpFunctional.single(FiniteMeasure.atom(0.6, 1.0)),
+                            bump(0.2))
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
@@ -149,6 +153,10 @@ def test_tracer_names_resolve(monkeypatch):
         ibpf.lhs_uncond_analytic(ibpf.IbpfCase(
             BridgeSpec(2.5, 0.0, 0.0), ExpFunctional.one(), bump(0.2),
             mode="unconstrained"))
+        # the samplers and the SPDE, read by position
+        ibpf.lhs_mc(mc_case, 200, RngStream(0))
+        spde.run_decomposition(bump(0.2), 0.05, 0.01, 5e-5, 1e-5, 32,
+                               RngStream(0), replicas=4)
     finally:
         tracer.uninstall()
     assert ibpf.rhs_ibpf is original
@@ -157,9 +165,14 @@ def test_tracer_names_resolve(monkeypatch):
                  "laplace_sigma.sigma_s", "quadrature.adaptive_gl",
                  "quadrature.decay_cutoff", "specfun.besq_density_reg",
                  "ibpf.lhs_uncond_analytic", "mu_dist.mu_pair",
-                 "laplace_sigma.zeta_second_deriv"):
+                 "laplace_sigma.zeta_second_deriv", "spde.ou_step",
+                 "spde.field_to_u", "spde.f_eps_eta"):
         assert calls.get(name, 0) > 0, name
     assert tracer.counters["quadrature.adaptive_gl.nodes"] > 0
+    assert (tracer.counters["samplers.besq_bridge_general.path_steps"]
+            == 200 * (len(ibpf.mc_times(mc_case)) - 2))
+    assert tracer.counters["samplers.bessel_rv.draws"] > 0
+    assert tracer.counters["samplers.mc_estimate.blocks"] == 1
 
 
 def test_version_matches_pyproject():
