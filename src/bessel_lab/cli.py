@@ -328,6 +328,9 @@ def _spde_summary(series, h, theta=0.2):
 def cmd_spde_sim(args):
     if args.eta >= args.eps:
         raise ConfigError("need eta < eps")
+    if args.replicas < 2:
+        raise ConfigError("need --replicas >= 2: the diagnostics' standard "
+                          "errors are taken across replicas")
     h = bump(0.2)
     rng = RngStream(args.seed)
     series = spde.run_decomposition(

@@ -6,7 +6,10 @@ The 2-dimensional Bessel-bridge field is realised as ``u = |v|`` where
 basis ``e_k(x) = sqrt(2) sin(k pi x)`` with rates ``lambda_k = k^2 pi^2``.
 Each mode is an Ornstein-Uhlenbeck process advanced by its exact exponential
 integrator, so the stationary law (per-mode variance ``1/lambda_k``) is
-preserved without discretisation bias.
+preserved without discretisation bias.  The field is synthesised on the
+uniform grid ``x_j = j/n`` by one DST-I: ``sin(k pi j/n)`` has period 2n in
+k, so the K modes fold onto n - 1 interior slots before the transform, and
+``u`` is exactly 0 at both ends.
 
 The weak-dynamics decomposition under test is
 
@@ -41,7 +44,7 @@ __all__ = [
     "stationary_field",
 ]
 
-#: Spatial synthesis mesh size.
+#: Spatial synthesis mesh size: x_j = j/256, j = 0..256.
 SYNTH_MESH = 257
 
 
@@ -120,15 +123,42 @@ def ou_step(fld, dt, rng):
     decay = np.exp(-0.5 * lam * dt)
     std = np.sqrt(-np.expm1(-lam * dt) / lam)
     noise = rng.generator.standard_normal(fld.coefficients.shape)
-    return SpectralField(fld.coefficients * decay + std * noise,
-                        time=fld.time + dt)
+    noise *= std
+    noise += fld.coefficients * decay
+    return SpectralField(noise, time=fld.time + dt)
 
 
-def field_to_u(fld, mesh_x):
-    """``u(x) = |v(x)|`` by truncated sine synthesis at the given points."""
-    basis = _basis(mesh_x, fld.k_max)  # (n, K)
-    v = fld.coefficients @ basis.T     # (..., 2, n)
-    return np.sqrt(np.sum(v**2, axis=-2))
+def field_to_u(fld, n):
+    """``u(x_j) = |v(x_j)|`` on the uniform grid ``x_j = j/n``, j = 0..n,
+    by one DST-I of the folded coefficients; shape (..., n + 1).
+
+    ``sin(k pi j/n)`` has period 2n in k: mode ``2pn + r`` adds to slot r
+    and mode ``2pn + n + s`` subtracts from slot ``n - s``.  Slots 0 and n
+    vanish on the grid, so u is exactly 0 at both ends.
+    """
+    # imported here so that routes which never synthesise a field do not
+    # carry scipy.fft's memory
+    from scipy import fft
+
+    if n < 2:
+        raise ValueError("need n >= 2 grid intervals")
+    coef = fld.coefficients  # mode k at coef[..., k - 1]
+    k_max = fld.k_max
+    folded = np.zeros(coef.shape[:-1] + (n + 1,))
+    for lo in range(0, k_max + 1, n):  # one block: modes lo..hi-1
+        hi = min(lo + n, k_max + 1)
+        first = max(lo, 1)
+        block = coef[..., first - 1:hi - 1]
+        if (lo // n) % 2 == 0:  # k = 2pn + r adds to slot r
+            folded[..., first - lo:hi - lo] += block
+        else:  # k = 2pn + n + s subtracts from slot n - s
+            top = lo + n
+            folded[..., top - hi + 1:top - first + 1] -= block[..., ::-1]
+    # DST-I: y_j = 2 sum_m a_m sin(pi m j/n); e_k carries sqrt(2)
+    v = fft.dst(folded[..., 1:n], type=1, axis=-1) * math.sqrt(0.5)
+    u = np.zeros(coef.shape[:-2] + (n + 1,))
+    u[..., 1:n] = np.sqrt(np.sum(v**2, axis=-2))
+    return u
 
 
 class Mollifier:
@@ -170,10 +200,12 @@ def f_eps_eta(x, eps, eta, mollifier=None):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("f_eps_eta is defined on x >= 0")
-    pos = x > 0
-    xs = np.where(pos, x, 1.0)
-    val = np.where(x >= eps, 0.25 / xs**3, 0.0)
-    val = val - np.where(pos, 0.5 / eps * mollifier(xs) / xs, 0.0)
+    val = np.zeros_like(x)
+    big = x >= eps
+    val[big] = 0.25 / x[big]**3
+    small = (x > 0) & (x < mollifier.eta)
+    xs = x[small]
+    val[small] -= 0.5 / eps * mollifier(xs) / xs
     if val.ndim == 0:
         return float(val)
     return val
@@ -207,6 +239,12 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
     Returns a :class:`DecompositionSeries` with snapshots every
     ``store_every`` steps (plus the final time).
     """
+    if dt <= 0:
+        raise ValueError("time step must be positive")
+    for name, count in (("k_max", k_max), ("replicas", replicas),
+                        ("store_every", store_every)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-12 * max(t_final, 1.0):
         raise ValueError("t_final must be an integer multiple of dt")
@@ -217,7 +255,7 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
     moll = Mollifier(eta)
 
     fld = stationary_field(k_max, rng, replicas=replicas)
-    u = field_to_u(fld, x)  # (replicas, n)
+    u = field_to_u(fld, SYNTH_MESH - 1)  # (replicas, n)
     uh0 = u @ hv
 
     keep = list(range(0, n_steps + 1, store_every))
@@ -243,7 +281,7 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
         lap_acc = lap_acc + 0.5 * dt * (u @ h2v)
         n_acc = n_acc + 0.5 * dt * (f_eps_eta(u, eps, eta, moll) @ hv)
         fld = ou_step(fld, dt, rng)
-        u = field_to_u(fld, x)
+        u = field_to_u(fld, SYNTH_MESH - 1)
 
     mart = uh_out - uh0[:, None] - lap_out + n_out
     return DecompositionSeries(times=times, uh=uh_out, lap=lap_out,

@@ -315,7 +315,7 @@ class TestCriterion10Spde:
     def test_stationary_marginals(self):
         fld = stationary_field(256, RngStream(71, 4), replicas=10000)
         for r in (0.25, 0.5, 0.75):
-            u = field_to_u(fld, np.array([r]))[:, 0]
+            u = field_to_u(fld, 4)[:, round(4 * r)]
             q = r * (1.0 - r)
             ks = stats.kstest(
                 u, lambda x, q=q: 1.0 - np.exp(-x**2 / (2 * q)))

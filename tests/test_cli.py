@@ -221,6 +221,23 @@ class TestDataCommands:
         assert (out / "replica_0.csv").read_text().splitlines()[0] == \
             "t,uh,lap,n,m"
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--dt", "0", "time step must be positive"),
+        ("--dt", "-0.0001", "time step must be positive"),
+        ("--K", "0", "k_max must be >= 1"),
+        ("--K", "-3", "k_max must be >= 1"),
+        ("--store-every", "0", "store_every must be >= 1"),
+        ("--replicas", "1", "config error: need --replicas >= 2"),
+        ("--replicas", "0", "config error: need --replicas >= 2")])
+    def test_spde_sim_bad_settings_are_two(self, flag, value, message,
+                                           capsys):
+        args = {"--K": "16", "--dt": "1e-4", "--T": "0.001",
+                "--replicas": "2", "--store-every": "5"}
+        args[flag] = value
+        argv = ["spde-sim"] + [item for pair in args.items() for item in pair]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_entry_point_subprocess(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "bessel_lab.cli", "density", "--delta",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,26 @@ class TestFEpsEta:
         x = 0.5 * self.ETA
         assert f_eps_eta(x, self.EPS, self.ETA) < 0.0
 
+    def test_matches_full_grid_formula_bitwise(self):
+        # the formula evaluated on every point, written out as reference
+        eps, eta = self.EPS, self.ETA
+        x = np.abs(RngStream(8).generator.standard_normal(100000)) * 0.1
+        x = np.concatenate([x, [0.0, eta, eps]])
+        moll = Mollifier(eta)
+        pos = x > 0
+        xs = np.where(pos, x, 1.0)
+        want = np.where(x >= eps, 0.25 / xs**3, 0.0)
+        want = want - np.where(pos, 0.5 / eps * moll(xs) / xs, 0.0)
+        got = f_eps_eta(x, eps, eta, moll)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_scalar_return_and_no_warning_near_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = f_eps_eta(1e-300, self.EPS, self.ETA)
+        assert isinstance(val, float)
+        assert val < 0.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             f_eps_eta(0.1, 0.05, 0.05)
@@ -99,6 +120,16 @@ class TestOuStep:
         with pytest.raises(ValueError):
             ou_step(stationary_field(32, RngStream(0)), 0.0, RngStream(1))
 
+    def test_matches_closed_form_update_bitwise(self):
+        fld = stationary_field(64, RngStream(6), replicas=5)
+        dt = 1e-3
+        lam = (np.arange(1, 65) * math.pi) ** 2
+        noise = RngStream(9).generator.standard_normal(fld.coefficients.shape)
+        want = (fld.coefficients * np.exp(-0.5 * lam * dt)
+                + np.sqrt(-np.expm1(-lam * dt) / lam) * noise)
+        got = ou_step(fld, dt, RngStream(9)).coefficients
+        assert np.array_equal(got, want)
+
 
 class TestFieldShapes:
     def test_two_components_required(self):
@@ -107,7 +138,7 @@ class TestFieldShapes:
 
     def test_u_nonnegative(self):
         fld = stationary_field(64, RngStream(5), replicas=7)
-        u = field_to_u(fld, np.linspace(0, 1, 33))
+        u = field_to_u(fld, 32)
         assert u.shape == (7, 33)
         assert np.all(u >= 0.0)
         assert np.allclose(u[:, 0], 0.0) and np.allclose(u[:, -1], 0.0)
@@ -117,10 +148,34 @@ class TestFieldShapes:
         # variance r(1-r) per component)
         fld = stationary_field(256, RngStream(71, 4), replicas=10000)
         for r in (0.25, 0.5, 0.75):
-            u = field_to_u(fld, np.array([r]))[:, 0]
+            u = field_to_u(fld, 4)[:, round(4 * r)]
             q = r * (1.0 - r)
             ks = stats.kstest(u, lambda x, q=q: 1.0 - np.exp(-x**2 / (2 * q)))
             assert ks.pvalue > 0.01
+
+
+class TestFieldToU:
+    @pytest.mark.parametrize("k_max,n", [(32, 256), (255, 256), (256, 256),
+                                         (257, 256), (513, 256), (64, 32),
+                                         (256, 4)])
+    def test_matches_explicit_sine_sum(self, k_max, n):
+        fld = stationary_field(k_max, RngStream(12, k_max), replicas=6)
+        x = np.arange(n + 1) / n
+        k = np.arange(1, k_max + 1)
+        basis = math.sqrt(2.0) * np.sin(math.pi * np.outer(x, k))
+        v = fld.coefficients @ basis.T
+        want = np.sqrt(np.sum(v**2, axis=-2))
+        u = field_to_u(fld, n)
+        assert u.shape == (6, n + 1)
+        # the explicit sum rounds pi k x at |k x| up to k_max: relative to
+        # the field's scale, not to values near a zero of u
+        np.testing.assert_allclose(u, want, rtol=1e-13,
+                                   atol=1e-13 * np.max(want))
+        assert np.all(u[:, 0] == 0.0) and np.all(u[:, -1] == 0.0)
+
+    def test_too_few_intervals(self):
+        with pytest.raises(ValueError):
+            field_to_u(stationary_field(16, RngStream(0)), 1)
 
 
 class TestGammaMatrix:
@@ -166,3 +221,16 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             run_decomposition(bump(0.2), 0.05, 0.01, 0.00035, 1e-4, 32,
                               RngStream(0))
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"dt": 0.0}, "time step"), ({"dt": -1e-4}, "time step"),
+        ({"k_max": 0}, "k_max"), ({"replicas": 0}, "replicas"),
+        ({"store_every": 0}, "store_every")])
+    def test_bad_settings(self, kwargs, match):
+        args = {"dt": 1e-4, "k_max": 32, "replicas": 2, "store_every": 1}
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=match):
+            run_decomposition(bump(0.2), 0.05, 0.01, 0.001, args["dt"],
+                              args["k_max"], RngStream(0),
+                              replicas=args["replicas"],
+                              store_every=args["store_every"])
