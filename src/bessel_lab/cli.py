@@ -36,7 +36,7 @@ from .quadrature import QuadratureError
 from .samplers import RngStream, bessel_bridge_general
 from .specfun import bridge_density
 from .sturm_liouville import solve_sl
-from .laplace_sigma import SigmaContext, sigma_bridge, sigma_uncond
+from .laplace_sigma import SigmaContext, sigma_s
 from . import spde
 
 __all__ = ["main"]
@@ -57,16 +57,21 @@ class ConfigError(ValueError):
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path!r} at line {exc.lineno} column "
             f"{exc.colno}: {exc.msg}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path!r} must be a JSON object")
+    return config
 
 
 def _parse_h(d):
+    if not isinstance(d, dict):
+        raise ConfigError('"h" must be an object')
     kind = d.get("type", "bump")
     theta = float(d.get("theta", 0.2))
     if kind == "bump":
@@ -79,6 +84,9 @@ def _parse_h(d):
 def _parse_phi(terms):
     if not terms:
         return ExpFunctional.one()
+    if not isinstance(terms, list) or not all(isinstance(t, dict)
+                                              for t in terms):
+        raise ConfigError('"phi" must be a list of term objects')
     try:
         return ExpFunctional(
             [(float(t.get("coef", 1.0)),
@@ -252,10 +260,14 @@ def cmd_sigma(args):
     mode = config.get("mode", "bridge")
     if mode not in ("bridge", "unconstrained"):
         raise ConfigError(f"unknown mode {mode!r}")
-    ctx = SigmaContext(spec, m)
-    fn = sigma_bridge if mode == "bridge" else sigma_uncond
+    bridge = mode == "bridge"
+    # phi and rho are tabulated on [0, 1], and a bridge is pinned at r = 1
+    if not (0.0 < args.r < 1.0 or (args.r == 1.0 and not bridge)):
+        raise ConfigError(f"--r must lie in (0, 1{')' if bridge else ']'} "
+                          f"for mode {mode!r}, got {args.r}")
+    ctx = SigmaContext(spec, m, bridge)
     bs = np.linspace(0.0, args.bmax, args.n)
-    vals = fn(ctx, args.r, bs)
+    vals = sigma_s(ctx, args.r, bs**2)
     rows = list(zip(map(float, bs), map(float, np.atleast_1d(vals))))
     _emit_csv(rows, ("b", "sigma"), args.out)
     return 0
@@ -365,6 +377,8 @@ def cmd_run_suite(args):
         status = max(status, cmd_ibpf_check(sub))
     if "spde" in config:
         s = config["spde"]
+        if not isinstance(s, dict):
+            raise ConfigError('"spde" must be an object')
         try:
             sub = argparse.Namespace(
                 K=int(s.get("K", 256)), dt=float(s.get("dt", 1e-5)),

@@ -61,10 +61,6 @@ class FiniteMeasure:
             if np.any(np.polynomial.polynomial.polyval(grid, coeffs) < -1e-12):
                 raise ValueError("piece density must be non-negative")
 
-    @property
-    def is_zero(self):
-        return not self.atoms and not self.pieces
-
     def density_at(self, r):
         """Density part evaluated pointwise (atoms excluded)."""
         r = np.asarray(r, dtype=float)
@@ -96,6 +92,8 @@ class FiniteMeasure:
 
     @classmethod
     def from_json_dict(cls, d):
+        if not isinstance(d, dict):
+            raise TypeError("a measure must be a JSON object")
         return cls(
             atoms=[(a["t"], a["w"]) for a in d.get("atoms", [])],
             pieces=[(p["lo"], p["hi"], p["coeffs"])

@@ -66,7 +66,6 @@ from .laplace_sigma import (SERIES_ORDER, SigmaContext, sigma_s,
 from .mu_dist import SmoothTestFn, mu_pair
 from .quadrature import GL_ORDER, adaptive_gl, decay_cutoff
 from .samplers import bessel_bridge_general, mc_estimate
-from .specfun import p_delta_t
 
 __all__ = [
     "IbpfCase",
@@ -76,7 +75,6 @@ __all__ = [
     "lhs_bridge_analytic",
     "lhs_mc",
     "rhs_ibpf",
-    "gamma_3",
     "verify",
 ]
 
@@ -147,12 +145,12 @@ def rel_err(lhs, rhs):
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
-def _s_scales(ctx, r, bridge):
+def _s_scales(ctx, r):
     """(series scale, decay scale) of Sigma as a function of s, one entry
     per entry of ``r``."""
     sol = ctx.sol
     phr, rr = sol.phi(r), sol.rho(r)
-    if bridge:
+    if ctx.bridge:
         t2 = sol.rho1 - rr
         tmin = np.minimum(rr, t2)
         th = 1.0 / (1.0 / rr + 1.0 / t2)  # harmonic decay time
@@ -164,15 +162,15 @@ def _s_scales(ctx, r, bridge):
     return series_scale, decay_scale
 
 
-def fp_s_integral(ctx, r, p, ksub, bridge):
+def fp_s_integral(ctx, r, p, ksub):
     """``int_0^inf s^p [Sigma(s) - sum_{j<ksub} c_j s^j] ds``, the inner
     integral of the dimension-branch RHS, per entry of the 1-d ``r``.
 
     Requires p + ksub + 1 > 0 (integrable at 0 after subtraction) and
     p + ksub < 0 (tails integrable); rhs_ibpf's p and ksub meet both.
     """
-    c = sigma_s_series(ctx, r, bridge)
-    series_scale, decay_scale = _s_scales(ctx, r, bridge)
+    c = sigma_s_series(ctx, r)
+    series_scale, decay_scale = _s_scales(ctx, r)
     s0 = np.minimum(0.4 * series_scale, 0.25 * decay_scale)
     q = p + np.arange(SERIES_ORDER + 1.0) + 1.0
 
@@ -187,10 +185,10 @@ def fp_s_integral(ctx, r, p, ksub, bridge):
     def f(s):
         powers = s[:, None, :] ** np.arange(ksub)[:, None]
         sub = np.sum(c[:, :ksub, None] * powers, axis=1)
-        return s**p * (sigma_s(ctx, r[:, None], s, bridge) - sub)
+        return s**p * (sigma_s(ctx, r[:, None], s) - sub)
 
     def probe(s):
-        return s**p * sigma_s(ctx, r[:, None], s, bridge)
+        return s**p * sigma_s(ctx, r[:, None], s)
 
     big_s = decay_cutoff(probe, s0, decay_scale, probes=100)
     mid = adaptive_gl(f, s0, big_s, rtol=1e-10,
@@ -230,10 +228,11 @@ def _outer_integral(h, breakpoints, per_r):
 
 def _sum_terms(case, per_r, point=lambda ctx: 0.0):
     """``sum_i c_i (int per_r(ctx_i, r) dr + point(ctx_i))`` over the terms
-    ``c_i exp(-<m_i, X^2>)`` of Phi, split at the breakpoints of m_i."""
+    ``c_i exp(-<m_i, X^2>)`` of Phi, split at the breakpoints of m_i, with
+    each ``ctx_i`` of the case's law."""
     total = 0.0
     for coef, m in case.phi.terms:
-        ctx = SigmaContext(case.spec, m)
+        ctx = SigmaContext(case.spec, m, case.mode == "bridge")
         part = _outer_integral(case.h, m.breakpoints(),
                                lambda r, ctx=ctx: per_r(ctx, r))
         total += coef * (part + point(ctx))
@@ -249,7 +248,6 @@ def rhs_ibpf(case, route="branch"):
     (``"branch"``: the dimension-dependent formulas; ``"unified"``: the
     mu_{delta-3} finite-part form)."""
     d = case.spec.delta
-    bridge = case.mode == "bridge"
     h = case.h
 
     if route == "unified":
@@ -257,17 +255,17 @@ def rhs_ibpf(case, route="branch"):
             raise ValueError(
                 "unified evaluator disabled near delta = 2 "
                 "(analytically removable pole)")
-        return _rhs_unified(case, bridge)
+        return _rhs_unified(case)
     if route != "branch":
         raise ValueError(f"unknown route {route!r}")
 
     if abs(d - 3.0) < _INT_GUARD:
         def per_r(ctx, r):
-            return -0.5 * h(r) * sigma_s_series(ctx, r, bridge)[:, 0]
+            return -0.5 * h(r) * sigma_s_series(ctx, r)[:, 0]
     elif abs(d - 1.0) < _INT_GUARD:
         def per_r(ctx, r):
             # d^2/db^2 Sigma |_0 = 2 c_1, times the prefactor 1/4
-            return 0.5 * h(r) * sigma_s_series(ctx, r, bridge)[:, 1]
+            return 0.5 * h(r) * sigma_s_series(ctx, r)[:, 1]
     else:
         kappa = (d - 3.0) * (d - 1.0) / 4.0
         ksub = max(math.floor((3.0 - d) / 2.0) + 1, 0)
@@ -275,12 +273,11 @@ def rhs_ibpf(case, route="branch"):
 
         def per_r(ctx, r):
             # the 1/2 converts the b-integral to the s-integral
-            return -kappa * h(r) * 0.5 * fp_s_integral(ctx, r, p, ksub,
-                                                       bridge)
+            return -kappa * h(r) * 0.5 * fp_s_integral(ctx, r, p, ksub)
     return _sum_terms(case, per_r)
 
 
-def _rhs_unified(case, bridge):
+def _rhs_unified(case):
     """The unified finite-part RHS: one ``mu_pair`` per panel of r-nodes, of
     the row of functions ``b -> Sigma(Phi | b)``, whose b-Taylor
     coefficients are the s-coefficients of ``sigma_s_series`` at the even
@@ -292,27 +289,12 @@ def _rhs_unified(case, bridge):
 
     def per_r(ctx, r):
         taylor = np.zeros((r.size, 2 * SERIES_ORDER + 1))
-        taylor[:, ::2] = sigma_s_series(ctx, r, bridge)
-        fn = SmoothTestFn(lambda b: sigma_s(ctx, r[:, None], b**2, bridge),
+        taylor[:, ::2] = sigma_s_series(ctx, r)
+        fn = SmoothTestFn(lambda b: sigma_s(ctx, r[:, None], b**2),
                           taylor, label="Sigma")
         return h(r) * mu_pair(alpha, fn)
 
     return pref * _sum_terms(case, per_r)
-
-
-def gamma_3(r, a):
-    """The delta = 3 boundary intensity gamma(r, a):
-
-        1/sqrt(2 pi r^3 (1-r)^3) * (1 if a = 0 else
-                                    2 a^2 e^{-a^2/(2 r (1-r))}/(1 - e^{-2 a^2}))
-    """
-    if not 0.0 < r < 1.0 or a < 0:
-        raise ValueError("need r in (0,1) and a >= 0")
-    base = 1.0 / math.sqrt(2.0 * math.pi * r**3 * (1.0 - r) ** 3)
-    if a == 0.0:
-        return base
-    return base * 2.0 * a**2 * math.exp(-a**2 / (2.0 * r * (1.0 - r))) \
-        / (-math.expm1(-2.0 * a**2))
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +325,9 @@ def bridge_mean_phi(ctx, r):
     Sigma has decayed (the integrand is positive, so the relative tolerance
     alone decides), all entries in one row-batched quadrature."""
     def sig(s):
-        return sigma_s(ctx, np.asarray(r)[..., None], s, True)
+        return sigma_s(ctx, np.asarray(r)[..., None], s)
 
-    big_s = decay_cutoff(sig, 0.0, _s_scales(ctx, r, True)[1], probes=100)
+    big_s = decay_cutoff(sig, 0.0, _s_scales(ctx, r)[1], probes=100)
     return 0.5 * adaptive_gl(sig, 0.0, big_s, rtol=1e-10, atol=1e-300,
                              confirm=1, beta=(ctx.spec.delta - 1.0) / 2.0)
 
@@ -415,8 +397,9 @@ def lhs_mc(case, n, rng):
 def verify(case, mc_n=0, rng=None):
     """Evaluate both sides and return a :class:`VerifyReport`.
 
-    ``mc_n > 0`` adds a Monte Carlo left-hand side (bridge mode only) with
-    the pass rule |lhs_mc - rhs| <= 3 stderr.
+    ``mc_n > 0`` adds a Monte Carlo left-hand side with the pass rule
+    |lhs_mc - rhs| <= 3 stderr to a bridge case only: an unconstrained case
+    has no Monte Carlo route yet, ignores ``mc_n`` and reports no ``lhs_mc``.
     """
     rhs = rhs_ibpf(case)
     if case.mode == "bridge":
@@ -436,22 +419,3 @@ def verify(case, mc_n=0, rng=None):
         report.stderr = se
         report.mc_passed = bool(abs(mean - rhs) <= 3.0 * se)
     return report
-
-
-def uncond_from_bridge_rhs(case_template, a):
-    """Conditioning identity: integrate the bridge right-hand side over the
-    endpoint law, ``int_0^{a+6} rhs(a, ap) p^delta_1(a, ap) dap`` by 32-node
-    Gauss-Legendre; must match the unconstrained right-hand side at the same
-    ``a``."""
-    d = case_template.spec.delta
-    amax = a + 6.0
-
-    x, w = np.polynomial.legendre.leggauss(32)
-    x = 0.5 * amax * (x + 1.0)
-    w = 0.5 * amax * w
-    total = 0.0
-    for ap, wt in zip(x, w):
-        case = IbpfCase(BridgeSpec(d, a, float(ap)), case_template.phi,
-                        case_template.h, mode="bridge")
-        total += wt * rhs_ibpf(case) * float(p_delta_t(d, 1.0, a, float(ap)))
-    return total

@@ -46,8 +46,6 @@ from .sturm_liouville import solve_sl
 
 __all__ = [
     "SigmaContext",
-    "sigma_uncond",
-    "sigma_bridge",
     "sigma_s",
     "sigma_s_series",
     "zeta",
@@ -60,18 +58,24 @@ SERIES_ORDER = 14
 
 @dataclass
 class SigmaContext:
-    """A bridge/process specification paired with one measure's transform,
-    with the constants of Sigma that do not depend on ``r`` or ``s``."""
+    """A bridge (``bridge=True``) or process law paired with one measure's
+    transform, with that law's constants of Sigma that do not depend on
+    ``r`` or ``s``."""
 
     spec: BridgeSpec
     m: FiniteMeasure
+    bridge: bool
 
     def __post_init__(self):
         #: The measure's Sturm-Liouville solution (phi, rho).
         self.sol = sol = solve_sl(self.m)
         d, a, ap = self.spec.delta, self.spec.a, self.spec.ap
-        #: Normalisation ``exp(a^2 phi'(0)/2) phi(1)^{delta/2}`` (1 for m = 0).
-        self.K = math.exp(a**2 * sol.phi_prime0 / 2.0) * sol.phi1 ** (d / 2.0)
+        if not self.bridge:
+            #: Normalisation ``exp(a^2 phi'(0)/2) phi(1)^{delta/2}`` (1 for
+            #: m = 0).
+            self.K = (math.exp(a**2 * sol.phi_prime0 / 2.0)
+                      * sol.phi1 ** (d / 2.0))
+            return
         #: Bridge prefactor ``2 exp(a^2 phi'(0)/2) phi(1)^{-delta/2}``.
         self.bridge_pref = (2.0 * math.exp(a**2 * sol.phi_prime0 / 2.0)
                             * sol.phi1 ** (-d / 2.0))
@@ -105,13 +109,15 @@ def _sigma_bridge_s(ctx, r, s):
     return pref * num / ctx.bridge_den
 
 
-def sigma_s(ctx, r, s, bridge):
-    """Bridge (``bridge=True``) or unconditioned Sigma as a function of
-    ``s = b^2``; ``r`` and ``s`` broadcast."""
-    return _sigma_bridge_s(ctx, r, s) if bridge else _sigma_uncond_s(ctx, r, s)
+def sigma_s(ctx, r, s):
+    """Sigma of the context's law as a function of ``s = b^2``; ``r`` and
+    ``s`` broadcast."""
+    if ctx.bridge:
+        return _sigma_bridge_s(ctx, r, s)
+    return _sigma_uncond_s(ctx, r, s)
 
 
-def sigma_s_series(ctx, r, bridge=True):
+def sigma_s_series(ctx, r):
     """Taylor coefficients ``c_j``, ``j <= SERIES_ORDER``, of
     ``s -> Sigma(Phi | sqrt(s))`` at 0, one row per entry of ``r``.
 
@@ -124,7 +130,7 @@ def sigma_s_series(ctx, r, bridge=True):
     phr = np.asarray(sol.phi(r))[..., None]
     rr = sol.rho(r)
     av = besq_density_reg_ytaylor(d, rr, a**2, SERIES_ORDER)
-    if bridge:
+    if ctx.bridge:
         bv = besq_density_reg_ytaylor(d, sol.rho1 - rr, (ap / sol.phi1) ** 2,
                                       SERIES_ORDER)
         coeffs = (ctx.bridge_pref * phr ** (-d) / ctx.bridge_den
@@ -133,16 +139,6 @@ def sigma_s_series(ctx, r, bridge=True):
         coeffs = 2.0 * ctx.K * phr ** (-d) * av
     # account for z = s / phr^2
     return coeffs * phr ** (-2.0 * np.arange(SERIES_ORDER + 1))
-
-
-def sigma_uncond(ctx, r, b):
-    """``Sigma_a(exp(-<m, X^2>) | X_r = b)`` for the unconditioned process."""
-    return _sigma_uncond_s(ctx, r, np.asarray(b, dtype=float) ** 2)
-
-
-def sigma_bridge(ctx, r, b):
-    """``Sigma_{a,ap}(exp(-<m, X^2>) | X_r = b)`` for the bridge."""
-    return _sigma_bridge_s(ctx, r, np.asarray(b, dtype=float) ** 2)
 
 
 # ---------------------------------------------------------------------------

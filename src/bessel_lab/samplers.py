@@ -34,7 +34,6 @@ __all__ = [
     "RngStream",
     "gaussian_bridge",
     "bessel_bridge_integer",
-    "besq_transition_sample",
     "bessel_rv",
     "besq_bridge_general",
     "bessel_bridge_general",
@@ -108,16 +107,6 @@ def bessel_bridge_integer(delta, times, rng, size=1):
         raise ValueError("integer sampler supports delta in {1, 2, 3}")
     beta = gaussian_bridge(int(delta), times, rng, size=size)
     return np.sqrt(np.sum(beta**2, axis=1))
-
-
-def besq_transition_sample(delta, t, x, rng, size=1):
-    """Draws from the squared Bessel transition q^delta_t(x, .):
-    J ~ Poisson(x / 2t) then Gamma(delta/2 + J, scale 2t)."""
-    if delta <= 0 or t <= 0 or x < 0:
-        raise ValueError("need delta > 0, t > 0, x >= 0")
-    g = rng.generator
-    j = g.poisson(x / (2.0 * t), size=size)
-    return g.gamma(0.5 * delta + j, 2.0 * t, size=size)
 
 
 def bessel_rv(nu, w, g):

@@ -33,7 +33,6 @@ import numpy as np
 from .quadrature import adaptive_gl
 
 __all__ = [
-    "SpectralField",
     "Mollifier",
     "covariance_q",
     "ou_step",
@@ -60,31 +59,13 @@ def _basis(x, k_max):
     return math.sqrt(2.0) * np.sin(math.pi * np.outer(x, k))
 
 
-@dataclass
-class SpectralField:
-    """Two-component field in the sine basis: coefficients (..., 2, K)."""
-
-    coefficients: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape[-2] != 2:
-            raise ValueError("field must have exactly two components")
-        if not np.all(np.isfinite(self.coefficients)):
-            raise ValueError("non-finite field coefficients")
-
-    @property
-    def k_max(self):
-        return self.coefficients.shape[-1]
-
-
 def stationary_field(k_max, rng, replicas=None):
-    """Draw from the exact stationary law: per mode N(0, 1/lambda_k)."""
+    """Draw the two-component field's sine coefficients, shape
+    (replicas, 2, K) or (2, K), from the exact stationary law: per mode
+    N(0, 1/lambda_k)."""
     lam = _lambdas(k_max)
     shape = (2, k_max) if replicas is None else (replicas, 2, k_max)
-    coef = rng.generator.standard_normal(shape) / np.sqrt(lam)
-    return SpectralField(coef)
+    return rng.generator.standard_normal(shape) / np.sqrt(lam)
 
 
 def covariance_q(t, x, xp, k_max):
@@ -112,25 +93,27 @@ def covariance_q(t, x, xp, k_max):
     return val, bound
 
 
-def ou_step(fld, dt, rng):
-    """Exact Ornstein-Uhlenbeck update of every mode over a step ``dt``:
+def ou_step(coef, dt, rng):
+    """Exact Ornstein-Uhlenbeck update over a step ``dt`` of every mode of
+    the coefficients ``coef`` (..., 2, K), returned as a new array:
 
         c <- e^{-lambda_k dt / 2} c + N(0, (1 - e^{-lambda_k dt}) / lambda_k).
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
-    lam = _lambdas(fld.k_max)
+    lam = _lambdas(coef.shape[-1])
     decay = np.exp(-0.5 * lam * dt)
     std = np.sqrt(-np.expm1(-lam * dt) / lam)
-    noise = rng.generator.standard_normal(fld.coefficients.shape)
+    noise = rng.generator.standard_normal(coef.shape)
     noise *= std
-    noise += fld.coefficients * decay
-    return SpectralField(noise, time=fld.time + dt)
+    noise += coef * decay
+    return noise
 
 
-def field_to_u(fld, n):
+def field_to_u(coef, n):
     """``u(x_j) = |v(x_j)|`` on the uniform grid ``x_j = j/n``, j = 0..n,
-    by one DST-I of the folded coefficients; shape (..., n + 1).
+    by one DST-I of the folded sine coefficients ``coef`` (..., 2, K);
+    shape (..., n + 1).
 
     ``sin(k pi j/n)`` has period 2n in k: mode ``2pn + r`` adds to slot r
     and mode ``2pn + n + s`` subtracts from slot ``n - s``.  Slots 0 and n
@@ -142,8 +125,7 @@ def field_to_u(fld, n):
 
     if n < 2:
         raise ValueError("need n >= 2 grid intervals")
-    coef = fld.coefficients  # mode k at coef[..., k - 1]
-    k_max = fld.k_max
+    k_max = coef.shape[-1]  # mode k at coef[..., k - 1]
     folded = np.zeros(coef.shape[:-1] + (n + 1,))
     for lo in range(0, k_max + 1, n):  # one block: modes lo..hi-1
         hi = min(lo + n, k_max + 1)
@@ -241,6 +223,8 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
+    if t_final <= 0:
+        raise ValueError(f"t_final must be positive, got {t_final}")
     for name, count in (("k_max", k_max), ("replicas", replicas),
                         ("store_every", store_every)):
         if count < 1:
@@ -254,8 +238,8 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
     h2v = np.asarray(h.d2(x), dtype=float) * wq
     moll = Mollifier(eta)
 
-    fld = stationary_field(k_max, rng, replicas=replicas)
-    u = field_to_u(fld, SYNTH_MESH - 1)  # (replicas, n)
+    coef = stationary_field(k_max, rng, replicas=replicas)
+    u = field_to_u(coef, SYNTH_MESH - 1)  # (replicas, n)
     uh0 = u @ hv
 
     keep = list(range(0, n_steps + 1, store_every))
@@ -280,8 +264,8 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
         # left-point increments over [i dt, (i+1) dt)
         lap_acc = lap_acc + 0.5 * dt * (u @ h2v)
         n_acc = n_acc + 0.5 * dt * (f_eps_eta(u, eps, eta, moll) @ hv)
-        fld = ou_step(fld, dt, rng)
-        u = field_to_u(fld, SYNTH_MESH - 1)
+        coef = ou_step(coef, dt, rng)
+        u = field_to_u(coef, SYNTH_MESH - 1)
 
     mart = uh_out - uh0[:, None] - lap_out + n_out
     return DecompositionSeries(times=times, uh=uh_out, lap=lap_out,
@@ -315,6 +299,14 @@ def martingale_regression(series):
     z2 = series.n_drift[:, :-1].ravel()
     z3 = series.mart[:, :-1].ravel()
     design = np.column_stack([np.ones_like(z1), z1, z2, z3])
+    # N and M vanish at t = 0, so the first increments alone leave their
+    # columns zero
+    steps = series.mart.shape[1] - 1
+    if steps < 2 or len(dm) < design.shape[1]:
+        raise ValueError(
+            f"the martingale regression needs at least 2 increments per "
+            f"replica and {design.shape[1]} in all, got {steps} per replica "
+            f"and {len(dm)} in all")
     coef, *_ = np.linalg.lstsq(design, dm, rcond=None)
     resid = dm - design @ coef
     dof = max(len(dm) - design.shape[1], 1)

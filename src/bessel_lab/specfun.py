@@ -33,8 +33,6 @@ __all__ = [
     "DomainError",
     "besq_density_reg",
     "besq_density_reg_ytaylor",
-    "q_delta_t",
-    "p_delta_t",
     "bridge_density",
 ]
 
@@ -111,32 +109,6 @@ def besq_density_reg_ytaylor(delta, t, x, order):
     e_coef = (-1.0 / (2.0 * t)) ** k * special.rgamma(k + 1.0)
     pref = (2.0 * t) ** (-0.5 * delta) * np.exp(-x / (2.0 * t))
     return pref * cauchy_product(e_coef, s_coef)
-
-
-def q_delta_t(delta, t, x, y):
-    """Squared-Bessel transition density ``q_t^delta(x, y)`` (density in y).
-
-    For ``x = 0`` this is ``(2t)^{-delta/2} Gamma(delta/2)^{-1} y^{delta/2-1}
-    e^{-y/2t}``; for ``x > 0`` the usual Bessel-function form.  Diverges at
-    ``y = 0`` when ``delta < 2`` (the regularised kernel stays finite).
-    """
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise DomainError("end point y must be >= 0")
-    with np.errstate(divide="ignore"):
-        pw = np.where(y > 0, y, 1.0) ** (0.5 * delta - 1.0)
-        pw = np.where(y > 0, pw,
-                      np.inf if delta < 2 else (1.0 if delta == 2 else 0.0))
-    return pw * besq_density_reg(delta, t, x, y)
-
-
-def p_delta_t(delta, t, a, b):
-    """Bessel transition density ``p_t^delta(a, b) = 2 b q_t^delta(a^2, b^2)``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(a < 0) or np.any(b < 0):
-        raise DomainError("Bessel arguments must be >= 0")
-    return 2.0 * b ** (delta - 1.0) * besq_density_reg(delta, t, a**2, b**2)
 
 
 def bridge_density(delta, r, a, ap, b):

@@ -1,5 +1,6 @@
-"""Shared test helpers: marginal CDF oracles, the standard case battery and
-the stock test functions of the mu_alpha calculus."""
+"""Shared test helpers: marginal CDF oracles, the transition densities and
+the delta = 3 boundary intensity they are checked against, the standard
+case battery and the stock test functions of the mu_alpha calculus."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from scipy.integrate import cumulative_trapezoid
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump)
 from bessel_lab.ibpf import IbpfCase
 from bessel_lab.mu_dist import SmoothTestFn
-from bessel_lab.specfun import besq_density_reg
+from bessel_lab.specfun import DomainError, besq_density_reg
 
 
 def bridge_marginal_cdf(delta, r, a, ap, bmax=None, n=4001):
@@ -42,6 +43,47 @@ def bridge_marginal_cdf(delta, r, a, ap, bmax=None, n=4001):
     return cdf_fn
 
 
+def q_delta_t(delta, t, x, y):
+    """Squared-Bessel transition density ``q_t^delta(x, y)`` (density in y).
+
+    For ``x = 0`` this is ``(2t)^{-delta/2} Gamma(delta/2)^{-1} y^{delta/2-1}
+    e^{-y/2t}``; for ``x > 0`` the usual Bessel-function form.  Diverges at
+    ``y = 0`` when ``delta < 2`` (the regularised kernel stays finite).
+    """
+    y = np.asarray(y, dtype=float)
+    if np.any(y < 0):
+        raise DomainError("end point y must be >= 0")
+    with np.errstate(divide="ignore"):
+        pw = np.where(y > 0, y, 1.0) ** (0.5 * delta - 1.0)
+        pw = np.where(y > 0, pw,
+                      np.inf if delta < 2 else (1.0 if delta == 2 else 0.0))
+    return pw * besq_density_reg(delta, t, x, y)
+
+
+def p_delta_t(delta, t, a, b):
+    """Bessel transition density ``p_t^delta(a, b) = 2 b q_t^delta(a^2, b^2)``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(a < 0) or np.any(b < 0):
+        raise DomainError("Bessel arguments must be >= 0")
+    return 2.0 * b ** (delta - 1.0) * besq_density_reg(delta, t, a**2, b**2)
+
+
+def gamma_3(r, a):
+    """The delta = 3 boundary intensity gamma(r, a):
+
+        1/sqrt(2 pi r^3 (1-r)^3) * (1 if a = 0 else
+                                    2 a^2 e^{-a^2/(2 r (1-r))}/(1 - e^{-2 a^2}))
+    """
+    if not 0.0 < r < 1.0 or a < 0:
+        raise ValueError("need r in (0,1) and a >= 0")
+    base = 1.0 / math.sqrt(2.0 * math.pi * r**3 * (1.0 - r) ** 3)
+    if a == 0.0:
+        return base
+    return base * 2.0 * a**2 * math.exp(-a**2 / (2.0 * r * (1.0 - r))) \
+        / (-math.expm1(-2.0 * a**2))
+
+
 def measure_battery():
     """The three measures of the standard verification battery."""
     return [
@@ -58,11 +100,9 @@ def standard_battery():
     for delta in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5):
         for a, ap in ((0.0, 0.0), (1.0, 0.0), (1.0, 2.0)):
             for tag, m in measure_battery():
-                phi = (ExpFunctional.one() if m.is_zero
-                       else ExpFunctional.single(m))
                 cases.append(IbpfCase(
-                    BridgeSpec(delta, a, ap), phi, h, mode="bridge",
-                    tol=1e-5,
+                    BridgeSpec(delta, a, ap), ExpFunctional.single(m), h,
+                    mode="bridge", tol=1e-5,
                     case_id=f"d{delta:g}_a{a:g}_ap{ap:g}_{tag}"))
     return cases
 

@@ -10,18 +10,17 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from conftest import (bridge_marginal_cdf, derivative, standard_battery,
-                      stock_fns, x_times)
+from conftest import (bridge_marginal_cdf, derivative, gamma_3, p_delta_t,
+                      q_delta_t, standard_battery, stock_fns, x_times)
 
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump)
-from bessel_lab.ibpf import (IbpfCase, gamma_3, lhs_mc, rel_err, rhs_ibpf,
-                             verify)
-from bessel_lab.laplace_sigma import (SigmaContext, sigma_bridge,
-                                      sigma_uncond, zeta_second_deriv)
+from bessel_lab.ibpf import IbpfCase, lhs_mc, rel_err, rhs_ibpf, verify
+from bessel_lab.laplace_sigma import (SigmaContext, sigma_s,
+                                      zeta_second_deriv)
 from bessel_lab.mu_dist import SmoothTestFn, mu_pair
 from bessel_lab.samplers import (RngStream, bessel_bridge_general,
                                  bessel_bridge_integer)
-from bessel_lab.specfun import (bridge_density, p_delta_t, q_delta_t)
+from bessel_lab.specfun import bridge_density
 from bessel_lab.spde import (bracket_ratio, field_to_u, gamma_rs,
                              martingale_regression, run_decomposition,
                              stationary_field)
@@ -187,21 +186,21 @@ class TestCriterion5DensityLayer:
 class TestCriterion6SigmaStructure:
     def test_b_derivative_vanishes(self):
         ctx = SigmaContext(BridgeSpec(2.5, 1.0, 0.5),
-                           FiniteMeasure.atom(0.6, 1.0))
+                           FiniteMeasure.atom(0.6, 1.0), True)
         h = 1e-4
-        up = float(sigma_bridge(ctx, 0.4, h))
-        dn = float(sigma_bridge(ctx, 0.4, -h))
+        up = float(sigma_s(ctx, 0.4, h**2))
+        dn = float(sigma_s(ctx, 0.4, (-h)**2))
         assert abs(up - dn) / (2.0 * h) <= 1e-8
 
     def test_conditioning_identity(self):
         delta, a, r, b = 2.5, 1.0, 0.4, 0.8
         m = FiniteMeasure.atom(0.6, 1.0)
-        want = float(sigma_uncond(SigmaContext(BridgeSpec(delta, a, 0.0), m),
-                                  r, b))
+        want = float(sigma_s(SigmaContext(BridgeSpec(delta, a, 0.0), m,
+                                          False), r, b**2))
 
         def integrand(ap):
-            ctx = SigmaContext(BridgeSpec(delta, a, float(ap)), m)
-            return (float(sigma_bridge(ctx, r, b))
+            ctx = SigmaContext(BridgeSpec(delta, a, float(ap)), m, True)
+            return (float(sigma_s(ctx, r, b**2))
                     * float(p_delta_t(delta, 1.0, a, float(ap))))
 
         val, _ = integrate.quad(integrand, 0.0, a + 8.0, epsabs=1e-12,
@@ -212,7 +211,7 @@ class TestCriterion6SigmaStructure:
         theta = 1.0
         for delta in (1.5, 2.0, 3.0):
             ctx = SigmaContext(BridgeSpec(delta, 0.0, 0.0),
-                               FiniteMeasure.lebesgue(theta**2 / 2.0))
+                               FiniteMeasure.lebesgue(theta**2 / 2.0), True)
             sol = ctx.sol
             for r in (0.3, 0.6):
                 phr = float(sol.phi(r))
@@ -224,7 +223,7 @@ class TestCriterion6SigmaStructure:
                 for b in (0.0, 0.5, 1.2):
                     want = pref * scale * math.exp(
                         -b * b * sol.rho1 / (2.0 * phr**2 * rr * rbar))
-                    assert float(sigma_bridge(ctx, r, b)) == pytest.approx(
+                    assert float(sigma_s(ctx, r, b**2)) == pytest.approx(
                         want, rel=1e-10)
 
 

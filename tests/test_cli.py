@@ -98,6 +98,27 @@ class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
         assert main(["ibpf-check"]) == 2
 
+    @pytest.mark.parametrize("command,config,field", [
+        ("ibpf-check", [], "must be a JSON object"),
+        ("run-suite", [{"delta": 3}], "must be a JSON object"),
+        ("sigma", [], "must be a JSON object"),
+        ("ibpf-check", {"cases": [{"delta": 3, "phi": {"coef": 1.0}}]},
+         '"phi"'),
+        ("ibpf-check", {"cases": [{"delta": 3, "phi": [1]}]}, '"phi"'),
+        ("ibpf-check", {"cases": [{"delta": 3, "phi": [{"measure": 1}]}]},
+         "measure must be a JSON object"),
+        ("ibpf-check", {"cases": [{"delta": 3, "h": "bump"}]}, '"h"'),
+        ("run-suite", {"spde": "x"}, '"spde"'),
+        ("sigma", {"delta": 2, "measure": []},
+         "measure must be a JSON object")])
+    def test_wrong_json_type_is_two(self, command, config, field, tmp_path,
+                                    capsys):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+
 
 class TestReports:
     def test_schema_and_columns(self, cases_file, tmp_path, capsys):
@@ -195,6 +216,22 @@ class TestDataCommands:
                      "--n", "3"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "b,sigma"
 
+    @pytest.mark.parametrize("mode,r,code", [
+        ("bridge", "0", 2), ("bridge", "1", 2), ("bridge", "-0.5", 2),
+        ("bridge", "1.5", 2), ("unconstrained", "0", 2),
+        ("unconstrained", "2", 2), ("unconstrained", "1", 0)])
+    def test_sigma_r_range(self, mode, r, code, tmp_path, capsys):
+        # phi and rho are only tabulated on [0, 1], and a bridge's Sigma
+        # needs 0 < r < 1
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({
+            "delta": 2.5, "a": 1.0, "mode": mode,
+            "measure": {"pieces": [{"lo": 0, "hi": 1, "coeffs": [1.0]}]}}))
+        assert main(["sigma", "--config", str(cfg), "--r", r,
+                     "--n", "3"]) == code
+        if code:
+            assert "config error: --r must lie in" in capsys.readouterr().err
+
     def test_sigma_missing_delta_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "s.json"
         cfg.write_text(json.dumps({"a": 0.0, "measure": {}}))
@@ -228,7 +265,10 @@ class TestDataCommands:
         ("--K", "-3", "k_max must be >= 1"),
         ("--store-every", "0", "store_every must be >= 1"),
         ("--replicas", "1", "config error: need --replicas >= 2"),
-        ("--replicas", "0", "config error: need --replicas >= 2")])
+        ("--replicas", "0", "config error: need --replicas >= 2"),
+        ("--T", "-0.001", "t_final must be positive"),
+        ("--T", "0", "t_final must be positive"),
+        ("--T", "1e-4", "needs at least 2 increments per replica")])
     def test_spde_sim_bad_settings_are_two(self, flag, value, message,
                                            capsys):
         args = {"--K": "16", "--dt": "1e-4", "--T": "0.001",

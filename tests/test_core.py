@@ -46,7 +46,8 @@ class TestFiniteMeasure:
             FiniteMeasure(pieces=[(0.0, 1.0, [-1.0])])
 
     def test_constructors(self):
-        assert FiniteMeasure.zero().is_zero
+        zero = FiniteMeasure.zero()
+        assert zero.atoms == [] and zero.pieces == []
         atom = FiniteMeasure.atom(0.5, 2.0)
         assert atom.atoms == [(0.5, 2.0)] and atom.pieces == []
         leb = FiniteMeasure.lebesgue(0.5)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from conftest import gamma_3, p_delta_t
+
 from bessel_lab import ibpf, laplace_sigma
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump,
                              poly_bump)
-from bessel_lab.ibpf import (IbpfCase, gamma_3, lhs_bridge_analytic, lhs_mc,
-                             lhs_uncond_analytic, rel_err, rhs_ibpf,
-                             uncond_from_bridge_rhs, verify)
+from bessel_lab.ibpf import (IbpfCase, lhs_bridge_analytic, lhs_mc,
+                             lhs_uncond_analytic, rel_err, rhs_ibpf, verify)
 from bessel_lab.laplace_sigma import SigmaContext, sigma_s, sigma_s_series
 from bessel_lab.quadrature import GL_ORDER
 from bessel_lab.samplers import RngStream
@@ -73,15 +74,15 @@ class TestRhsBranches:
         # taken between b = 0.05 and 0.1 times the series scale
         # sqrt(2 min(rho_r, rho_1 - rho_r)) phi_r.
         case = simple_case(delta, 1.0, 0.0, FiniteMeasure.atom(0.6, 1.0))
-        ctx = SigmaContext(case.spec, case.phi.terms[0][1])
+        ctx = SigmaContext(case.spec, case.phi.terms[0][1], True)
         r, sol = 0.5, ctx.sol
-        c = sigma_s_series(ctx, r, True)
+        c = sigma_s_series(ctx, r)
         rr = sol.rho(r)
         b = (math.sqrt(2.0 * min(rr, sol.rho1 - rr)) * sol.phi(r)
              * np.array([0.05, 0.1]))
         rem = []
         for s in b * b:
-            sig = float(sigma_s(ctx, r, s, True))
+            sig = float(sigma_s(ctx, r, s))
             for j in range(ksub):
                 sig -= c[j] * s**j
             rem.append(abs(sig) + 1e-300)
@@ -240,6 +241,25 @@ class TestVerify:
                         poly_bump(0.2))
         rep = verify(case)
         assert rep.passed
+
+
+def uncond_from_bridge_rhs(case_template, a):
+    """Conditioning identity: integrate the bridge right-hand side over the
+    endpoint law, ``int_0^{a+6} rhs(a, ap) p^delta_1(a, ap) dap`` by 32-node
+    Gauss-Legendre; must match the unconstrained right-hand side at the same
+    ``a``."""
+    d = case_template.spec.delta
+    amax = a + 6.0
+
+    x, w = np.polynomial.legendre.leggauss(32)
+    x = 0.5 * amax * (x + 1.0)
+    w = 0.5 * amax * w
+    total = 0.0
+    for ap, wt in zip(x, w):
+        case = IbpfCase(BridgeSpec(d, a, float(ap)), case_template.phi,
+                        case_template.h, mode="bridge")
+        total += wt * rhs_ibpf(case) * float(p_delta_t(d, 1.0, a, float(ap)))
+    return total
 
 
 class TestStructuralIdentities:

@@ -4,25 +4,26 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from conftest import p_delta_t
+
 from bessel_lab.core import BridgeSpec, FiniteMeasure
-from bessel_lab.laplace_sigma import (SigmaContext, sigma_bridge,
-                                      sigma_s_series, sigma_uncond, zeta,
-                                      zeta_second_deriv)
-from bessel_lab.specfun import bridge_density, p_delta_t
+from bessel_lab.laplace_sigma import (SigmaContext, sigma_s, sigma_s_series,
+                                      zeta, zeta_second_deriv)
+from bessel_lab.specfun import bridge_density
 
 
-def ctx_of(delta, a, ap, m):
-    return SigmaContext(BridgeSpec(delta, a, ap), m)
+def ctx_of(delta, a, ap, m, bridge=True):
+    return SigmaContext(BridgeSpec(delta, a, ap), m, bridge)
 
 
 class TestSigmaReductions:
     def test_uncond_zero_measure_is_density_ratio(self):
         # m = 0: Sigma_a(1 | b) = p^delta_r(a, b) / b^{delta-1}
         delta, a, r = 2.5, 1.0, 0.4
-        ctx = ctx_of(delta, a, 0.0, FiniteMeasure.zero())
+        ctx = ctx_of(delta, a, 0.0, FiniteMeasure.zero(), bridge=False)
         for b in (0.3, 1.0, 2.2):
             want = float(p_delta_t(delta, r, a, b)) / b ** (delta - 1.0)
-            assert float(sigma_uncond(ctx, r, b)) == pytest.approx(
+            assert float(sigma_s(ctx, r, b**2)) == pytest.approx(
                 want, rel=1e-12)
 
     def test_bridge_zero_measure_is_density_ratio(self):
@@ -31,13 +32,13 @@ class TestSigmaReductions:
         for b in (0.3, 1.0, 2.2):
             want = float(bridge_density(delta, r, a, ap, b)) \
                 / b ** (delta - 1.0)
-            assert float(sigma_bridge(ctx, r, b)) == pytest.approx(
+            assert float(sigma_s(ctx, r, b**2)) == pytest.approx(
                 want, rel=1e-12)
 
     def test_k_constant(self):
-        ctx0 = ctx_of(2.0, 1.5, 0.0, FiniteMeasure.zero())
+        ctx0 = ctx_of(2.0, 1.5, 0.0, FiniteMeasure.zero(), bridge=False)
         assert ctx0.K == pytest.approx(1.0)
-        ctx = ctx_of(2.0, 1.5, 0.0, FiniteMeasure.lebesgue(0.5))
+        ctx = ctx_of(2.0, 1.5, 0.0, FiniteMeasure.lebesgue(0.5), bridge=False)
         sol = ctx.sol
         want = math.exp(1.5**2 * sol.phi_prime0 / 2.0) * sol.phi1 ** 1.0
         assert ctx.K == pytest.approx(want, rel=1e-12)
@@ -61,32 +62,32 @@ class TestSigmaReductions:
                 for b in (0.0, 0.5, 1.2):
                     want = pref * scale * math.exp(
                         -b * b * sol.rho1 / (2.0 * phr**2 * rr * rbar))
-                    assert float(sigma_bridge(ctx, r, b)) == pytest.approx(
+                    assert float(sigma_s(ctx, r, b**2)) == pytest.approx(
                         want, rel=1e-10)
 
     def test_b_derivative_vanishes_at_zero(self):
         # Sigma is a function of b^2: symmetric b-difference at 0 vanishes.
         ctx = ctx_of(2.5, 1.0, 0.5, FiniteMeasure.atom(0.6, 1.0))
         h = 1e-4
-        up = float(sigma_bridge(ctx, 0.4, h))
-        dn = float(sigma_bridge(ctx, 0.4, -h))
+        up = float(sigma_s(ctx, 0.4, h**2))
+        dn = float(sigma_s(ctx, 0.4, (-h)**2))
         assert abs(up - dn) / (2.0 * h) <= 1e-8
         # non-trivially: the first s = b^2 derivative matches a one-sided fit
-        s_der = sigma_s_series(ctx, 0.4, True)[1]
-        v0 = float(sigma_bridge(ctx, 0.4, 0.0))
-        fit = (float(sigma_bridge(ctx, 0.4, 1e-3)) - v0) / 1e-6
+        s_der = sigma_s_series(ctx, 0.4)[1]
+        v0 = float(sigma_s(ctx, 0.4, 0.0))
+        fit = (float(sigma_s(ctx, 0.4, 1e-3**2)) - v0) / 1e-6
         assert fit == pytest.approx(s_der, rel=1e-2)
 
     def test_conditioning_identity(self):
         # Sigma_a = int Sigma_{a,ap} p^delta_1(a, ap) dap to 1e-7
         delta, a, r, b = 2.5, 1.0, 0.4, 0.8
         m = FiniteMeasure.atom(0.6, 1.0)
-        ctx_u = ctx_of(delta, a, 0.0, m)
-        want = float(sigma_uncond(ctx_u, r, b))
+        ctx_u = ctx_of(delta, a, 0.0, m, bridge=False)
+        want = float(sigma_s(ctx_u, r, b**2))
 
         def integrand(ap):
             ctx = ctx_of(delta, a, float(ap), m)
-            return (float(sigma_bridge(ctx, r, b))
+            return (float(sigma_s(ctx, r, b**2))
                     * float(p_delta_t(delta, 1.0, a, float(ap))))
 
         val, _ = integrate.quad(integrand, 0.0, a + 8.0, epsabs=1e-12,
@@ -98,8 +99,8 @@ class TestSigmaReductions:
         m1, m2 = FiniteMeasure.atom(0.6, 1.0), FiniteMeasure.lebesgue(0.5)
         c1 = ctx_of(2.0, 0.0, 0.0, m1)
         c2 = ctx_of(2.0, 0.0, 0.0, m2)
-        v = 2.0 * float(sigma_bridge(c1, 0.5, 1.0)) \
-            + 3.0 * float(sigma_bridge(c2, 0.5, 1.0))
+        v = 2.0 * float(sigma_s(c1, 0.5, 1.0)) \
+            + 3.0 * float(sigma_s(c2, 0.5, 1.0))
         assert np.isfinite(v)
 
 

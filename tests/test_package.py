@@ -63,6 +63,56 @@ def test_unused_import_detector():
     assert _unused_imports(tree) == [(1, "os"), (3, "pi")]
 
 
+def _unreferenced_defs(trees):
+    """``(module, name)`` of the module-level functions and classes that no
+    statement of the given modules refers to outside their own definition;
+    imports and ``__all__`` entries are not references."""
+    defs, used = [], set()
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            refs = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            refs.update(n.attr for n in ast.walk(stmt)
+                        if isinstance(n, ast.Attribute))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((mod, stmt.name))
+                refs.discard(stmt.name)
+            used |= refs
+    return [(mod, name) for mod, name in defs if name not in used]
+
+
+#: Module-level names that stay in the package without a caller there.
+NO_CALLER_KEPT = {
+    # the exact sampler for the unconstrained mode's Monte Carlo route
+    "bessel_process",
+    # with bessel_bridge_integer, the integer-dimension sampler that checks
+    # the general-dimension bridge sampler
+    "gaussian_bridge",
+    # the Gaussian-modulus sampler of that pair
+    "bessel_bridge_integer",
+}
+
+
+def test_no_test_only_code():
+    # code that only tests call lives in tests/, not in the package
+    pkg = Path(bessel_lab.__path__[0])
+    trees = {name: ast.parse((pkg / f"{name}.py").read_text())
+             for name in MODULES}
+    found = [(mod, name) for mod, name in _unreferenced_defs(trees)
+             if name not in NO_CALLER_KEPT]
+    assert found == []
+
+
+def test_unreferenced_def_detector():
+    trees = {"a": ast.parse("import b\n__all__ = ['f', 'g']\n"
+                            "def f():\n    return f()\n"
+                            "def g():\n    return b.h()\n"
+                            "class C:\n    pass\n"),
+             "b": ast.parse("from a import C, f\n"
+                            "def h():\n    return 1\n"
+                            "X = C\n")}
+    assert _unreferenced_defs(trees) == [("a", "f"), ("a", "g")]
+
+
 def _integrate_imports(tree):
     """Lines that import ``scipy.integrate`` or names from it."""
     lines = []

@@ -9,10 +9,19 @@ from conftest import bridge_marginal_cdf
 from bessel_lab.samplers import (MAX_MESH, RngStream, bessel_bridge_general,
                                  bessel_bridge_integer, bessel_process,
                                  bessel_rv, besq_bridge_general,
-                                 besq_transition_sample, gaussian_bridge,
-                                 mc_estimate)
+                                 gaussian_bridge, mc_estimate)
 
 TIMES_17 = np.linspace(0.0, 1.0, 17)
+
+
+def besq_transition_sample(delta, t, x, rng, size=1):
+    """Draws from the squared Bessel transition q^delta_t(x, .):
+    J ~ Poisson(x / 2t) then Gamma(delta/2 + J, scale 2t)."""
+    if delta <= 0 or t <= 0 or x < 0:
+        raise ValueError("need delta > 0, t > 0, x >= 0")
+    g = rng.generator
+    j = g.poisson(x / (2.0 * t), size=size)
+    return g.gamma(0.5 * delta + j, 2.0 * t, size=size)
 
 
 class TestRngStream:

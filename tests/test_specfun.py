@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from conftest import p_delta_t, q_delta_t
+
 from bessel_lab.specfun import (DomainError, besq_density_reg,
-                                besq_density_reg_ytaylor, bridge_density,
-                                p_delta_t, q_delta_t)
+                                besq_density_reg_ytaylor, bridge_density)
 
 
 class TestHyp0f1Branch:
