@@ -45,6 +45,13 @@ __all__ = ["main"]
 REPORT_CSV_COLUMNS = ("case_id", "lhs_analytic", "lhs_mc", "stderr", "rhs",
                       "abs_err", "rel_err", "pass")
 
+#: spde-sim's settings as ``name: (type, default)``: the flags of spde-sim
+#: and the keys of run-suite's ``"spde"`` block.
+SPDE_SETTINGS = {"K": (int, 256), "dt": (float, 1e-5), "T": (float, 0.05),
+                 "eps": (float, 0.05), "eta": (float, 0.01),
+                 "replicas": (int, 200), "store_every": (int, 100),
+                 "seed": (int, 0)}
+
 
 class ConfigError(ValueError):
     """Malformed configuration (maps to exit code 2)."""
@@ -53,6 +60,23 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # Config parsing.
 # ---------------------------------------------------------------------------
+
+#: ``_get`` default of a key that must be present.
+_REQUIRED = object()
+
+
+def _get(d, key, default, kind):
+    """``kind(d[key])``, or ``default`` when ``key`` is absent; a value that
+    ``kind`` rejects is a :class:`ConfigError` naming ``key``."""
+    if key not in d:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing field {key!r}")
+        return default
+    try:
+        return kind(d[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key!r}: {exc}") from exc
+
 
 def _load_json(path):
     try:
@@ -69,11 +93,15 @@ def _load_json(path):
     return config
 
 
+def _parse_measure(d, default=_REQUIRED):
+    return _get(d, "measure", default, FiniteMeasure.from_json_dict)
+
+
 def _parse_h(d):
     if not isinstance(d, dict):
         raise ConfigError('"h" must be an object')
     kind = d.get("type", "bump")
-    theta = float(d.get("theta", 0.2))
+    theta = _get(d, "theta", 0.2, float)
     if kind == "bump":
         return bump(theta)
     if kind == "poly_bump":
@@ -87,35 +115,33 @@ def _parse_phi(terms):
     if not isinstance(terms, list) or not all(isinstance(t, dict)
                                               for t in terms):
         raise ConfigError('"phi" must be a list of term objects')
-    try:
-        return ExpFunctional(
-            [(float(t.get("coef", 1.0)),
-              FiniteMeasure.from_json_dict(t.get("measure", {})))
-             for t in terms])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad functional term: {exc}") from exc
+    return ExpFunctional([(_get(t, "coef", 1.0, float),
+                           _parse_measure(t, FiniteMeasure.zero()))
+                          for t in terms])
 
 
 def _parse_spec(d):
+    delta = _get(d, "delta", _REQUIRED, float)
+    a, ap = _get(d, "a", 0.0, float), _get(d, "ap", 0.0, float)
     try:
-        return BridgeSpec(float(d["delta"]), float(d.get("a", 0.0)),
-                          float(d.get("ap", 0.0)))
-    except KeyError as exc:
-        raise ConfigError(f"missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+        return BridgeSpec(delta, a, ap)
+    except ValueError as exc:
         raise ConfigError(f"bad bridge spec: {exc}") from exc
 
 
 def _parse_case(d, default_tol=None):
+    if not isinstance(d, dict):
+        raise ConfigError("each case must be an object")
     spec = _parse_spec(d)
-    tol = float(d.get("tol", default_tol if default_tol is not None else 1e-5))
+    tol = _get(d, "tol", IbpfCase.tol if default_tol is None else default_tol,
+               float)
     if tol <= 0:
         raise ConfigError("tolerance must be positive")
     return IbpfCase(
         spec=spec,
         phi=_parse_phi(d.get("phi", [])),
         h=_parse_h(d.get("h", {})),
-        mode=d.get("mode", "bridge"),
+        mode=_get(d, "mode", IbpfCase.mode, str),
         tol=tol,
         case_id=d.get("id", ""),
     )
@@ -133,7 +159,7 @@ def _parse_cases(config, default_tol=None):
 
 
 # ---------------------------------------------------------------------------
-# Report emission.
+# Output.
 # ---------------------------------------------------------------------------
 
 def _fmt(v):
@@ -146,34 +172,49 @@ def _fmt(v):
     return str(v)
 
 
-def reports_to_json(reports):
-    return json.dumps([r.to_json_dict() for r in reports], indent=2,
-                      sort_keys=True) + "\n"
-
-
-def reports_to_csv(reports):
+def _csv(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_CSV_COLUMNS)
-    for r in reports:
-        d = r.to_json_dict()
-        writer.writerow([_fmt(d[c]) for c in REPORT_CSV_COLUMNS])
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
-def _write_reports(reports, out):
+def _json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(text, path):
+    """``text`` to the file ``path``, or to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _write_dir(out, name, text, files=()):
+    """``text`` to stdout when ``out`` is None; otherwise ``text`` to
+    ``out/name`` and each ``(file name, text)`` pair of ``files`` beside it
+    (``files`` is only iterated then)."""
     if out is None:
-        sys.stdout.write(reports_to_json(reports))
+        _write(text, None)
         return
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        fh.write(reports_to_json(reports))
-    with open(os.path.join(out, "report.csv"), "w") as fh:
-        fh.write(reports_to_csv(reports))
+    _write(text, os.path.join(out, name))
+    for fname, body in files:
+        _write(body, os.path.join(out, fname))
+
+
+def _write_reports(reports, out):
+    rows = [r.to_json_dict() for r in reports]
+    table = ([d[c] for c in REPORT_CSV_COLUMNS] for d in rows)
+    _write_dir(out, "report.json", _json(rows),
+               [("report.csv", _csv(REPORT_CSV_COLUMNS, table))])
 
 
 def _jobs(args):
-    if getattr(args, "jobs", None):
+    if args.jobs:
         return max(int(args.jobs), 1)
     env = os.environ.get("BESSEL_LAB_JOBS")
     return max(int(env), 1) if env else 1
@@ -183,28 +224,12 @@ def _jobs(args):
 # Subcommand implementations.
 # ---------------------------------------------------------------------------
 
-def _emit_csv(rows, header, out):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    text = buf.getvalue()
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
 def cmd_density(args):
     bs = np.linspace(0.0, args.bmax, args.n)
-    if args.delta < 1.0 and bs[0] == 0.0:
-        bs[0] = 1e-12  # density diverges at 0 below dimension 1
-    rows = [(float(b), float(bridge_density(args.delta, args.r, args.a,
-                                            args.ap, float(b))))
-            for b in bs]
-    _emit_csv(rows, ("b", "p"), args.out)
+    if args.delta < 1.0:
+        bs[bs == 0.0] = 1e-12  # density diverges at 0 below dimension 1
+    ps = bridge_density(args.delta, args.r, args.a, args.ap, bs)
+    _write(_csv(("b", "p"), np.column_stack([bs, ps]).tolist()), args.out)
     return 0
 
 
@@ -224,40 +249,24 @@ def cmd_mu(args):
     fn = _STOCK_FNS[args.fn](args.lam)
     val = mu_pair(args.alpha, fn)
     payload = {"alpha": args.alpha, "fn": args.fn, "value": val}
-    text = json.dumps(payload, sort_keys=True) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write(json.dumps(payload, sort_keys=True) + "\n", args.out)
     return 0
 
 
-def _measure_from_config(config):
-    if "measure" not in config:
-        raise ConfigError('config must contain a "measure" object')
-    try:
-        return FiniteMeasure.from_json_dict(config["measure"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad measure: {exc}") from exc
-
-
 def cmd_sl_solve(args):
-    config = _load_json(args.config)
-    m = _measure_from_config(config)
-    sol = solve_sl(m)
+    sol = solve_sl(_parse_measure(_load_json(args.config)))
     rs = np.linspace(0.0, 1.0, args.n)
     rows = np.column_stack([rs, sol.phi(rs), sol.dphi(rs),
                             sol.rho(rs)]).tolist()
-    _emit_csv(rows, ("r", "phi", "phi_prime", "rho"), args.out)
+    _write(_csv(("r", "phi", "phi_prime", "rho"), rows), args.out)
     return 0
 
 
 def cmd_sigma(args):
     config = _load_json(args.config)
-    m = _measure_from_config(config)
+    m = _parse_measure(config)
     spec = _parse_spec(config)
-    mode = config.get("mode", "bridge")
+    mode = _get(config, "mode", IbpfCase.mode, str)
     if mode not in ("bridge", "unconstrained"):
         raise ConfigError(f"unknown mode {mode!r}")
     bridge = mode == "bridge"
@@ -267,9 +276,8 @@ def cmd_sigma(args):
                           f"for mode {mode!r}, got {args.r}")
     ctx = SigmaContext(spec, m, bridge)
     bs = np.linspace(0.0, args.bmax, args.n)
-    vals = sigma_s(ctx, args.r, bs**2)
-    rows = list(zip(map(float, bs), map(float, np.atleast_1d(vals))))
-    _emit_csv(rows, ("b", "sigma"), args.out)
+    rows = np.column_stack([bs, sigma_s(ctx, args.r, bs**2)]).tolist()
+    _write(_csv(("b", "sigma"), rows), args.out)
     return 0
 
 
@@ -284,8 +292,9 @@ def _verify_descriptor(payload):
 def cmd_ibpf_check(args):
     config = _load_json(args.config)
     _parse_cases(config, default_tol=args.tol)  # reject a bad config early
-    mc_n = args.mc if args.mc is not None else int(config.get("mc", 0))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    mc_n = args.mc if args.mc is not None else _get(config, "mc", 0, int)
+    seed = args.seed if args.seed is not None else _get(config, "seed", 0,
+                                                        int)
     jobs = _jobs(args)
     raw = config.get("cases", [])
     payloads = [(d, args.tol, mc_n, seed, i) for i, d in enumerate(raw)]
@@ -305,9 +314,8 @@ def cmd_sample(args):
     paths = bessel_bridge_general(args.delta, args.a, args.ap, times, rng,
                                   size=args.n)
     header = ("r",) + tuple(f"path{i}" for i in range(args.n))
-    rows = [(float(times[j]),) + tuple(float(v) for v in paths[:, j])
-            for j in range(len(times))]
-    _emit_csv(rows, header, args.out)
+    _write(_csv(header, np.column_stack([times, paths.T]).tolist()),
+           args.out)
     return 0
 
 
@@ -349,57 +357,50 @@ def cmd_spde_sim(args):
         h, args.eps, args.eta, args.T, args.dt, args.K, rng,
         replicas=args.replicas, store_every=args.store_every)
     summary = _spde_summary(series, h)
-    if args.out is None:
-        sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    else:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "diagnostics.json"), "w") as fh:
-            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        width = len(str(args.replicas - 1))
-        for i in range(args.replicas):
-            rows = [(float(t), float(series.uh[i, j]), float(series.lap[i, j]),
-                     float(series.n_drift[i, j]), float(series.mart[i, j]))
-                    for j, t in enumerate(series.times)]
-            name = os.path.join(args.out, f"replica_{i:0{width}d}.csv")
-            _emit_csv(rows, ("t", "uh", "lap", "n", "m"), name)
+    width = len(str(args.replicas - 1))
+    replicas = ((f"replica_{i:0{width}d}.csv",
+                 _csv(("t", "uh", "lap", "n", "m"), np.column_stack(
+                     [series.times, series.uh[i], series.lap[i],
+                      series.n_drift[i], series.mart[i]]).tolist()))
+                for i in range(args.replicas))
+    _write_dir(args.out, "diagnostics.json", _json(summary), replicas)
     return 0 if summary["pass"] else 1
 
 
 def cmd_run_suite(args):
     config = _load_json(args.config)
-    out = args.out
     status = 0
-    reports = []
     if config.get("cases"):
-        sub = argparse.Namespace(
-            config=args.config, out=out, tol=args.tol,
-            mc=args.mc, seed=args.seed, jobs=getattr(args, "jobs", None))
-        status = max(status, cmd_ibpf_check(sub))
+        status = cmd_ibpf_check(args)
     if "spde" in config:
         s = config["spde"]
         if not isinstance(s, dict):
             raise ConfigError('"spde" must be an object')
-        try:
-            sub = argparse.Namespace(
-                K=int(s.get("K", 256)), dt=float(s.get("dt", 1e-5)),
-                T=float(s.get("T", 0.05)), eps=float(s.get("eps", 0.05)),
-                eta=float(s.get("eta", 0.01)),
-                replicas=int(s.get("replicas", 200)),
-                store_every=int(s.get("store_every", 100)),
-                seed=args.seed if args.seed is not None
-                else int(s.get("seed", 0)),
-                out=os.path.join(out, "spde") if out else None)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad spde settings: {exc}") from exc
+        sub = argparse.Namespace(**{
+            key: _get(s, key, default, kind)
+            for key, (kind, default) in SPDE_SETTINGS.items()})
+        if args.seed is not None:
+            sub.seed = args.seed
+        sub.out = os.path.join(args.out, "spde") if args.out else None
         status = max(status, cmd_spde_sim(sub))
     if not config.get("cases") and "spde" not in config:
-        _write_reports(reports, out)
+        _write_reports([], args.out)
     return status
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing.
 # ---------------------------------------------------------------------------
+
+def _add_case_flags(p):
+    """The flags that ibpf-check and run-suite share."""
+    p.add_argument("--config", required=True)
+    p.add_argument("--mc", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--jobs", type=int)
+    p.add_argument("--out")
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -440,12 +441,7 @@ def _build_parser():
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("ibpf-check", help="run verification cases")
-    p.add_argument("--config", required=True)
-    p.add_argument("--mc", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--out")
+    _add_case_flags(p)
     p.set_defaults(func=cmd_ibpf_check)
 
     p = sub.add_parser("sample", help="exact Bessel bridge paths as CSV")
@@ -459,24 +455,14 @@ def _build_parser():
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("spde-sim", help="weak delta=2 decomposition run")
-    p.add_argument("--K", type=int, default=256)
-    p.add_argument("--dt", type=float, default=1e-5)
-    p.add_argument("--T", type=float, default=0.05)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--eta", type=float, default=0.01)
-    p.add_argument("--replicas", type=int, default=200)
-    p.add_argument("--store-every", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    for key, (kind, default) in SPDE_SETTINGS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind,
+                       default=default)
     p.add_argument("--out")
     p.set_defaults(func=cmd_spde_sim)
 
     p = sub.add_parser("run-suite", help="orchestrate a full suite config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--mc", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--out")
+    _add_case_flags(p)
     p.set_defaults(func=cmd_run_suite)
 
     return parser

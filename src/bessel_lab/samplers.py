@@ -162,14 +162,21 @@ def bessel_rv(nu, w, g):
     return out
 
 
-def _besq_bridge_steps(delta, start, y, times, g, size):
-    """Sequential exact squared Bessel bridge transitions from ``start`` at
-    times[0] (rescaled to span [times[0], 1]) to ``y`` at time 1.  Returns
-    (size, len(times)) with the final column set to ``y``."""
+def besq_bridge_general(delta, x, y, times, rng, size=1):
+    """Exact squared Bessel bridge of dimension delta from x to y over [0,1].
+
+    Sequential conditional Poisson-Bessel-Gamma transitions (see the module
+    docstring).  Returns (size, len(times)), with first column ``x`` and
+    last column ``y``.
+    """
+    if delta <= 0 or x < 0 or y < 0:
+        raise ValueError("need delta > 0 and nonnegative boundary values")
+    times = _check_times(times)
+    g = rng.generator
     nu = 0.5 * delta - 1.0
     n = len(times)
     out = np.empty((size, n))
-    cur = np.broadcast_to(np.asarray(start, dtype=float), (size,)).copy()
+    cur = np.full(size, float(x))
     out[:, 0] = cur
     for i in range(1, n - 1):
         t, tn = times[i - 1], times[i]
@@ -187,18 +194,6 @@ def _besq_bridge_steps(delta, start, y, times, g, size):
         out[:, i] = cur
     out[:, n - 1] = y
     return out
-
-
-def besq_bridge_general(delta, x, y, times, rng, size=1):
-    """Exact squared Bessel bridge of dimension delta from x to y over [0,1].
-
-    Sequential conditional Poisson-Bessel-Gamma transitions (see the module
-    docstring).  Returns (size, len(times)).
-    """
-    if delta <= 0 or x < 0 or y < 0:
-        raise ValueError("need delta > 0 and nonnegative boundary values")
-    times = _check_times(times)
-    return _besq_bridge_steps(delta, x, y, times, rng.generator, size)
 
 
 def bessel_bridge_general(delta, a, ap, times, rng, size=1):

@@ -107,6 +107,8 @@ class SLSolution:
 
     ``phi``, ``dphi`` and ``rho`` take a scalar ``r``, returning a float, or
     an array, returning an array of its shape; one evaluator serves both.
+    They are defined on [0, 1] only: an ``r`` outside it raises
+    ``ValueError``.
     """
 
     def __init__(self, table, atom_at_0):
@@ -128,12 +130,18 @@ class SLSolution:
     def _piece(self, r):
         """``r`` and the table column of the sub-piece holding it (the right
         one at an edge): Python floats for a scalar ``r``, which keeps
-        scalar calls cheap, and arrays of ``r``'s shape otherwise."""
+        scalar calls cheap, and arrays of ``r``'s shape otherwise.  An ``r``
+        outside [0, 1], where the table ends, is a ``ValueError``."""
         r = np.asarray(r, dtype=float)
-        i = self._cut.searchsorted(r, side="right")
         if r.ndim == 0:
-            return float(r), self._rows[i]
-        return r, self._table[:, i]
+            r = float(r)
+            if not 0.0 <= r <= 1.0:
+                raise ValueError(f"r = {r!r} lies outside [0, 1]")
+            return r, self._rows[self._cut.searchsorted(r, side="right")]
+        if r.size and not (0.0 <= r.min() and r.max() <= 1.0):
+            raise ValueError(f"r spans [{r.min():g}, {r.max():g}], outside "
+                             f"[0, 1]")
+        return r, self._table[:, self._cut.searchsorted(r, side="right")]
 
     def phi(self, r):
         r, c = self._piece(r)

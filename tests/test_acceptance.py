@@ -15,7 +15,7 @@ from conftest import (bridge_marginal_cdf, derivative, gamma_3, p_delta_t,
 
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump)
 from bessel_lab.ibpf import IbpfCase, lhs_mc, rel_err, rhs_ibpf, verify
-from bessel_lab.laplace_sigma import (SigmaContext, sigma_s,
+from bessel_lab.laplace_sigma import (SigmaContext, sigma_s, sigma_s_series,
                                       zeta_second_deriv)
 from bessel_lab.mu_dist import SmoothTestFn, mu_pair
 from bessel_lab.samplers import (RngStream, bessel_bridge_general,
@@ -185,12 +185,14 @@ class TestCriterion5DensityLayer:
 
 class TestCriterion6SigmaStructure:
     def test_b_derivative_vanishes(self):
-        ctx = SigmaContext(BridgeSpec(2.5, 1.0, 0.5),
-                           FiniteMeasure.atom(0.6, 1.0), True)
-        h = 1e-4
-        up = float(sigma_s(ctx, 0.4, h**2))
-        dn = float(sigma_s(ctx, 0.4, (-h)**2))
-        assert abs(up - dn) / (2.0 * h) <= 1e-8
+        # Sigma is analytic in s = b^2 (so even in b) through s = 0
+        for spec, bridge in ((BridgeSpec(2.5, 1.0, 0.5), True),
+                             (BridgeSpec(1.5, 1.0, 0.0), False)):
+            ctx = SigmaContext(spec, FiniteMeasure.atom(0.6, 1.0), bridge)
+            series = sigma_s_series(ctx, 0.4)
+            for s in (1e-3, -1e-3, 1e-2, -1e-2):
+                assert float(sigma_s(ctx, 0.4, s)) == pytest.approx(
+                    np.polyval(series[::-1], s), rel=1e-12)
 
     def test_conditioning_identity(self):
         delta, a, r, b = 2.5, 1.0, 0.4, 0.8

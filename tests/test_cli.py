@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -110,7 +111,16 @@ class TestExitCodes:
         ("ibpf-check", {"cases": [{"delta": 3, "h": "bump"}]}, '"h"'),
         ("run-suite", {"spde": "x"}, '"spde"'),
         ("sigma", {"delta": 2, "measure": []},
-         "measure must be a JSON object")])
+         "measure must be a JSON object"),
+        ("ibpf-check", {"cases": [{"delta": 3, "tol": "x"}]}, "'tol'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "tol": [1]}]}, "'tol'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "h": {"theta": None}}]},
+         "'theta'"),
+        ("ibpf-check", {"cases": [{"delta": 3}], "mc": "x"}, "'mc'"),
+        ("ibpf-check", {"cases": [{"delta": 3}], "seed": [1]}, "'seed'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "phi": [{"coef": "x"}]}]},
+         "'coef'"),
+        ("run-suite", {"spde": {"K": "x"}}, "'K'")])
     def test_wrong_json_type_is_two(self, command, config, field, tmp_path,
                                     capsys):
         cfg = tmp_path / "typed.json"
@@ -160,6 +170,15 @@ class TestDataCommands:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "b,p"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_density_short_grid(self, n, capsys):
+        # below dimension 1 the point b = 0 moves to 1e-12
+        assert main(["density", "--delta", "0.5", "--r", "0.5",
+                     "--n", str(n)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "b,p"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1e-12"] * n
 
     def test_mu_value(self, capsys):
         assert main(["mu", "--alpha", "-1.5", "--fn", "exp",
@@ -285,3 +304,15 @@ class TestDataCommands:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("b,p")
+
+
+def test_readme_command_lines_parse():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()
+             if line.startswith("bessel-lab ")]
+    assert len(lines) >= 8
+    parser = cli._build_parser()
+    for argv in lines:
+        assert parser.parse_args(argv[1:]).func.__name__.startswith("cmd_")

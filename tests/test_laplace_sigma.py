@@ -66,13 +66,20 @@ class TestSigmaReductions:
                         want, rel=1e-10)
 
     def test_b_derivative_vanishes_at_zero(self):
-        # Sigma is a function of b^2: symmetric b-difference at 0 vanishes.
-        ctx = ctx_of(2.5, 1.0, 0.5, FiniteMeasure.atom(0.6, 1.0))
-        h = 1e-4
-        up = float(sigma_s(ctx, 0.4, h**2))
-        dn = float(sigma_s(ctx, 0.4, (-h)**2))
-        assert abs(up - dn) / (2.0 * h) <= 1e-8
-        # non-trivially: the first s = b^2 derivative matches a one-sided fit
+        # Sigma is analytic in s = b^2 through 0, on both sides (so even in
+        # b): the finite-part integrals subtract its Taylor series there.
+        m = FiniteMeasure.atom(0.6, 1.0)
+        for delta, a, ap, bridge in (
+                (2.5, 1.0, 0.5, True), (0.5, 0.0, 0.0, True),
+                (1.5, 1.0, 2.0, True), (2.5, 1.0, 0.0, False),
+                (3.5, 0.5, 0.0, False), (0.7, 2.0, 0.0, False)):
+            ctx = ctx_of(delta, a, ap, m, bridge)
+            series = sigma_s_series(ctx, 0.4)
+            for s in (1e-3, -1e-3, 1e-2, -1e-2):
+                assert float(sigma_s(ctx, 0.4, s)) == pytest.approx(
+                    np.polyval(series[::-1], s), rel=1e-12)
+        # the first s = b^2 derivative matches a one-sided fit
+        ctx = ctx_of(2.5, 1.0, 0.5, m)
         s_der = sigma_s_series(ctx, 0.4)[1]
         v0 = float(sigma_s(ctx, 0.4, 0.0))
         fit = (float(sigma_s(ctx, 0.4, 1e-3**2)) - v0) / 1e-6

@@ -153,3 +153,15 @@ def test_array_calls_match_scalar_calls():
 def test_beyond_double_range_is_typed(m):
     with pytest.raises(OverflowError, match="double range"):
         solve_sl(m)
+
+
+@pytest.mark.parametrize("r", [2.0, -0.5, 1.0 + 1e-12, math.nan,
+                               np.array([0.2, 2.0]), np.array([-0.1, 0.5])])
+def test_outside_unit_interval_is_an_error(r):
+    # the end Taylor pieces would extrapolate: rho(2) = 13.64 here against
+    # rho1 + 1/phi1^2 = 20.98 for a constant phi beyond 1
+    sol = solve_sl(FiniteMeasure.lebesgue(2.0))
+    for f in (sol.phi, sol.dphi, sol.rho):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            f(r)
+    assert sol.rho(np.array([0.0, 1.0])).tolist() == [0.0, sol.rho1]
