@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump, poly_bump)
-from .ibpf import IbpfCase, verify
+from .ibpf import MODES, IbpfCase, verify
 from .mu_dist import MuConvergenceError, SmoothTestFn, mu_pair
 from .quadrature import QuadratureError
 from .samplers import RngStream, bessel_bridge_general
@@ -97,16 +97,30 @@ def _parse_measure(d, default=_REQUIRED):
     return _get(d, "measure", default, FiniteMeasure.from_json_dict)
 
 
+def _mode(value):
+    if value not in MODES:
+        raise ValueError(f"unknown mode {value!r}; choose from {MODES}")
+    return value
+
+
+def _case_id(value):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"a case id is a string or a number, got {value!r}")
+    return value
+
+
 def _parse_h(d):
     if not isinstance(d, dict):
         raise ConfigError('"h" must be an object')
+    makers = {"bump": bump, "poly_bump": poly_bump}
     kind = d.get("type", "bump")
+    if kind not in makers:
+        raise ConfigError(f"unknown test function type {kind!r}")
     theta = _get(d, "theta", 0.2, float)
-    if kind == "bump":
-        return bump(theta)
-    if kind == "poly_bump":
-        return poly_bump(theta)
-    raise ConfigError(f"unknown test function type {kind!r}")
+    try:
+        return makers[kind](theta)
+    except ValueError as exc:
+        raise ConfigError(f"bad 'theta': {exc}") from exc
 
 
 def _parse_phi(terms):
@@ -141,9 +155,9 @@ def _parse_case(d, default_tol=None):
         spec=spec,
         phi=_parse_phi(d.get("phi", [])),
         h=_parse_h(d.get("h", {})),
-        mode=_get(d, "mode", IbpfCase.mode, str),
+        mode=_get(d, "mode", IbpfCase.mode, _mode),
         tol=tol,
-        case_id=d.get("id", ""),
+        case_id=_get(d, "id", "", _case_id),
     )
 
 
@@ -215,9 +229,10 @@ def _write_reports(reports, out):
 
 def _jobs(args):
     if args.jobs:
-        return max(int(args.jobs), 1)
-    env = os.environ.get("BESSEL_LAB_JOBS")
-    return max(int(env), 1) if env else 1
+        return max(args.jobs, 1)
+    if not os.environ.get("BESSEL_LAB_JOBS"):
+        return 1
+    return max(_get(os.environ, "BESSEL_LAB_JOBS", _REQUIRED, int), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +281,7 @@ def cmd_sigma(args):
     config = _load_json(args.config)
     m = _parse_measure(config)
     spec = _parse_spec(config)
-    mode = _get(config, "mode", IbpfCase.mode, str)
-    if mode not in ("bridge", "unconstrained"):
-        raise ConfigError(f"unknown mode {mode!r}")
+    mode = _get(config, "mode", IbpfCase.mode, _mode)
     bridge = mode == "bridge"
     # phi and rho are tabulated on [0, 1], and a bridge is pinned at r = 1
     if not (0.0 < args.r < 1.0 or (args.r == 1.0 and not bridge)):
@@ -319,20 +332,18 @@ def cmd_sample(args):
     return 0
 
 
-def _spde_summary(series, h, theta=0.2):
+def _spde_summary(series, h):
     ratio, se = spde.bracket_ratio(series, h)
     coef, errs = spde.martingale_regression(series)
     zmax = float(np.max(np.abs(coef / errs)))
-    det_ok = True
-    grid = np.linspace(theta, 1.0 - theta, 7)
-    for r in grid:
-        for s in grid:
-            if r == s:
-                continue
-            _, det, bound, _ = spde.gamma_rs(float(r), float(s),
-                                             float(series.times[-1]),
-                                             theta, 256)
-            det_ok &= det >= bound
+    # the continuum field's Gamma bound on the 42 off-diagonal pairs of a
+    # 7-point grid of [theta, 1 - theta], at K = 256 whatever --K is
+    grid = np.linspace(h.theta, 1.0 - h.theta, 7)
+    r, s = np.meshgrid(grid, grid)
+    off = r != s
+    det, bound = spde.gamma_rs(r[off], s[off], float(series.times[-1]),
+                               h.theta, 256)
+    det_ok = bool(np.all(det >= bound))
     passed = (0.85 <= ratio <= 1.15) and zmax <= 3.0 and det_ok
     return {
         "bracket_ratio": ratio,
@@ -340,14 +351,14 @@ def _spde_summary(series, h, theta=0.2):
         "regression_coef": [float(c) for c in coef],
         "regression_stderr": [float(e) for e in errs],
         "regression_max_z": zmax,
-        "gamma_det_bound_ok": bool(det_ok),
+        "gamma_det_bound_ok": det_ok,
         "pass": bool(passed),
     }
 
 
 def cmd_spde_sim(args):
-    if args.eta >= args.eps:
-        raise ConfigError("need eta < eps")
+    if not 0.0 < args.eta < args.eps:
+        raise ConfigError("need 0 < eta < eps")
     if args.replicas < 2:
         raise ConfigError("need --replicas >= 2: the diagnostics' standard "
                           "errors are taken across replicas")

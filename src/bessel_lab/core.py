@@ -9,9 +9,9 @@ These are the vocabulary types used throughout the laboratory:
 * :class:`ExpFunctional` -- linear combinations of exponential functionals
   ``X -> sum_i c_i exp(-<m_i, X^2>)``;
 * :class:`BridgeSpec` -- dimension and boundary data of a Bessel bridge;
-* :func:`pairing_weights` / :func:`pair_paths` -- the pairings
-  ``<m, X^2>`` and ``<m, h X>`` of a measure with sampled paths, read as
-  piecewise linear between samples.
+* :func:`pairing_weights` -- the pairings ``<m, X^2>`` and ``<m, h X>``
+  of a measure with sampled paths, read as piecewise linear between
+  samples, as two weight vectors on the sample times.
 """
 
 from __future__ import annotations
@@ -29,8 +29,10 @@ __all__ = [
     "BridgeSpec",
     "hat_weights",
     "pairing_weights",
-    "pair_paths",
 ]
+
+#: Gauss-Legendre order of :func:`hat_weights` on each grid interval.
+_HAT_ORDER = 8
 
 
 @dataclass
@@ -221,11 +223,11 @@ class BridgeSpec:
             raise ValueError("boundary values must be >= 0")
 
 
-def hat_weights(times, g, order=8):
+def hat_weights(times, g):
     """Weights w_j = int g(r) Lambda_j(r) dr against the hat functions of
     the grid, exact for the piecewise-linear interpolant of the path."""
     times = np.asarray(times, dtype=float)
-    nodes, wq = np.polynomial.legendre.leggauss(order)
+    nodes, wq = np.polynomial.legendre.leggauss(_HAT_ORDER)
     lo, hi = times[:-1], times[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -241,35 +243,19 @@ def hat_weights(times, g, order=8):
 
 
 def pairing_weights(m, h, times):
-    """Set-up of the pairings ``<m, X^2>`` and ``<m, h X>`` for paths
-    sampled at ``times``.
+    """Weights ``(w_m, w_hm)`` on the sample ``times`` such that
+    ``paths**2 @ w_m`` and ``paths @ w_hm`` are the pairings ``<m, X^2>``
+    and ``<m, h X>`` of each row of ``paths``.
 
-    Returns ``(atoms, w_m, w_hm)``: each atom of ``m`` as ``(index, weight,
-    h(t))`` with the index of the sample time nearest ``t`` (exact when the
-    atoms are sample times), and the hat weights of the densities ``m`` and
-    ``h m`` (both None when ``m`` has no density part).
+    These are the hat weights of the densities ``m`` and ``h m``, with each
+    atom's weight ``w`` (times ``h(t)`` in ``w_hm``) added at the index of
+    the sample time nearest ``t`` (exact when the atoms are sample times).
     """
-    atoms = [(int(np.argmin(np.abs(times - t))), w, float(h(t)))
-             for t, w in m.atoms]
-    if not m.pieces:
-        return atoms, None, None
     w_m = hat_weights(times, m.density_at)
     w_hm = hat_weights(
         times, lambda r: np.asarray(h(r)) * np.asarray(m.density_at(r)))
-    return atoms, w_m, w_hm
-
-
-def pair_paths(weights, paths):
-    """``(<m, X^2>, <m, h X>)`` for each row of ``paths``, given the
-    :func:`pairing_weights` of ``m`` and ``h`` on the paths' sample times."""
-    atoms, w_m, w_hm = weights
-    x2 = paths**2
-    pair_x2 = np.zeros(len(paths))
-    pair_hx = np.zeros(len(paths))
-    for idx, w, hval in atoms:
-        pair_x2 += w * x2[:, idx]
-        pair_hx += w * hval * paths[:, idx]
-    if w_m is not None:
-        pair_x2 += x2 @ w_m
-        pair_hx += paths @ w_hm
-    return pair_x2, pair_hx
+    for t, w in m.atoms:
+        idx = np.argmin(np.abs(times - t))
+        w_m[idx] += w
+        w_hm[idx] += w * float(h(t))
+    return w_m, w_hm

@@ -60,7 +60,7 @@ import numpy as np
 from scipy import special
 
 from .core import (BridgeSpec, ExpFunctional, TestFunctionC2c, hat_weights,
-                   pair_paths, pairing_weights)
+                   pairing_weights)
 from .laplace_sigma import (SERIES_ORDER, SigmaContext, sigma_s,
                             sigma_s_series, zeta_second_deriv)
 from .mu_dist import SmoothTestFn, mu_pair
@@ -68,6 +68,7 @@ from .quadrature import GL_ORDER, adaptive_gl, decay_cutoff
 from .samplers import bessel_bridge_general, mc_estimate
 
 __all__ = [
+    "MODES",
     "IbpfCase",
     "VerifyReport",
     "rel_err",
@@ -77,6 +78,9 @@ __all__ = [
     "rhs_ibpf",
     "verify",
 ]
+
+#: The laws a case can take: the bridge, or the process from ``a``.
+MODES = ("bridge", "unconstrained")
 
 #: Guard band around delta = 2 inside which the unified evaluator refuses
 #: to run (the 1/(delta-2) pole is only removable analytically).
@@ -93,14 +97,14 @@ class IbpfCase:
     spec: BridgeSpec
     phi: ExpFunctional
     h: TestFunctionC2c
-    mode: str = "bridge"  # "bridge" | "unconstrained"
+    mode: str = "bridge"  # one of MODES
     tol: float = 1e-5
     case_id: str = ""
 
     def __post_init__(self):
-        if self.mode not in ("bridge", "unconstrained"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not self.case_id:
+        if self.case_id == "":
             # The digest tells apart cases that differ only in Phi or tol,
             # or in digits that the %g fields below round away.
             s = self.spec
@@ -368,24 +372,26 @@ def mc_times(case):
 
 def lhs_mc(case, n, rng):
     """Monte Carlo estimate (mean, stderr) of ``E[<h'' - 2 h m, X> Phi]``
-    over exactly sampled bridge paths."""
+    over exactly sampled bridge paths.
+
+    The pairing weights of Phi's terms are the columns of two (times x
+    terms) matrices, so each block of paths meets every term in two
+    matrix products."""
     if case.mode != "bridge":
         raise ValueError("Monte Carlo left-hand side needs bridge mode")
     spec = case.spec
     h = case.h
     times = mc_times(case)
     w_h2 = hat_weights(times, h.d2)
-    prepared = [(coef, pairing_weights(m, h, times))
-                for coef, m in case.phi.terms]
+    coefs = np.array([c for c, _ in case.phi.terms])
+    w_m, w_hm = (np.column_stack(w) for w in zip(
+        *(pairing_weights(m, h, times) for _, m in case.phi.terms)))
 
     def sample_values(count, stream):
         paths = bessel_bridge_general(spec.delta, spec.a, spec.ap,
                                       times, stream, size=count)
-        acc = np.zeros(count)
-        for coef, weights in prepared:
-            pair_x2, pair_hx = pair_paths(weights, paths)
-            acc += coef * (paths @ w_h2 - 2.0 * pair_hx) * np.exp(-pair_x2)
-        return acc
+        lin = (paths @ w_h2)[:, None] - 2.0 * (paths @ w_hm)
+        return (lin * np.exp(-(paths**2) @ w_m)) @ coefs
 
     return mc_estimate(sample_values, n, rng)
 

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .quadrature import adaptive_gl
 
 __all__ = [
-    "Mollifier",
-    "covariance_q",
+    "mollifier",
     "ou_step",
     "field_to_u",
     "f_eps_eta",
@@ -53,44 +53,19 @@ def _lambdas(k_max):
 
 
 def _basis(x, k_max):
-    """e_k(x) = sqrt(2) sin(k pi x); returns shape (len(x), K)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """e_k(x) = sqrt(2) sin(k pi x) at each point of ``x``; shape
+    x.shape + (K,)."""
+    x = np.asarray(x, dtype=float)
     k = np.arange(1, k_max + 1)
-    return math.sqrt(2.0) * np.sin(math.pi * np.outer(x, k))
+    return math.sqrt(2.0) * np.sin(math.pi * (x[..., None] * k))
 
 
-def stationary_field(k_max, rng, replicas=None):
+def stationary_field(k_max, rng, replicas):
     """Draw the two-component field's sine coefficients, shape
-    (replicas, 2, K) or (2, K), from the exact stationary law: per mode
+    (replicas, 2, K), from the exact stationary law: per mode
     N(0, 1/lambda_k)."""
     lam = _lambdas(k_max)
-    shape = (2, k_max) if replicas is None else (replicas, 2, k_max)
-    return rng.generator.standard_normal(shape) / np.sqrt(lam)
-
-
-def covariance_q(t, x, xp, k_max):
-    """Covariance of the linear field:
-
-        q_t(x, x') = sum_k (1 - e^{-lambda_k t}) / lambda_k e_k(x) e_k(x')
-
-    with ``t = inf`` giving the stationary kernel (= x ^ x' - x x' as
-    k_max -> inf).  Returns (value, truncation_bound).
-    """
-    if k_max < 16:
-        raise ValueError("need at least 16 modes")
-    lam = _lambdas(k_max)
-    ex = _basis(x, k_max)[0]
-    exp_ = _basis(xp, k_max)[0]
-    if t == math.inf:
-        fac = 1.0 / lam
-    else:
-        if t < 0:
-            raise ValueError("time must be >= 0")
-        fac = -np.expm1(-lam * t) / lam
-    val = float(np.sum(fac * ex * exp_))
-    # |e_k| <= sqrt(2): tail bounded by 2 sum_{k>K} 1/(k pi)^2 <= 2/(pi^2 K)
-    bound = 2.0 / (math.pi**2 * k_max)
-    return val, bound
+    return rng.generator.standard_normal((replicas, 2, k_max)) / np.sqrt(lam)
 
 
 def ou_step(coef, dt, rng):
@@ -143,62 +118,47 @@ def field_to_u(coef, n):
     return u
 
 
-class Mollifier:
-    """Smooth even bump ``rho(y) = C exp(-1/(1-y^2))`` on (-1, 1), mass 1;
-    ``rho_eta(y) = rho(y/eta)/eta``."""
-
-    def __init__(self, eta):
-        if eta <= 0:
-            raise ValueError("eta must be positive")
-        self.eta = float(eta)
-        self._norm = 1.0 / adaptive_gl(self._raw, -1.0, 1.0, rtol=1e-13,
-                                       atol=1e-16)
-
-    @staticmethod
-    def _raw(y):
-        y = np.asarray(y, dtype=float)
-        inside = np.abs(y) < 1.0
-        ys = np.where(inside, y, 0.0)
-        return np.where(inside, np.exp(-1.0 / (1.0 - ys * ys)), 0.0)
-
-    def profile(self, y):
-        """The unit-width profile rho(y)."""
-        return self._norm * self._raw(y)
-
-    def __call__(self, y):
-        """The scaled mollifier rho_eta(y)."""
-        return self.profile(np.asarray(y, dtype=float) / self.eta) / self.eta
+def _bump(y):
+    """exp(-1/(1 - y^2)) on (-1, 1), 0 outside."""
+    y = np.asarray(y, dtype=float)
+    inside = np.abs(y) < 1.0
+    ys = np.where(inside, y, 0.0)
+    return np.where(inside, np.exp(-1.0 / (1.0 - ys * ys)), 0.0)
 
 
-def f_eps_eta(x, eps, eta, mollifier=None):
+@lru_cache(maxsize=None)
+def _bump_norm():
+    """The reciprocal mass of :func:`_bump`, the same for every eta."""
+    return 1.0 / adaptive_gl(_bump, -1.0, 1.0, rtol=1e-13, atol=1e-16)
+
+
+def mollifier(y, eta):
+    """Smooth even mollifier ``rho_eta(y) = rho(y/eta)/eta`` of mass 1, with
+    ``rho(y) = C exp(-1/(1-y^2))`` on (-1, 1)."""
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    return (_bump_norm() * _bump(np.asarray(y, dtype=float) / eta)) / eta
+
+
+def f_eps_eta(x, eps, eta):
     """``(1/4)(1_{x >= eps}/x^3 - (2/eps) rho_eta(x)/x)``; vanishes on
     (eta, eps).  The value at x = 0 is taken as 0 (the field is almost
     surely positive at interior points at any fixed time; the convention is
     never exercised by the time integrals)."""
     if eta >= eps:
         raise ValueError("need eta < eps")
-    if mollifier is None:
-        mollifier = Mollifier(eta)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("f_eps_eta is defined on x >= 0")
     val = np.zeros_like(x)
     big = x >= eps
     val[big] = 0.25 / x[big]**3
-    small = (x > 0) & (x < mollifier.eta)
+    small = (x > 0) & (x < eta)
     xs = x[small]
-    val[small] -= 0.5 / eps * mollifier(xs) / xs
+    val[small] -= 0.5 / eps * mollifier(xs, eta) / xs
     if val.ndim == 0:
         return float(val)
     return val
-
-
-def _trapz_weights(x):
-    w = np.zeros(len(x))
-    dx = np.diff(x)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w
 
 
 @dataclass
@@ -232,14 +192,15 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-12 * max(t_final, 1.0):
         raise ValueError("t_final must be an integer multiple of dt")
+    n = SYNTH_MESH - 1
     x = np.linspace(0.0, 1.0, SYNTH_MESH)
-    wq = _trapz_weights(x)
+    wq = np.full(SYNTH_MESH, 1.0 / n)  # trapezoid rule on x_j = j/n
+    wq[[0, -1]] = 0.5 / n
     hv = np.asarray(h(x), dtype=float) * wq
     h2v = np.asarray(h.d2(x), dtype=float) * wq
-    moll = Mollifier(eta)
 
-    coef = stationary_field(k_max, rng, replicas=replicas)
-    u = field_to_u(coef, SYNTH_MESH - 1)  # (replicas, n)
+    coef = stationary_field(k_max, rng, replicas)
+    u = field_to_u(coef, n)  # (replicas, n + 1)
     uh0 = u @ hv
 
     keep = list(range(0, n_steps + 1, store_every))
@@ -263,9 +224,9 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
                 break
         # left-point increments over [i dt, (i+1) dt)
         lap_acc = lap_acc + 0.5 * dt * (u @ h2v)
-        n_acc = n_acc + 0.5 * dt * (f_eps_eta(u, eps, eta, moll) @ hv)
+        n_acc = n_acc + 0.5 * dt * (f_eps_eta(u, eps, eta) @ hv)
         coef = ou_step(coef, dt, rng)
-        u = field_to_u(coef, SYNTH_MESH - 1)
+        u = field_to_u(coef, n)
 
     mart = uh_out - uh0[:, None] - lap_out + n_out
     return DecompositionSeries(times=times, uh=uh_out, lap=lap_out,
@@ -316,23 +277,34 @@ def martingale_regression(series):
 
 
 def gamma_rs(r, s, t, theta, k_max):
-    """Covariance matrix of ``(v(r), v(s))`` per component at lag ``t``:
+    """Determinant of the covariance matrix of ``(v(r), v(s))`` per
+    component at lag ``t``,
 
         M = [[q_inf(r, r), q^t(r, s)], [q^t(r, s), q_inf(s, s)]],
-        q^t = q_inf - q_t,
 
-    with its determinant and the lower bound ``theta^2 |r - s|``.
-    Returns (matrix, det, bound, slack) where slack is the truncation bound.
+    with its lower bound ``theta^2 |r - s|``; ``r`` and ``s`` broadcast.
+    The stationary entries take the closed form ``q_inf(x, x) = x (1 - x)``
+    and the lag term its own series
+
+        q^t(r, s) = sum_{k <= K} e^{-lambda_k t} / lambda_k e_k(r) e_k(s),
+
+    which avoids the cancellation in ``q_inf - q_t``.  As t -> 0 the
+    determinant meets the bound at the corner pair (theta, 1 - theta), so
+    the bound returned is less ``8 eps (q_inf(r, r) q_inf(s, s) +
+    q^t(r, s)^2)`` with eps = 2^-52: room for the few roundings in each of
+    the determinant's two terms and in ``r``, ``s`` themselves.
+    Returns ``(det, bound)``.
     """
-    if not (theta <= r <= 1.0 - theta and theta <= s <= 1.0 - theta):
+    r, s = np.broadcast_arrays(np.asarray(r, dtype=float),
+                               np.asarray(s, dtype=float))
+    if np.any((np.minimum(r, s) < theta) | (np.maximum(r, s) > 1.0 - theta)):
         raise ValueError("r, s must lie in [theta, 1 - theta]")
-    qr, b1 = covariance_q(math.inf, r, r, k_max)
-    qs, b2 = covariance_q(math.inf, s, s, k_max)
-    qt_rs, b3 = covariance_q(t, r, s, k_max)
-    qinf_rs, b4 = covariance_q(math.inf, r, s, k_max)
-    off = qinf_rs - qt_rs
-    mat = np.array([[qr, off], [off, qs]])
-    det = float(np.linalg.det(mat))
-    bound = theta**2 * abs(r - s)
-    slack = b1 + b2 + b3 + b4
-    return mat, det, bound, slack
+    if t < 0:
+        raise ValueError("time must be >= 0")
+    lam = _lambdas(k_max)
+    lag = (_basis(r, k_max) * _basis(s, k_max)) @ (np.exp(-lam * t) / lam)
+    diag = r * (1.0 - r) * s * (1.0 - s)
+    det = diag - lag**2
+    bound = (theta**2 * np.abs(r - s)
+             - 8.0 * np.finfo(float).eps * (diag + lag**2))
+    return det, bound

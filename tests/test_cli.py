@@ -120,7 +120,12 @@ class TestExitCodes:
         ("ibpf-check", {"cases": [{"delta": 3}], "seed": [1]}, "'seed'"),
         ("ibpf-check", {"cases": [{"delta": 3, "phi": [{"coef": "x"}]}]},
          "'coef'"),
-        ("run-suite", {"spde": {"K": "x"}}, "'K'")])
+        ("run-suite", {"spde": {"K": "x"}}, "'K'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "id": [1]}]}, "'id'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "h": {"theta": 0.7}}]},
+         "'theta'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "mode": "x"}]}, "'mode'"),
+        ("sigma", {"delta": 2, "measure": {}, "mode": "x"}, "'mode'")])
     def test_wrong_json_type_is_two(self, command, config, field, tmp_path,
                                     capsys):
         cfg = tmp_path / "typed.json"
@@ -128,6 +133,22 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err
+
+
+    def test_bad_jobs_env_is_two(self, cases_file, capsys, monkeypatch):
+        monkeypatch.setenv("BESSEL_LAB_JOBS", "x")
+        assert main(["ibpf-check", "--config", cases_file]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "BESSEL_LAB_JOBS" in err
+
+    def test_number_id_stays_a_number(self, tmp_path, capsys):
+        cfg = tmp_path / "ids.json"
+        cfg.write_text(json.dumps({"cases": [{"delta": 3, "id": 5},
+                                             {"delta": 3, "id": 0},
+                                             {"delta": 3, "id": "a"}]}))
+        assert main(["ibpf-check", "--config", str(cfg)]) == 0
+        ids = [r["case_id"] for r in json.loads(capsys.readouterr().out)]
+        assert ids == [5, 0, "a"]
 
 
 class TestReports:
@@ -277,6 +298,15 @@ class TestDataCommands:
         assert (out / "replica_0.csv").read_text().splitlines()[0] == \
             "t,uh,lap,n,m"
 
+    @pytest.mark.parametrize("T,store_every", [("1e-4", "1"),
+                                               ("0.004", "10")])
+    def test_spde_sim_gamma_check_holds_at_small_T(self, T, store_every,
+                                                   capsys):
+        # the Gamma bound is met with equality at the corner pair as T -> 0
+        main(["spde-sim", "--K", "16", "--dt", "1e-5", "--T", T,
+              "--replicas", "2", "--store-every", store_every])
+        assert json.loads(capsys.readouterr().out)["gamma_det_bound_ok"]
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--dt", "0", "time step must be positive"),
         ("--dt", "-0.0001", "time step must be positive"),
@@ -287,7 +317,9 @@ class TestDataCommands:
         ("--replicas", "0", "config error: need --replicas >= 2"),
         ("--T", "-0.001", "t_final must be positive"),
         ("--T", "0", "t_final must be positive"),
-        ("--T", "1e-4", "needs at least 2 increments per replica")])
+        ("--T", "1e-4", "needs at least 2 increments per replica"),
+        ("--eta", "0", "config error: need 0 < eta < eps"),
+        ("--eta", "0.05", "config error: need 0 < eta < eps")])
     def test_spde_sim_bad_settings_are_two(self, flag, value, message,
                                            capsys):
         args = {"--K": "16", "--dt": "1e-4", "--T": "0.001",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump,
-                             pair_paths, pairing_weights, poly_bump)
+                             pairing_weights, poly_bump)
 
 TIMES = np.linspace(0.0, 1.0, 101)
 
@@ -14,7 +14,8 @@ def _const_paths(value=1.0):
 
 
 def _pairings(m, h, times, paths):
-    return pair_paths(pairing_weights(m, h, times), paths)
+    w_m, w_hm = pairing_weights(m, h, times)
+    return paths**2 @ w_m, paths @ w_hm
 
 
 def _dir_deriv(phi, h, paths):
@@ -94,6 +95,21 @@ class TestPairings:
         x2, _ = _pairings(m, bump(0.2), t, t[None, :])
         # <Leb, X^2> = int r^2 = 1/3
         assert x2[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
+
+    def test_weights_add_over_atoms_and_density(self):
+        atoms = FiniteMeasure(atoms=[(0.3, 2.0), (0.5, 1.5)])
+        piece = FiniteMeasure(pieces=[(0.1, 0.7, [0.2, 1.0])])
+        both = FiniteMeasure(atoms=atoms.atoms, pieces=piece.pieces)
+        h = bump(0.2)
+        for got, a, b in zip(pairing_weights(both, h, TIMES),
+                             pairing_weights(atoms, h, TIMES),
+                             pairing_weights(piece, h, TIMES)):
+            assert got.shape == (len(TIMES),)
+            np.testing.assert_allclose(got, a + b, rtol=1e-15, atol=0.0)
+        w_m, w_hm = pairing_weights(atoms, h, TIMES)
+        assert w_m[30] == 2.0 and w_m[50] == 1.5
+        assert w_hm[50] == 1.5 * float(h(0.5))
+        assert np.count_nonzero(w_m) == 2
 
 
 class TestFunctionals:

@@ -216,6 +216,23 @@ class TestVerify:
         assert (m1, s1) == (m2, s2)
         assert abs(m1 - rhs) <= 3.0 * s1
 
+    def test_mc_multi_term_is_the_combination_of_its_terms(self):
+        # Phi = 0.7 e^{-<m1, X^2>} - 0.4 e^{-<m2, X^2>} + 1; m1's atoms sit
+        # on the 513-point mesh, so every case samples the same times and
+        # one stream gives the same paths
+        m1 = FiniteMeasure(atoms=[(0.375, 1.0), (0.625, 0.5)],
+                           pieces=[(0.1, 0.7, [0.2, 1.0])])
+        m2 = FiniteMeasure.lebesgue(0.5)
+        spec = BridgeSpec(2.5, 1.0, 0.5)
+        phi = ExpFunctional([(0.7, m1), (-0.4, m2),
+                             (1.0, FiniteMeasure.zero())])
+        mean, _ = lhs_mc(IbpfCase(spec, phi, H), 2000, RngStream(31, 2))
+        parts = [lhs_mc(IbpfCase(spec, ExpFunctional.single(m), H), 2000,
+                        RngStream(31, 2))[0]
+                 for m in (m1, m2, FiniteMeasure.zero())]
+        want = 0.7 * parts[0] - 0.4 * parts[1] + parts[2]
+        assert mean == pytest.approx(want, rel=1e-12)
+
     def test_mc_integer_dimension_against_modulus_sampler(self):
         # delta = 1 bridge: <h'' , X> expectation from the Gaussian-modulus
         # sampler agrees with the general sampler's MC LHS.

@@ -8,31 +8,50 @@ from scipy import integrate, stats
 from bessel_lab.core import bump
 from bessel_lab.quadrature import adaptive_gl
 from bessel_lab.samplers import RngStream
-from bessel_lab.spde import (Mollifier, covariance_q, f_eps_eta, field_to_u,
-                             gamma_rs, h_l2_norm_sq, ou_step,
-                             run_decomposition, stationary_field)
+from bessel_lab.spde import (f_eps_eta, field_to_u, gamma_rs, h_l2_norm_sq,
+                             mollifier, ou_step, run_decomposition,
+                             stationary_field)
+
+
+def covariance_q(t, x, xp, k_max):
+    """Reference covariance of the linear field, summed mode by mode:
+
+        q_t(x, x') = sum_k (1 - e^{-lambda_k t}) / lambda_k e_k(x) e_k(x')
+
+    with ``t = inf`` giving the stationary kernel (= x ^ x' - x x' as
+    k_max -> inf).  Returns (value, truncation_bound).
+    """
+    if k_max < 16:
+        raise ValueError("need at least 16 modes")
+    k = np.arange(1, k_max + 1)
+    lam = (k * math.pi) ** 2
+    fac = 1.0 / lam if t == math.inf else -np.expm1(-lam * t) / lam
+    val = float(np.sum(fac * 2.0 * np.sin(k * math.pi * x)
+                       * np.sin(k * math.pi * xp)))
+    # |e_k| <= sqrt(2): tail bounded by 2 sum_{k>K} 1/(k pi)^2 <= 2/(pi^2 K)
+    return val, 2.0 / (math.pi**2 * k_max)
 
 
 class TestMollifier:
     def test_unit_mass_profile(self):
-        m = Mollifier(0.5)
-        val, _ = integrate.quad(m.profile, -1.0, 1.0, epsabs=1e-14)
+        val, _ = integrate.quad(lambda y: mollifier(y, 1.0), -1.0, 1.0,
+                                epsabs=1e-14)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_half_mass_invariant(self):
         for eta in (0.01, 0.1, 0.5):
-            half = adaptive_gl(Mollifier(eta), 0.0, eta, rtol=1e-13, atol=1e-16)
+            half = adaptive_gl(lambda y, eta=eta: mollifier(y, eta), 0.0, eta,
+                               rtol=1e-13, atol=1e-16)
             assert half == pytest.approx(0.5, abs=1e-12)
 
     def test_support(self):
-        m = Mollifier(0.1)
-        assert m(0.11) == 0.0
-        assert m(-0.11) == 0.0
-        assert m(0.05) > 0.0
+        assert mollifier(0.11, 0.1) == 0.0
+        assert mollifier(-0.11, 0.1) == 0.0
+        assert mollifier(0.05, 0.1) > 0.0
 
     def test_bad_eta(self):
         with pytest.raises(ValueError):
-            Mollifier(0.0)
+            mollifier(0.05, 0.0)
 
 
 class TestFEpsEta:
@@ -58,12 +77,11 @@ class TestFEpsEta:
         eps, eta = self.EPS, self.ETA
         x = np.abs(RngStream(8).generator.standard_normal(100000)) * 0.1
         x = np.concatenate([x, [0.0, eta, eps]])
-        moll = Mollifier(eta)
         pos = x > 0
         xs = np.where(pos, x, 1.0)
         want = np.where(x >= eps, 0.25 / xs**3, 0.0)
-        want = want - np.where(pos, 0.5 / eps * moll(xs) / xs, 0.0)
-        got = f_eps_eta(x, eps, eta, moll)
+        want = want - np.where(pos, 0.5 / eps * mollifier(xs, eta) / xs, 0.0)
+        got = f_eps_eta(x, eps, eta)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_scalar_return_and_no_warning_near_zero(self):
@@ -114,7 +132,7 @@ class TestOuStep:
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):
-            ou_step(stationary_field(32, RngStream(0)), 0.0, RngStream(1))
+            ou_step(stationary_field(32, RngStream(0), 1), 0.0, RngStream(1))
 
     def test_matches_closed_form_update_bitwise(self):
         fld = stationary_field(64, RngStream(6), replicas=5)
@@ -167,18 +185,52 @@ class TestFieldToU:
 
     def test_too_few_intervals(self):
         with pytest.raises(ValueError):
-            field_to_u(stationary_field(16, RngStream(0)), 1)
+            field_to_u(stationary_field(16, RngStream(0), 1), 1)
+
+
+def _off_diagonal_pairs(theta=0.2):
+    grid = np.linspace(theta, 1.0 - theta, 7)
+    r, s = np.meshgrid(grid, grid)
+    off = r != s
+    return r[off], s[off]
 
 
 class TestGammaMatrix:
     def test_bound_at_acceptance_lag(self):
-        mat, det, bound, slack = gamma_rs(0.3, 0.6, 0.05, 0.2, 256)
-        assert mat.shape == (2, 2)
+        det, bound = gamma_rs(0.3, 0.6, 0.05, 0.2, 256)
+        assert det.shape == bound.shape == ()
         assert det >= bound
 
     def test_domain(self):
         with pytest.raises(ValueError):
             gamma_rs(0.1, 0.5, 0.05, 0.2, 256)
+        with pytest.raises(ValueError):
+            gamma_rs([0.3, 0.5], [0.5, 0.9], 0.05, 0.2, 256)
+
+    def test_matches_mode_sum_reference(self):
+        # det from four truncated mode sums, stationary and lagged; each
+        # entry is off by at most the truncation bound
+        r, s = _off_diagonal_pairs()
+        det, _ = gamma_rs(r, s, 0.05, 0.2, 256)
+        assert det.shape == (42,)
+        for i in range(42):
+            qr, tail = covariance_q(math.inf, r[i], r[i], 256)
+            qs, _ = covariance_q(math.inf, s[i], s[i], 256)
+            off = (covariance_q(math.inf, r[i], s[i], 256)[0]
+                   - covariance_q(0.05, r[i], s[i], 256)[0])
+            assert abs(det[i] - (qr * qs - off**2)) <= 4 * tail
+
+    @pytest.mark.parametrize("t", [1e-4, 0.004, 0.03, 0.05])
+    def test_bound_holds_down_to_small_lags(self, t):
+        # as t -> 0 the corner pair meets the bound: r (1 - s)(s - r)
+        r, s = _off_diagonal_pairs()
+        det, bound = gamma_rs(r, s, t, 0.2, 256)
+        assert np.all(det >= bound)
+
+    @pytest.mark.parametrize("t", [1e-4, 0.004])
+    def test_raised_bound_fails_at_corner(self, t):
+        det, bound = gamma_rs(0.2, 0.8, t, 0.2, 256)
+        assert not det >= 1.01 * bound
 
 
 class TestDecomposition:
