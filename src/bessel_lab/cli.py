@@ -166,7 +166,8 @@ def _parse_cases(config, default_tol=None):
     if not isinstance(raw, list):
         raise ConfigError('"cases" must be a list')
     cases = [_parse_case(d, default_tol) for d in raw]
-    ids = [c.case_id for c in cases]
+    # ids are compared as the reports print them: 1 and "1" collide
+    ids = [_fmt(c.case_id) for c in cases]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate case ids in config: {sorted(ids)}")
     return cases

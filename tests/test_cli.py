@@ -3,6 +3,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -64,6 +65,16 @@ class TestExitCodes:
         cfg.write_text(json.dumps({
             "cases": [{"id": "x", "delta": 3}, {"id": "x", "delta": 2}]}))
         assert main(["ibpf-check", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("ids", [(1, "1"), (2.5, "2.5"), ("a", 1, 1)])
+    def test_ids_that_print_alike_are_duplicates(self, ids, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "dup.json"
+        cfg.write_text(json.dumps(
+            {"cases": [{"id": i, "delta": 3} for i in ids]}))
+        assert main(["ibpf-check", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "duplicate case ids" in err
 
     def test_null_delta_is_two(self, tmp_path, capsys):
         cfg = tmp_path / "null.json"
@@ -286,6 +297,15 @@ class TestDataCommands:
         assert main(args) == 0
         assert capsys.readouterr().out == out1
         assert out1.splitlines()[0] == "r,path0,path1,path2"
+
+    def test_sample_large_delta_warns_nothing(self, capsys):
+        # order 199: scipy's ive(199, w) underflows to 0 on these paths
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sample", "--delta", "400", "--a", "1", "--ap", "1",
+                         "--n", "3", "--seed", "1", "--mesh", "9"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 10 and rows[-1] == "1.0,1.0,1.0,1.0"
 
     def test_spde_sim_small(self, tmp_path, capsys):
         out = tmp_path / "spde"

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from conftest import bridge_marginal_cdf
 
+from bessel_lab import samplers
 from bessel_lab.samplers import (MAX_MESH, RngStream, bessel_bridge_general,
                                  bessel_bridge_integer, bessel_process,
                                  bessel_rv, besq_bridge_general,
@@ -79,16 +80,20 @@ class TestTransition:
 
 
 class TestBesselRv:
-    @pytest.mark.parametrize("nu,z", [(-0.5, 0.8), (0.25, 5.0), (0.75, 40.0)])
+    @pytest.mark.parametrize("nu,z", [
+        (-0.5, 0.8), (0.25, 5.0), (0.75, 40.0), (0.25, 1000.0), (4.0, 60.0),
+        (199.0, 1e-3), (199.0, 1.0), (199.0, 30.0), (199.0, 1e3)])
     def test_matches_pmf(self, nu, z):
-        from scipy.special import gammaln, ive
+        from scipy.special import gammaln, logsumexp
         g = RngStream(11, 1).generator
         draws = bessel_rv(nu, np.full(200000, z), g)
         kmax = int(draws.max()) + 1
-        ls = np.arange(kmax + 1)
-        logp = ((2 * ls + nu) * np.log(z / 2) - gammaln(ls + 1.0)
-                - gammaln(ls + nu + 1.0) - (np.log(ive(nu, z)) + z))
-        p = np.exp(logp)
+        # normalised over a support far wider than the draws reach, so the
+        # reference needs no Bessel function
+        ls = np.arange(2 * kmax + 100)
+        logt = ((2 * ls + nu) * np.log(z / 2) - gammaln(ls + 1.0)
+                - gammaln(ls + nu + 1.0))
+        p = np.exp(logt - logsumexp(logt))[:kmax + 1]
         counts = np.bincount(draws, minlength=kmax + 1)
         # merge tail bins with tiny expectation
         exp = p * len(draws)
@@ -102,6 +107,39 @@ class TestBesselRv:
     def test_zero_argument(self):
         g = RngStream(12).generator
         assert np.all(bessel_rv(0.25, np.zeros(10), g) == 0)
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.25, 0.75])
+    def test_draws_match_the_scipy_normaliser(self, nu, monkeypatch):
+        # the module's own log I_nu leaves every draw of the ive-based
+        # normaliser it replaced unchanged
+        w = np.logspace(-3.0, 3.0, 20000)
+        own = bessel_rv(nu, w, RngStream(2026, 7).generator)
+        monkeypatch.setattr(samplers, "_log_iv",
+                            lambda nu, z: np.log(special.ive(nu, z)) + z)
+        assert np.array_equal(bessel_rv(nu, w, RngStream(2026, 7).generator),
+                              own)
+
+
+class TestLogIv:
+    NUS = [-0.9, -0.5, 0.0, 0.25, 0.75, 2.0, 4.0, 9.0, 24.0, 49.0, 199.0]
+
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        z = np.logspace(-6.0, 5.0, 111)
+        worst = 0.0
+        with mp.workdps(30):
+            for nu in self.NUS:
+                want = np.array([float(mp.log(mp.besseli(nu, mp.mpf(x))))
+                                 for x in z])
+                got = samplers._log_iv(nu, z)
+                assert np.all(np.isfinite(got))
+                # log I_nu(1e5) is about 1e5, whose ulp is 1.5e-11: the
+                # error is measured against max(1, |log I_nu|)
+                err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+                worst = max(worst, float(err.max()))
+        assert worst <= 1e-13
+        # the grid reaches where scipy's scaled I_nu underflows to 0
+        assert np.any(special.ive(199.0, z) == 0.0)
 
 
 class TestBridgeGeneral:
