@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -45,13 +46,6 @@ __all__ = ["main"]
 REPORT_CSV_COLUMNS = ("case_id", "lhs_analytic", "lhs_mc", "stderr", "rhs",
                       "abs_err", "rel_err", "pass")
 
-#: spde-sim's settings as ``name: (type, default)``: the flags of spde-sim
-#: and the keys of run-suite's ``"spde"`` block.
-SPDE_SETTINGS = {"K": (int, 256), "dt": (float, 1e-5), "T": (float, 0.05),
-                 "eps": (float, 0.05), "eta": (float, 0.01),
-                 "replicas": (int, 200), "store_every": (int, 100),
-                 "seed": (int, 0)}
-
 
 class ConfigError(ValueError):
     """Malformed configuration (maps to exit code 2)."""
@@ -67,15 +61,19 @@ _REQUIRED = object()
 
 def _get(d, key, default, kind):
     """``kind(d[key])``, or ``default`` when ``key`` is absent; a value that
-    ``kind`` rejects is a :class:`ConfigError` naming ``key``."""
+    ``kind`` rejects, and a float that is NaN or infinite (JSON's ``NaN`` and
+    ``Infinity``), is a :class:`ConfigError` naming ``key``."""
     if key not in d:
         if default is _REQUIRED:
             raise ConfigError(f"missing field {key!r}")
         return default
     try:
-        return kind(d[key])
-    except (KeyError, TypeError, ValueError) as exc:
+        value = kind(d[key])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {key!r}: {exc}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"bad {key!r}: {value} is not a finite number")
+    return value
 
 
 def _load_json(path):
@@ -95,6 +93,29 @@ def _load_json(path):
 
 def _parse_measure(d, default=_REQUIRED):
     return _get(d, "measure", default, FiniteMeasure.from_json_dict)
+
+
+def _mc_paths(value):
+    n = int(value)
+    if n != 0 and n < 100:
+        raise ValueError(f"need 0 (no Monte Carlo) or at least 100 paths, "
+                         f"got {n}")
+    return n
+
+
+def _seed(value):
+    seed = int(value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"a seed is an integer in [0, 2**64), got {seed}")
+    return seed
+
+
+#: spde-sim's settings as ``name: (type, default)``: the flags of spde-sim
+#: and the keys of run-suite's ``"spde"`` block.
+SPDE_SETTINGS = {"K": (int, 256), "dt": (float, 1e-5), "T": (float, 0.05),
+                 "eps": (float, 0.05), "eta": (float, 0.01),
+                 "replicas": (int, 200), "store_every": (int, 100),
+                 "seed": (_seed, 0)}
 
 
 def _mode(value):
@@ -306,9 +327,10 @@ def _verify_descriptor(payload):
 def cmd_ibpf_check(args):
     config = _load_json(args.config)
     _parse_cases(config, default_tol=args.tol)  # reject a bad config early
-    mc_n = args.mc if args.mc is not None else _get(config, "mc", 0, int)
+    mc_n = args.mc if args.mc is not None else _get(config, "mc", 0,
+                                                    _mc_paths)
     seed = args.seed if args.seed is not None else _get(config, "seed", 0,
-                                                        int)
+                                                        _seed)
     jobs = _jobs(args)
     raw = config.get("cases", [])
     payloads = [(d, args.tol, mc_n, seed, i) for i, d in enumerate(raw)]
@@ -407,8 +429,8 @@ def cmd_run_suite(args):
 def _add_case_flags(p):
     """The flags that ibpf-check and run-suite share."""
     p.add_argument("--config", required=True)
-    p.add_argument("--mc", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--mc", type=_mc_paths)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--tol", type=float)
     p.add_argument("--jobs", type=int)
     p.add_argument("--out")
@@ -461,7 +483,7 @@ def _build_parser():
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--ap", type=float, default=0.0)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--mesh", type=int, default=101)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)

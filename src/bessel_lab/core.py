@@ -54,11 +54,17 @@ class FiniteMeasure:
         for t, w in self.atoms:
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"atom location {t} outside [0, 1]")
-            if w < 0:
-                raise ValueError(f"negative atom weight {w}")
+            if not 0.0 <= w < np.inf:
+                raise ValueError(f"atom weight {w} is not finite and >= 0")
         for lo, hi, coeffs in self.pieces:
             if not (0.0 <= lo < hi <= 1.0):
                 raise ValueError(f"bad piece interval [{lo}, {hi}]")
+            if not coeffs:
+                raise ValueError(f"piece [{lo}, {hi}] needs at least one "
+                                 f"coefficient in 'coeffs'")
+            if not np.all(np.isfinite(coeffs)):
+                raise ValueError(f"piece [{lo}, {hi}] has a coefficient "
+                                 f"that is not finite")
             grid = np.linspace(lo, hi, 33)
             if np.any(np.polynomial.polynomial.polyval(grid, coeffs) < -1e-12):
                 raise ValueError("piece density must be non-negative")

@@ -21,8 +21,9 @@ exact in law at every finite collection of times, fully vectorised across
 paths, and free of any inverse-CDF tabulation in the continuous variable.
 The Bessel(nu, w) draws are normalised by this module's own log I_nu
 (``_log_iv``: power series, Hankel and uniform expansions in log space), not
-by the ``ive`` evaluator behind the kernel ``besq_density_reg``, so a defect
-in one cannot reach both the analytic and the Monte Carlo route.
+by the evaluators behind the kernel ``besq_density_reg`` (its own series of
+``S_nu`` below ``w = 400``, ``ive`` above), so a defect in one cannot reach
+both the analytic and the Monte Carlo route.
 
 All randomness flows through :class:`RngStream` (counter-based Philox keyed
 by ``(seed, stream)``), so every sampler is reproducible and independent

@@ -14,17 +14,26 @@ which extends to an entire function of both space arguments.  Writing
 and ``S_nu`` is entire, so the regularised kernel is well defined for
 ``x = 0``, ``y = 0`` and even (slightly) negative ``y`` -- which is what the
 Laplace-functional machinery needs when differentiating at the origin.  For
-``w < 25``, ``S_nu`` is evaluated as ``hyp0f1`` times ``rgamma`` (DLMF 10.39.9,
-16.2).  For larger ``w`` the factors ``exp(-(x+y)/(2t))`` and ``S_nu``
-overflow separately, so the kernel goes through the scaled modified Bessel
-function ``ive`` via ``S_nu(w) = w**(-nu/2) * I_nu(2*sqrt(w))``, in which
-case the Gaussian factor combines into ``exp(-(sqrt(x)-sqrt(y))**2/(2*t))``.
+``w < 400``, ``S_nu`` is summed by the kernel itself: its coefficients
+``c_0 = 1/Gamma(nu+1)``, ``c_{k+1} = c_k / ((k+1)(k+nu+1))`` (DLMF 10.25.2,
+16.2) are tabulated once per ``nu`` with the number of terms each ``|w|``
+needs, the call's largest ``|w|`` picks the number of terms, and one Horner
+loop runs over the call's points.  Below ``w = 400``, ``S_nu`` is at most
+about ``e**40``, so ``exp(-(x+y)/(2t))`` can underflow only where the kernel
+itself is below about ``e**-705``.  For larger ``w`` the
+factors ``exp(-(x+y)/(2t))`` and ``S_nu`` overflow separately, so the kernel
+goes through the scaled modified Bessel function ``ive`` via
+``S_nu(w) = w**(-nu/2) * I_nu(2*sqrt(w))``, in which case the Gaussian factor
+combines into ``exp(-(sqrt(x)-sqrt(y))**2/(2*t))``.
 
 All functions are vectorised over their space arguments, and the kernel
 and its y-Taylor coefficients over the time ``t`` as well.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 from scipy import special
@@ -36,9 +45,17 @@ __all__ = [
     "bridge_density",
 ]
 
-# Below this value of w = x*y/(4 t^2) S_nu comes from hyp0f1; above it the
-# scaled-Bessel route.
-_SERIES_W_MAX = 25.0
+# Below this value of w = x*y/(4 t^2) S_nu comes from its power series; above
+# it the scaled-Bessel route.
+_SERIES_W_MAX = 400.0
+# Length of the coefficient table of S_nu: |w| < _SERIES_W_MAX needs at most
+# 52 terms, at nu -> -1.
+_SERIES_TERMS = 64
+# The term count of S_nu is tabulated at |w| = _SERIES_W_MAX * 2**(-j/8),
+# j = 0.._COUNT_STEPS (down to 1e-20); a call takes the count at the first
+# of these at or above its largest |w|.
+_STEPS_PER_OCTAVE = 8.0
+_COUNT_STEPS = 600
 
 
 class DomainError(ValueError):
@@ -54,23 +71,83 @@ def _check_qt_args(delta, t, x):
         raise DomainError("start point x must be >= 0")
 
 
+@functools.lru_cache
+def _s_table(nu):
+    """The coefficients ``c_k``, ``k < _SERIES_TERMS``, of
+    ``S_nu(w) = sum_k c_k w**k`` as a tuple of floats (one ``cumprod`` of
+    ``c_{k+1} / c_k``), and how many of them to sum for ``|w|`` up to each
+    tabulation point, in ascending order of ``|w|``."""
+    k = np.arange(1.0, _SERIES_TERMS)
+    coef = tuple(np.cumprod(np.concatenate(([special.rgamma(nu + 1.0)],
+                                            1.0 / (k * (k + nu))))).tolist())
+    j = np.arange(-_COUNT_STEPS, 1)
+    w = _SERIES_W_MAX * 2.0 ** (j / _STEPS_PER_OCTAVE)
+    return coef, tuple(_series_terms(coef, wj) for wj in w.tolist())
+
+
+def _series_terms(coef, wmax):
+    """How many leading coefficients ``coef`` of ``S_nu`` to sum for
+    ``|w| <= wmax``: the series stops at the first term past the peak
+    (``k**2 > wmax``) below ``2**-54`` of the sum before it.  The terms fall
+    from the peak on, and a smaller ``|w|`` never needs more terms."""
+    total, power = 0.0, 1.0
+    for k, ck in enumerate(coef):
+        term = ck * power
+        if k * k > wmax and term < 2.0**-54 * total:
+            return k
+        total += term
+        power *= wmax
+    return len(coef)
+
+
+def _s_nu(nu, w):
+    """``S_nu(w)`` by Horner's rule on the series, for ``|w| < _SERIES_W_MAX``
+    (positive terms for ``w >= 0``; for ``w < 0`` the error is relative to
+    the sum of the absolute terms)."""
+    coef, counts = _s_table(nu)
+    scalar = w.ndim == 0
+    if scalar:
+        w = float(w)
+        wmax = abs(w)
+    else:
+        wmax = float(max(w.max(initial=0.0), -w.min(initial=0.0)))
+    if wmax == 0.0:
+        return coef[0]
+    if wmax < _SERIES_W_MAX:
+        step = math.ceil(_STEPS_PER_OCTAVE * math.log2(wmax / _SERIES_W_MAX))
+        n = counts[max(_COUNT_STEPS + step, 0)]
+    else:  # NaN, or w <= -_SERIES_W_MAX
+        n = _SERIES_TERMS
+    if scalar:
+        # Python floats: a 0-d array costs a ufunc call per operation
+        out = coef[n - 1]
+        for ck in coef[n - 2::-1]:
+            out = out * w + ck
+        return out
+    out = np.full(w.shape, coef[n - 1])
+    for ck in coef[n - 2::-1]:
+        out *= w
+        out += ck
+    return out
+
+
 def besq_density_reg(delta, t, x, y):
     """Regularised squared-Bessel kernel ``q_t^delta(x, y) / y**(delta/2-1)``.
 
     Entire in both ``x`` and ``y``; ``y`` may be slightly negative (the
-    ``hyp0f1`` branch is used whenever ``x*y/(4 t^2) < 25`` or ``x*y < 0``).
+    series branch is used whenever ``x*y/(4 t^2) < 400``, ``x*y < 0``
+    included).
     ``t``, ``x`` and ``y`` broadcast against each other.
     """
     t, x, y = (np.asarray(v, dtype=float) for v in (t, x, y))
     _check_qt_args(delta, t, x)
     nu = 0.5 * delta - 1.0
     w = x * y / (4.0 * t * t)
-    big = w >= _SERIES_W_MAX  # the rest, all negative w too, is hyp0f1's
+    big = w >= _SERIES_W_MAX  # the rest, all negative w too, is the series'
     # 2t at full shape: scalar and array t then go through the same loops
     t2 = 2.0 * t + np.zeros(w.shape)
     pref = t2 ** (-0.5 * delta) * np.exp(-(x + y) / t2)
-    out = np.asarray(pref * special.hyp0f1(nu + 1.0, np.where(big, 0.0, w))
-                     * special.rgamma(nu + 1.0))
+    out = np.asarray(pref * _s_nu(nu, np.where(big, 0.0, w)))
     if big.any():
         xb, yb, tb = (np.broadcast_to(v, w.shape)[big] for v in (x, y, t))
         sx, sy = np.sqrt(xb), np.sqrt(yb)
@@ -105,7 +182,7 @@ def besq_density_reg_ytaylor(delta, t, x, order):
     # S_nu(c*y) has y-coefficients  c^k / (k! Gamma(k+nu+1));
     # exp(-y/(2t)) has coefficients (-1/(2t))^k / k!.  Multiply.
     k = np.arange(order + 1.0)
-    s_coef = c**k * special.rgamma(k + 1.0) * special.rgamma(k + nu + 1.0)
+    s_coef = c**k * np.array(_s_table(nu)[0][:order + 1])
     e_coef = (-1.0 / (2.0 * t)) ** k * special.rgamma(k + 1.0)
     pref = (2.0 * t) ** (-0.5 * delta) * np.exp(-x / (2.0 * t))
     return pref * cauchy_product(e_coef, s_coef)

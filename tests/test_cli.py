@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -136,7 +137,35 @@ class TestExitCodes:
         ("ibpf-check", {"cases": [{"delta": 3, "h": {"theta": 0.7}}]},
          "'theta'"),
         ("ibpf-check", {"cases": [{"delta": 3, "mode": "x"}]}, "'mode'"),
-        ("sigma", {"delta": 2, "measure": {}, "mode": "x"}, "'mode'")])
+        ("sigma", {"delta": 2, "measure": {}, "mode": "x"}, "'mode'"),
+        # JSON's NaN and Infinity, one key of each kind
+        ("ibpf-check", {"cases": [{"delta": math.inf}]}, "'delta'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "a": math.nan}]}, "'a'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "ap": -math.inf}]}, "'ap'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "tol": math.nan}]}, "'tol'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "h": {"theta": math.nan}}]},
+         "'theta'"),
+        ("ibpf-check", {"cases": [{"delta": 3,
+                                   "phi": [{"coef": math.inf}]}]}, "'coef'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "phi": [{"measure": {
+            "atoms": [{"t": 0.5, "w": math.nan}]}}]}]}, "atom weight"),
+        ("ibpf-check", {"cases": [{"delta": 3, "phi": [{"measure": {
+            "pieces": [{"lo": 0, "hi": 1, "coeffs": [math.inf]}]}}]}]},
+         "not finite"),
+        ("ibpf-check", {"cases": [{"delta": 3, "id": math.nan}]}, "'id'"),
+        ("ibpf-check", {"cases": [{"delta": 3}], "mc": math.inf}, "'mc'"),
+        ("ibpf-check", {"cases": [{"delta": 3}], "seed": math.nan}, "'seed'"),
+        ("run-suite", {"spde": {"dt": math.nan}}, "'dt'"),
+        ("run-suite", {"spde": {"K": math.inf}}, "'K'"),
+        # mc is 0 or at least 100, a seed lies in [0, 2**64), a piece has a
+        # coefficient
+        ("ibpf-check", {"cases": [{"delta": 3}], "mc": 50}, "'mc'"),
+        ("ibpf-check", {"cases": [{"delta": 3}], "mc": -5}, "'mc'"),
+        ("ibpf-check", {"cases": [{"delta": 3}], "seed": -1}, "'seed'"),
+        ("ibpf-check", {"cases": [{"delta": 3}], "seed": 2**64}, "'seed'"),
+        ("run-suite", {"spde": {"seed": -1}}, "'seed'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "phi": [{"measure": {
+            "pieces": [{"lo": 0, "hi": 1, "coeffs": []}]}}]}]}, "'coeffs'")])
     def test_wrong_json_type_is_two(self, command, config, field, tmp_path,
                                     capsys):
         cfg = tmp_path / "typed.json"
@@ -145,6 +174,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and field in err
 
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--mc", "50"), ("--mc", "-5"), ("--seed", "-1"),
+        ("--seed", str(2**64))])
+    def test_bad_mc_or_seed_flag_is_two(self, flag, value, cases_file,
+                                        capsys):
+        assert main(["ibpf-check", "--config", cases_file, flag, value]) == 2
+        assert f"argument {flag}" in capsys.readouterr().err
 
     def test_bad_jobs_env_is_two(self, cases_file, capsys, monkeypatch):
         monkeypatch.setenv("BESSEL_LAB_JOBS", "x")

@@ -145,6 +145,56 @@ def test_integrate_import_detector():
     assert _integrate_imports(tree) == [1, 2, 3, 4]
 
 
+def _package_imports(tree):
+    """Names of the ``bessel_lab`` modules that a module of the package
+    imports, relatively or by the package's name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                          if alias.name.startswith("bessel_lab."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "bessel_lab":
+                continue
+            parts = module.split(".")[1 if node.level == 0 else 0:]
+            if parts and parts[0]:
+                names.add(parts[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_kernel_and_samplers_share_no_code():
+    # the analytic route's kernel and the Monte Carlo route's samplers keep
+    # their own Bessel functions: neither reaches the other by imports
+    pkg = Path(bessel_lab.__path__[0])
+    graph = {name: _package_imports(ast.parse((pkg / f"{name}.py")
+                                              .read_text()))
+             for name in MODULES}
+
+    def reach(start):
+        seen, todo = set(), [start]
+        while todo:
+            for name in graph.get(todo.pop(), ()):
+                if name not in seen:
+                    seen.add(name)
+                    todo.append(name)
+        return seen
+
+    assert "samplers" not in reach("specfun")
+    assert "specfun" not in reach("samplers")
+
+
+def test_package_import_detector():
+    tree = ast.parse("from .core import x\nfrom . import spde, quadrature\n"
+                     "import bessel_lab.samplers\nfrom bessel_lab.mu_dist "
+                     "import y\nfrom bessel_lab import cli\nimport numpy\n"
+                     "from scipy import special\n")
+    assert _package_imports(tree) == {"core", "spde", "quadrature",
+                                      "samplers", "mu_dist", "cli"}
+
+
 _LINALG_PROBE = """
 import json, sys
 import bessel_lab

@@ -7,12 +7,13 @@ from scipy import integrate
 
 from conftest import p_delta_t, q_delta_t
 
-from bessel_lab.specfun import (DomainError, besq_density_reg,
+from bessel_lab.specfun import (DomainError, _s_nu, besq_density_reg,
                                 besq_density_reg_ytaylor, bridge_density)
 
 
 class TestHyp0f1Branch:
-    """The ``hyp0f1`` branch of the kernel, w = xy/(4t^2) < 25."""
+    """The series branch of the kernel, w = xy/(4t^2) < 400: S_nu summed from
+    its own coefficient table."""
 
     @pytest.mark.parametrize("nu", [-0.75, -0.5, 0.0, 0.25, 0.75, 1.5])
     def test_against_mpmath(self, nu):
@@ -20,7 +21,7 @@ class TestHyp0f1Branch:
         # for w from -0.1 (y < 0) to just below the branch seam; the lower
         # end stays clear of the zero of S_{-3/4} at w = -0.28.
         delta, t = 2.0 * (nu + 1.0), 0.5
-        ws = np.linspace(-0.1, 24.99, 50)
+        ws = np.linspace(-0.1, 399.99, 50)
         for x in (2.0, 7.0):
             y = 4.0 * t * t * ws / x
             with mpmath.workdps(40):
@@ -32,9 +33,27 @@ class TestHyp0f1Branch:
             got = besq_density_reg(delta, t, x, y)
             assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
 
+    @pytest.mark.parametrize("nu", [-0.99, -0.75, -0.5, 0.0, 0.25, 1.0, 2.5,
+                                    7.3, 12.0, 20.0])
+    def test_s_nu_against_mpmath(self, nu):
+        # S_nu(w) = 0F1(; nu+1; w) / Gamma(nu+1) from w = -1 to just below the
+        # switch to ive.  The sum alternates for w < 0, so the error is
+        # measured against the sum of the absolute terms, S_nu(|w|).  One
+        # array call, whose largest |w| sets the term count of every point,
+        # and one 0-d call per point.
+        ws = np.concatenate([np.linspace(-1.0, 0.0, 11),
+                             np.geomspace(1e-6, 399.99, 60)])
+        with mpmath.workdps(30):
+            ref, absum = (np.array([float(mpmath.hyp0f1(nu + 1, v)
+                                          / mpmath.gamma(nu + 1)) for v in vs])
+                          for vs in (ws, np.abs(ws)))
+        for got in (_s_nu(nu, ws), [_s_nu(nu, np.asarray(w)) for w in ws]):
+            assert np.max(np.abs(got - ref) / absum) < 4e-15
+
 
 class TestBesselIScaled:
-    """The scaled-Bessel (``ive``) branch of the kernel, w = xy/(4t^2) > 25."""
+    """The scaled-Bessel (``ive``) branch of the kernel, w = xy/(4t^2) >= 400,
+    and the top of the series branch below it."""
 
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.25, 0.75, 1.5])
     def test_against_mpmath(self, nu):
@@ -131,9 +150,15 @@ class TestQDeltaT:
 
     def test_reg_symmetry_and_branch_seam(self):
         delta, t = 2.2, 0.3
-        for x, y in [(0.5, 1.0), (3.0, 4.0), (9.0, 12.0), (10.0, 30.0)]:
+        # w = xy/(4t^2) = 400 at x = y = 12: the two last pairs straddle the
+        # switch from the series to ive, where the kernel is flat in y
+        below, above = 12.0 * (1.0 - 1e-12), 12.0 * (1.0 + 1e-12)
+        for x, y in [(0.5, 1.0), (3.0, 4.0), (9.0, 12.0), (10.0, 30.0),
+                     (12.0, below), (12.0, above)]:
             assert besq_density_reg(delta, t, x, y) == pytest.approx(
                 float(besq_density_reg(delta, t, y, x)), rel=1e-11)
+        assert besq_density_reg(delta, t, 12.0, below) == pytest.approx(
+            float(besq_density_reg(delta, t, 12.0, above)), rel=1e-11)
 
     def test_ytaylor_matches_kernel(self):
         delta, t, x = 1.5, 0.35, 1.1
