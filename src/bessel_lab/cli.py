@@ -61,18 +61,22 @@ _REQUIRED = object()
 
 def _get(d, key, default, kind):
     """``kind(d[key])``, or ``default`` when ``key`` is absent; a value that
-    ``kind`` rejects, and a float that is NaN or infinite (JSON's ``NaN`` and
-    ``Infinity``), is a :class:`ConfigError` naming ``key``."""
+    ``kind`` rejects, a float that is NaN or infinite (JSON's ``NaN`` and
+    ``Infinity``), and a fraction that an integer ``kind`` would truncate,
+    is a :class:`ConfigError` naming ``key``."""
     if key not in d:
         if default is _REQUIRED:
             raise ConfigError(f"missing field {key!r}")
         return default
+    raw = d[key]
     try:
-        value = kind(d[key])
+        value = kind(raw)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {key!r}: {exc}") from exc
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"bad {key!r}: {value} is not a finite number")
+    if isinstance(value, int) and isinstance(raw, float) and value != raw:
+        raise ConfigError(f"bad {key!r}: {raw} is not an integer")
     return value
 
 
@@ -101,6 +105,14 @@ def _mc_paths(value):
         raise ValueError(f"need 0 (no Monte Carlo) or at least 100 paths, "
                          f"got {n}")
     return n
+
+
+def _tol(value):
+    tol = float(value)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"a tolerance is a positive finite number, "
+                         f"got {tol}")
+    return tol
 
 
 def _seed(value):
@@ -169,9 +181,7 @@ def _parse_case(d, default_tol=None):
         raise ConfigError("each case must be an object")
     spec = _parse_spec(d)
     tol = _get(d, "tol", IbpfCase.tol if default_tol is None else default_tol,
-               float)
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
+               _tol)
     return IbpfCase(
         spec=spec,
         phi=_parse_phi(d.get("phi", [])),
@@ -431,7 +441,7 @@ def _add_case_flags(p):
     p.add_argument("--config", required=True)
     p.add_argument("--mc", type=_mc_paths)
     p.add_argument("--seed", type=_seed)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_tol)
     p.add_argument("--jobs", type=int)
     p.add_argument("--out")
 

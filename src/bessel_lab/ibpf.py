@@ -360,19 +360,40 @@ def lhs_bridge_analytic(case):
 # Monte Carlo left-hand side.
 # ---------------------------------------------------------------------------
 
-def mc_times(case):
-    """Sample times: the uniform 513-point mesh augmented with the atom
-    locations of every measure in the functional (so atom pairings are exact,
-    not interpolated)."""
+def _mc_window(case):
+    """``(times, w_h2, w_m, w_hm)`` for the Monte Carlo functional, on the
+    times it weighs.
+
+    The weights are the hat weights of ``h''`` and the (times x terms)
+    pairing weights of Phi's terms, computed on the uniform 513-point mesh
+    augmented with the atom locations of every measure in the functional
+    (so atom pairings are exact, not interpolated).  Only the nodes where
+    some weight is nonzero are kept, with both ends: the path's values
+    elsewhere never enter the functional, and the bridge is exact in law at
+    any finite set of times, so they need not be drawn."""
+    h = case.h
     pts = set(np.linspace(0.0, 1.0, 513))
     for _, m in case.phi.terms:
         pts.update(t for t, _ in m.atoms)
-    return np.array(sorted(pts))
+    times = np.array(sorted(pts))
+    w_h2 = hat_weights(times, h.d2)
+    w_m, w_hm = (np.column_stack(w) for w in zip(
+        *(pairing_weights(m, h, times) for _, m in case.phi.terms)))
+    keep = (w_h2 != 0.0) | np.any((w_m != 0.0) | (w_hm != 0.0), axis=1)
+    keep[[0, -1]] = True
+    return times[keep], w_h2[keep], w_m[keep], w_hm[keep]
+
+
+def mc_times(case):
+    """Sample times of the Monte Carlo left-hand side: both ends and every
+    node of the atom-augmented 513-point mesh that the functional weighs
+    (see ``_mc_window``)."""
+    return _mc_window(case)[0]
 
 
 def lhs_mc(case, n, rng):
     """Monte Carlo estimate (mean, stderr) of ``E[<h'' - 2 h m, X> Phi]``
-    over exactly sampled bridge paths.
+    over bridge paths sampled exactly at ``mc_times(case)``.
 
     The pairing weights of Phi's terms are the columns of two (times x
     terms) matrices, so each block of paths meets every term in two
@@ -380,18 +401,15 @@ def lhs_mc(case, n, rng):
     if case.mode != "bridge":
         raise ValueError("Monte Carlo left-hand side needs bridge mode")
     spec = case.spec
-    h = case.h
-    times = mc_times(case)
-    w_h2 = hat_weights(times, h.d2)
+    times, w_h2, w_m, w_hm = _mc_window(case)
     coefs = np.array([c for c, _ in case.phi.terms])
-    w_m, w_hm = (np.column_stack(w) for w in zip(
-        *(pairing_weights(m, h, times) for _, m in case.phi.terms)))
 
     def sample_values(count, stream):
         paths = bessel_bridge_general(spec.delta, spec.a, spec.ap,
                                       times, stream, size=count)
         lin = (paths @ w_h2)[:, None] - 2.0 * (paths @ w_hm)
-        return (lin * np.exp(-(paths**2) @ w_m)) @ coefs
+        np.square(paths, out=paths)
+        return (lin * np.exp(-(paths @ w_m))) @ coefs
 
     return mc_estimate(sample_values, n, rng)
 

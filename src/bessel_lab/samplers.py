@@ -291,8 +291,8 @@ def besq_bridge_general(delta, x, y, times, rng, size=1):
 
 def bessel_bridge_general(delta, a, ap, times, rng, size=1):
     """Exact Bessel bridge of dimension delta from a to ap over [0, 1]."""
-    return np.sqrt(besq_bridge_general(delta, a * a, ap * ap, times, rng,
-                                       size=size))
+    out = besq_bridge_general(delta, a * a, ap * ap, times, rng, size=size)
+    return np.sqrt(out, out=out)
 
 
 def bessel_process(delta, a, times, rng, size=1):

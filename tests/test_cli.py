@@ -165,7 +165,16 @@ class TestExitCodes:
         ("ibpf-check", {"cases": [{"delta": 3}], "seed": 2**64}, "'seed'"),
         ("run-suite", {"spde": {"seed": -1}}, "'seed'"),
         ("ibpf-check", {"cases": [{"delta": 3, "phi": [{"measure": {
-            "pieces": [{"lo": 0, "hi": 1, "coeffs": []}]}}]}]}, "'coeffs'")])
+            "pieces": [{"lo": 0, "hi": 1, "coeffs": []}]}}]}]}, "'coeffs'"),
+        # an integer key given a fraction is not truncated; a tolerance is
+        # positive
+        ("ibpf-check", {"cases": [{"delta": 3}], "mc": 100.9}, "'mc'"),
+        ("ibpf-check", {"cases": [{"delta": 3}], "seed": 2.7}, "'seed'"),
+        ("run-suite", {"spde": {"K": 256.5}}, "'K'"),
+        ("run-suite", {"spde": {"replicas": 200.5}}, "'replicas'"),
+        ("run-suite", {"spde": {"store_every": 99.9}}, "'store_every'"),
+        ("run-suite", {"spde": {"seed": 0.5}}, "'seed'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "tol": 0}]}, "'tol'")])
     def test_wrong_json_type_is_two(self, command, config, field, tmp_path,
                                     capsys):
         cfg = tmp_path / "typed.json"
@@ -182,6 +191,19 @@ class TestExitCodes:
                                         capsys):
         assert main(["ibpf-check", "--config", cases_file, flag, value]) == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ibpf-check", "run-suite"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-5"])
+    def test_bad_tol_flag_is_two(self, command, value, cases_file, capsys):
+        assert main([command, "--config", cases_file, f"--tol={value}"]) == 2
+        assert "argument --tol" in capsys.readouterr().err
+
+    def test_integral_float_is_an_integer(self, tmp_path, capsys):
+        cfg = tmp_path / "whole.json"
+        cfg.write_text(json.dumps({"cases": [{"delta": 3}], "mc": 100.0,
+                                   "seed": 2.0}))
+        assert main(["ibpf-check", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["lhs_mc"] is not None
 
     def test_bad_jobs_env_is_two(self, cases_file, capsys, monkeypatch):
         monkeypatch.setenv("BESSEL_LAB_JOBS", "x")

@@ -218,11 +218,12 @@ class TestVerify:
 
     def test_mc_multi_term_is_the_combination_of_its_terms(self):
         # Phi = 0.7 e^{-<m1, X^2>} - 0.4 e^{-<m2, X^2>} + 1; m1's atoms sit
-        # on the 513-point mesh, so every case samples the same times and
-        # one stream gives the same paths
+        # on the 513-point mesh and m1, m2 live inside supp h, so every case
+        # samples the same window of times and one stream gives the same
+        # paths
         m1 = FiniteMeasure(atoms=[(0.375, 1.0), (0.625, 0.5)],
-                           pieces=[(0.1, 0.7, [0.2, 1.0])])
-        m2 = FiniteMeasure.lebesgue(0.5)
+                           pieces=[(0.3, 0.7, [0.2, 1.0])])
+        m2 = FiniteMeasure(pieces=[(0.25, 0.75, [0.5])])
         spec = BridgeSpec(2.5, 1.0, 0.5)
         phi = ExpFunctional([(0.7, m1), (-0.4, m2),
                              (1.0, FiniteMeasure.zero())])
@@ -232,6 +233,46 @@ class TestVerify:
                  for m in (m1, m2, FiniteMeasure.zero())]
         want = 0.7 * parts[0] - 0.4 * parts[1] + parts[2]
         assert mean == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("m, kept, mesh", [
+        (None, 309, 513),
+        (FiniteMeasure.atom(0.6, 1.0), 310, 514),
+        (FiniteMeasure.lebesgue(0.5), 513, 513)])
+    def test_mc_times_are_the_weighed_nodes_and_both_ends(self, m, kept,
+                                                          mesh):
+        from bessel_lab.core import hat_weights, pairing_weights
+        case = simple_case(2.5, m=m)
+        pts = set(np.linspace(0.0, 1.0, 513))
+        for _, mi in case.phi.terms:
+            pts.update(t for t, _ in mi.atoms)
+        full = np.array(sorted(pts))
+        w_m, w_hm = pairing_weights(case.phi.terms[0][1], H, full)
+        weighed = (hat_weights(full, H.d2) != 0) | (w_m != 0) | (w_hm != 0)
+        weighed[[0, -1]] = True
+        times = ibpf.mc_times(case)
+        assert len(full) == mesh and len(times) == kept
+        np.testing.assert_array_equal(times, full[weighed])
+
+    def test_mc_full_window_draws_the_full_mesh(self):
+        # a Lebesgue m weighs every node, so lhs_mc's estimate is the one
+        # built by hand from paths on the whole 513-point mesh, bit for bit
+        from bessel_lab.core import hat_weights, pairing_weights
+        from bessel_lab.samplers import bessel_bridge_general, mc_estimate
+        m = FiniteMeasure.lebesgue(0.5)
+        spec = BridgeSpec(1.5, 1.0, 0.0)
+        times = np.linspace(0.0, 1.0, 513)
+        w_h2 = hat_weights(times, H.d2)
+        w_m, w_hm = pairing_weights(m, H, times)
+
+        def sample(n, rng):
+            x = bessel_bridge_general(spec.delta, spec.a, spec.ap, times,
+                                      rng, size=n)
+            return ((x @ w_h2 - 2.0 * (x @ w_hm)) * np.exp(-(x**2) @ w_m))
+
+        want = mc_estimate(sample, 6000, RngStream(17, 3))
+        got = lhs_mc(IbpfCase(spec, ExpFunctional.single(m), H), 6000,
+                     RngStream(17, 3))
+        assert got == want
 
     def test_mc_integer_dimension_against_modulus_sampler(self):
         # delta = 1 bridge: <h'' , X> expectation from the Gaussian-modulus

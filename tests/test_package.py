@@ -89,6 +89,9 @@ NO_CALLER_KEPT = {
     "gaussian_bridge",
     # the Gaussian-modulus sampler of that pair
     "bessel_bridge_integer",
+    # the times lhs_mc draws, for a caller that counts or checks its path
+    # steps without drawing a path
+    "mc_times",
 }
 
 

@@ -7,8 +7,9 @@ from scipy import integrate
 
 from conftest import p_delta_t, q_delta_t
 
-from bessel_lab.specfun import (DomainError, _s_nu, besq_density_reg,
-                                besq_density_reg_ytaylor, bridge_density)
+from bessel_lab.specfun import (_SERIES_W_MAX, DomainError, _s_nu,
+                                besq_density_reg, besq_density_reg_ytaylor,
+                                bridge_density)
 
 
 class TestHyp0f1Branch:
@@ -64,7 +65,9 @@ class TestBesselIScaled:
         for ratio in (1.0, 1.3):
             x = zs * t / math.sqrt(ratio)
             y = ratio * x
-            assert np.all(x * y / (4.0 * t * t) > 25.0)
+            # both branches: the top of the series and the ive branch
+            big = x * y / (4.0 * t * t) >= _SERIES_W_MAX
+            assert np.any(big) and not np.all(big)
             with mpmath.workdps(30):
                 ref = np.array([float(
                     mpmath.exp(-(mpmath.mpf(xi) + yi) / (2 * t))
@@ -76,12 +79,19 @@ class TestBesselIScaled:
 
     def test_half_order_closed_form(self):
         # delta = 3: I_{1/2}(z) = sqrt(2/(pi z)) sinh(z), z = sqrt(xy)/t = 24
-        t, x, y = 0.5, 9.0, 16.0
-        z = math.sqrt(x * y) / t
-        want = (0.5 * (math.exp(-(math.sqrt(x) - math.sqrt(y)) ** 2 / (2 * t))
-                       - math.exp(-(math.sqrt(x) + math.sqrt(y)) ** 2 / (2 * t)))
-                * (x * y) ** -0.25 * math.sqrt(2.0 / (math.pi * z)) / (2 * t))
-        assert besq_density_reg(3.0, t, x, y) == pytest.approx(want, rel=1e-13)
+        # (w = 144, the series) and 220 (w = 12100, ive)
+        t = 0.5
+        for x, y, series in ((9.0, 16.0, True), (100.0, 121.0, False)):
+            assert (x * y / (4.0 * t * t) < _SERIES_W_MAX) == series
+            z = math.sqrt(x * y) / t
+            want = (0.5 * (math.exp(-(math.sqrt(x) - math.sqrt(y)) ** 2
+                                    / (2 * t))
+                           - math.exp(-(math.sqrt(x) + math.sqrt(y)) ** 2
+                                      / (2 * t)))
+                    * (x * y) ** -0.25 * math.sqrt(2.0 / (math.pi * z))
+                    / (2 * t))
+            assert besq_density_reg(3.0, t, x, y) == pytest.approx(want,
+                                                                   rel=1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
