@@ -34,7 +34,7 @@ from .core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump, poly_bump)
 from .ibpf import MODES, IbpfCase, verify
 from .mu_dist import MuConvergenceError, SmoothTestFn, mu_pair
 from .quadrature import QuadratureError
-from .samplers import RngStream, bessel_bridge_general
+from .samplers import MC_MAX_SAMPLES, RngStream, bessel_bridge_general
 from .specfun import bridge_density
 from .sturm_liouville import solve_sl
 from .laplace_sigma import SigmaContext, sigma_s
@@ -101,9 +101,16 @@ def _parse_measure(d, default=_REQUIRED):
 
 def _mc_paths(value):
     n = int(value)
-    if n != 0 and n < 100:
-        raise ValueError(f"need 0 (no Monte Carlo) or at least 100 paths, "
-                         f"got {n}")
+    if n != 0 and not 100 <= n <= MC_MAX_SAMPLES:
+        raise ValueError(f"need 0 (no Monte Carlo) or from 100 to "
+                         f"{MC_MAX_SAMPLES} paths, got {n}")
+    return n
+
+
+def _workers(value):
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"a worker count is a positive integer, got {n}")
     return n
 
 
@@ -260,11 +267,11 @@ def _write_reports(reports, out):
 
 
 def _jobs(args):
-    if args.jobs:
-        return max(args.jobs, 1)
+    if args.jobs is not None:
+        return args.jobs
     if not os.environ.get("BESSEL_LAB_JOBS"):
         return 1
-    return max(_get(os.environ, "BESSEL_LAB_JOBS", _REQUIRED, int), 1)
+    return _get(os.environ, "BESSEL_LAB_JOBS", _REQUIRED, _workers)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +449,7 @@ def _add_case_flags(p):
     p.add_argument("--mc", type=_mc_paths)
     p.add_argument("--seed", type=_seed)
     p.add_argument("--tol", type=_tol)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=_workers)
     p.add_argument("--out")
 
 

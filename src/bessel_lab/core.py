@@ -70,16 +70,15 @@ class FiniteMeasure:
                 raise ValueError("piece density must be non-negative")
 
     def density_at(self, r):
-        """Density part evaluated pointwise (atoms excluded)."""
+        """Density part evaluated pointwise (atoms excluded): an array of
+        ``r``'s shape, a NumPy float for a scalar ``r``."""
         r = np.asarray(r, dtype=float)
         out = np.zeros(r.shape)
         for lo, hi, coeffs in self.pieces:
             mask = (r >= lo) & (r <= hi)
             if np.any(mask):
                 out[mask] += np.polynomial.polynomial.polyval(r[mask], coeffs)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return out[()]
 
     def breakpoints(self):
         """Sorted distinct points where the measure is singular or the

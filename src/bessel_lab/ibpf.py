@@ -384,16 +384,11 @@ def _mc_window(case):
     return times[keep], w_h2[keep], w_m[keep], w_hm[keep]
 
 
-def mc_times(case):
-    """Sample times of the Monte Carlo left-hand side: both ends and every
-    node of the atom-augmented 513-point mesh that the functional weighs
-    (see ``_mc_window``)."""
-    return _mc_window(case)[0]
-
-
 def lhs_mc(case, n, rng):
     """Monte Carlo estimate (mean, stderr) of ``E[<h'' - 2 h m, X> Phi]``
-    over bridge paths sampled exactly at ``mc_times(case)``.
+    over bridge paths sampled exactly at the times ``_mc_window(case)``
+    keeps: both ends and every node of the atom-augmented 513-point mesh
+    that the functional weighs.
 
     The pairing weights of Phi's terms are the columns of two (times x
     terms) matrices, so each block of paths meets every term in two

@@ -55,6 +55,13 @@ MAX_MESH = 2049
 #: Samples per ``mc_estimate`` block; each block draws from its own substream.
 MC_BLOCK = 5000
 
+# Substream i of stream k has the id (k << _SUBSTREAM_BITS) + i + 1, so for
+# i >= 2**_SUBSTREAM_BITS it is a substream of stream k + 1.
+_SUBSTREAM_BITS = 20
+
+#: Largest ``n`` that ``mc_estimate`` takes: one block per distinct substream.
+MC_MAX_SAMPLES = MC_BLOCK << _SUBSTREAM_BITS
+
 
 class RngStream:
     """Counter-based random stream keyed by (seed, stream id).
@@ -71,7 +78,7 @@ class RngStream:
 
     def substream(self, i):
         """Independent stream derived from this one (for parallel blocks)."""
-        return RngStream(self.seed, (self.stream << 20) + i + 1)
+        return RngStream(self.seed, (self.stream << _SUBSTREAM_BITS) + i + 1)
 
 
 def _check_times(times):
@@ -322,9 +329,13 @@ def mc_estimate(sample_values, n, rng):
     is deterministic and order-independent.  Each block's sum of squared
     deviations from its own mean is merged in block order (Chan, Golub and
     LeVeque, 1983), so a large common offset does not cancel the variance.
+    ``n`` is at most ``MC_MAX_SAMPLES``: past it, the blocks would draw
+    what the substreams of the next stream id draw.
     """
     if n < 100:
         raise ValueError("need at least 100 samples")
+    if n > MC_MAX_SAMPLES:
+        raise ValueError(f"need at most {MC_MAX_SAMPLES} samples, got {n}")
     total = 0.0
     m2 = 0.0
     for idx, done in enumerate(range(0, n, MC_BLOCK)):

@@ -156,9 +156,7 @@ def f_eps_eta(x, eps, eta):
     small = (x > 0) & (x < eta)
     xs = x[small]
     val[small] -= 0.5 / eps * mollifier(xs, eta) / xs
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return val[()]
 
 
 @dataclass

@@ -103,14 +103,10 @@ def _series_terms(coef, wmax):
 def _s_nu(nu, w):
     """``S_nu(w)`` by Horner's rule on the series, for ``|w| < _SERIES_W_MAX``
     (positive terms for ``w >= 0``; for ``w < 0`` the error is relative to
-    the sum of the absolute terms)."""
+    the sum of the absolute terms).  ``w`` is an array of any shape, 0-d
+    included; the loop runs in place over an array of that shape."""
     coef, counts = _s_table(nu)
-    scalar = w.ndim == 0
-    if scalar:
-        w = float(w)
-        wmax = abs(w)
-    else:
-        wmax = float(max(w.max(initial=0.0), -w.min(initial=0.0)))
+    wmax = float(max(w.max(initial=0.0), -w.min(initial=0.0)))
     if wmax == 0.0:
         return coef[0]
     if wmax < _SERIES_W_MAX:
@@ -118,12 +114,6 @@ def _s_nu(nu, w):
         n = counts[max(_COUNT_STEPS + step, 0)]
     else:  # NaN, or w <= -_SERIES_W_MAX
         n = _SERIES_TERMS
-    if scalar:
-        # Python floats: a 0-d array costs a ufunc call per operation
-        out = coef[n - 1]
-        for ck in coef[n - 2::-1]:
-            out = out * w + ck
-        return out
     out = np.full(w.shape, coef[n - 1])
     for ck in coef[n - 2::-1]:
         out *= w

@@ -105,15 +105,14 @@ def _range_error(name, value):
 class SLSolution:
     """Solution ``phi`` of the transform together with its time change.
 
-    ``phi``, ``dphi`` and ``rho`` take a scalar ``r``, returning a float, or
-    an array, returning an array of its shape; one evaluator serves both.
-    They are defined on [0, 1] only: an ``r`` outside it raises
-    ``ValueError``.
+    ``phi``, ``dphi`` and ``rho`` take a scalar ``r``, returning a NumPy
+    float, or an array, returning an array of its shape; a scalar runs the
+    array code as a 0-d array.  They are defined on [0, 1] only: an ``r``
+    outside it, or NaN, raises ``ValueError``.
     """
 
     def __init__(self, table, atom_at_0):
         self._table = table
-        self._rows = table.T.tolist()
         self._cut = table[_LO, 1:]
         # Horner stops at the highest order that is nonzero on any sub-piece
         # (exact zeros add nothing): order 1 on zero-density measures.
@@ -128,16 +127,10 @@ class SLSolution:
         self.phi_prime0 = self.dphi(0.0) - 2.0 * atom_at_0
 
     def _piece(self, r):
-        """``r`` and the table column of the sub-piece holding it (the right
-        one at an edge): Python floats for a scalar ``r``, which keeps
-        scalar calls cheap, and arrays of ``r``'s shape otherwise.  An ``r``
+        """``r`` as an array and the table columns of the sub-pieces holding
+        it (the right one at an edge), one per entry of ``r``.  An ``r``
         outside [0, 1], where the table ends, is a ``ValueError``."""
         r = np.asarray(r, dtype=float)
-        if r.ndim == 0:
-            r = float(r)
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"r = {r!r} lies outside [0, 1]")
-            return r, self._rows[self._cut.searchsorted(r, side="right")]
         if r.size and not (0.0 <= r.min() and r.max() <= 1.0):
             raise ValueError(f"r spans [{r.min():g}, {r.max():g}], outside "
                              f"[0, 1]")

@@ -174,7 +174,11 @@ class TestExitCodes:
         ("run-suite", {"spde": {"replicas": 200.5}}, "'replicas'"),
         ("run-suite", {"spde": {"store_every": 99.9}}, "'store_every'"),
         ("run-suite", {"spde": {"seed": 0.5}}, "'seed'"),
-        ("ibpf-check", {"cases": [{"delta": 3, "tol": 0}]}, "'tol'")])
+        ("ibpf-check", {"cases": [{"delta": 3, "tol": 0}]}, "'tol'"),
+        # past 5000 * 2**20 paths the blocks would reuse the next case's
+        # substreams
+        ("ibpf-check", {"cases": [{"delta": 3}], "mc": 1e300}, "'mc'"),
+        ("ibpf-check", {"cases": [{"delta": 3}], "mc": 5242880001}, "'mc'")])
     def test_wrong_json_type_is_two(self, command, config, field, tmp_path,
                                     capsys):
         cfg = tmp_path / "typed.json"
@@ -185,8 +189,8 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("flag,value", [
-        ("--mc", "50"), ("--mc", "-5"), ("--seed", "-1"),
-        ("--seed", str(2**64))])
+        ("--mc", "50"), ("--mc", "-5"), ("--mc", "6000000000"),
+        ("--seed", "-1"), ("--seed", str(2**64))])
     def test_bad_mc_or_seed_flag_is_two(self, flag, value, cases_file,
                                         capsys):
         assert main(["ibpf-check", "--config", cases_file, flag, value]) == 2
@@ -207,6 +211,18 @@ class TestExitCodes:
 
     def test_bad_jobs_env_is_two(self, cases_file, capsys, monkeypatch):
         monkeypatch.setenv("BESSEL_LAB_JOBS", "x")
+        assert main(["ibpf-check", "--config", cases_file]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "BESSEL_LAB_JOBS" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_jobs_is_two(self, value, cases_file, capsys,
+                                     monkeypatch):
+        # a worker count is a positive integer, by flag or environment
+        assert main(["ibpf-check", "--config", cases_file,
+                     f"--jobs={value}"]) == 2
+        assert "argument --jobs" in capsys.readouterr().err
+        monkeypatch.setenv("BESSEL_LAB_JOBS", value)
         assert main(["ibpf-check", "--config", cases_file]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "BESSEL_LAB_JOBS" in err

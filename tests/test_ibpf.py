@@ -249,7 +249,7 @@ class TestVerify:
         w_m, w_hm = pairing_weights(case.phi.terms[0][1], H, full)
         weighed = (hat_weights(full, H.d2) != 0) | (w_m != 0) | (w_hm != 0)
         weighed[[0, -1]] = True
-        times = ibpf.mc_times(case)
+        times = ibpf._mc_window(case)[0]
         assert len(full) == mesh and len(times) == kept
         np.testing.assert_array_equal(times, full[weighed])
 

@@ -89,9 +89,6 @@ NO_CALLER_KEPT = {
     "gaussian_bridge",
     # the Gaussian-modulus sampler of that pair
     "bessel_bridge_integer",
-    # the times lhs_mc draws, for a caller that counts or checks its path
-    # steps without drawing a path
-    "mc_times",
 }
 
 
@@ -146,6 +143,38 @@ def test_integrate_import_detector():
                      "import scipy.integrate as si\nfrom scipy import special\n"
                      "import scipy\n")
     assert _integrate_imports(tree) == [1, 2, 3, 4]
+
+
+def _ndim_zero_compares(tree):
+    """Lines that compare an ``.ndim`` attribute with the constant 0."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        if (any(isinstance(o, ast.Attribute) and o.attr == "ndim"
+                for o in operands)
+                and any(isinstance(o, ast.Constant) and o.value == 0
+                        for o in operands)):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_scalar_fork(name):
+    # one array path per layer: a scalar runs the array code as a 0-d array
+    path = Path(bessel_lab.__path__[0]) / f"{name}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _ndim_zero_compares(tree) == []
+
+
+def test_ndim_zero_detector():
+    tree = ast.parse("if x.ndim == 0:\n    pass\n"
+                     "y = 0 != a.b.ndim\n"
+                     "z = x.ndim != 1\n"
+                     "w = ndim == 0\n"
+                     "v = 1 < x.ndim > 0\n")
+    assert _ndim_zero_compares(tree) == [1, 3, 6]
 
 
 def _package_imports(tree):
@@ -273,7 +302,7 @@ def test_tracer_names_resolve(monkeypatch):
         assert calls.get(name, 0) > 0, name
     assert tracer.counters["quadrature.adaptive_gl.nodes"] > 0
     assert (tracer.counters["samplers.besq_bridge_general.path_steps"]
-            == 200 * (len(ibpf.mc_times(mc_case)) - 2))
+            == 200 * (len(ibpf._mc_window(mc_case)[0]) - 2))
     assert tracer.counters["samplers.bessel_rv.draws"] > 0
     assert tracer.counters["samplers.mc_estimate.blocks"] == 1
 

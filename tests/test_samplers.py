@@ -40,6 +40,16 @@ class TestRngStream:
         s = RngStream(7, 3)
         assert s.substream(0).stream != s.stream
 
+    def test_substreams_past_the_id_space_collide(self):
+        # why mc_estimate stops at MC_MAX_SAMPLES: block 2**20 of stream 0
+        # draws what block 0 of stream 1 draws, while block 2**20 - 1 does not
+        last = samplers.MC_MAX_SAMPLES // samplers.MC_BLOCK - 1
+        nxt = RngStream(7, 1).substream(0).generator.standard_normal(5)
+        past = RngStream(7, 0).substream(last + 1).generator.standard_normal(5)
+        kept = RngStream(7, 0).substream(last).generator.standard_normal(5)
+        assert np.array_equal(past, nxt)
+        assert not np.array_equal(kept, nxt)
+
 
 class TestGaussianBridge:
     def test_endpoints_zero(self):
@@ -235,6 +245,13 @@ class TestMcEstimate:
     def test_min_samples(self):
         with pytest.raises(ValueError):
             mc_estimate(lambda n, rng: np.zeros(n), 10, RngStream(0))
+
+    def test_max_samples_draws_nothing(self):
+        def sample(n, rng):
+            raise AssertionError("drew a block")
+
+        with pytest.raises(ValueError, match="at most"):
+            mc_estimate(sample, samplers.MC_MAX_SAMPLES + 1, RngStream(0))
 
 
 class TestIntegerAgreement:

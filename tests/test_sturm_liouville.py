@@ -139,7 +139,7 @@ def test_array_calls_match_scalar_calls():
                                    m.breakpoints()]))
     for f in (sol.phi, sol.dphi, sol.rho):
         scalars = [f(r) for r in rs]
-        assert all(type(v) is float for v in scalars)
+        assert all(isinstance(v, float) for v in scalars)
         assert np.array_equal(f(rs), scalars)
         assert np.array_equal(f(rs.reshape(-1, 1)), np.c_[scalars])
     for t, _ in m.atoms:  # dphi keeps its right-hand limit at an atom
