@@ -31,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump, poly_bump)
-from .ibpf import MODES, IbpfCase, verify
+from .ibpf import MODES, IbpfCase, SeriesTruncationError, verify
 from .mu_dist import MuConvergenceError, SmoothTestFn, mu_pair
 from .quadrature import QuadratureError
 from .samplers import MC_MAX_SAMPLES, RngStream, bessel_bridge_general
@@ -61,23 +61,51 @@ _REQUIRED = object()
 
 def _get(d, key, default, kind):
     """``kind(d[key])``, or ``default`` when ``key`` is absent; a value that
-    ``kind`` rejects, a float that is NaN or infinite (JSON's ``NaN`` and
-    ``Infinity``), and a fraction that an integer ``kind`` would truncate,
-    is a :class:`ConfigError` naming ``key``."""
+    ``kind`` rejects is a :class:`ConfigError` naming ``key``."""
     if key not in d:
         if default is _REQUIRED:
             raise ConfigError(f"missing field {key!r}")
         return default
-    raw = d[key]
     try:
-        value = kind(raw)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return kind(d[key])
+    except (KeyError, TypeError, ValueError, OverflowError,
+            argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"bad {key!r}: {exc}") from exc
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"bad {key!r}: {value} is not a finite number")
-    if isinstance(value, int) and isinstance(raw, float) and value != raw:
-        raise ConfigError(f"bad {key!r}: {raw} is not an integer")
-    return value
+
+
+# The kinds below read a config value or a flag's string.  A bool is not a
+# number (JSON's ``true`` would pass as 1), a float is finite (Python's
+# ``json`` and ``float`` accept NaN and the infinities), and an integer is
+# never a truncated fraction.  A value that breaks a kind's rule raises
+# ArgumentTypeError, whose message argparse prints as it stands.
+
+def _float(value):
+    if isinstance(value, bool):
+        raise TypeError(f"a number is expected, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{x} is not a finite number")
+    return x
+
+
+def _int(value):
+    if isinstance(value, bool):
+        raise TypeError(f"an integer is expected, got {value!r}")
+    n = int(value)
+    if isinstance(value, float) and n != value:
+        raise argparse.ArgumentTypeError(f"{value} is not an integer")
+    return n
+
+
+def _kind(ok, rule, base=lambda v: v):
+    """The kind ``base`` restricted to the values that ``ok`` accepts, as
+    ``rule`` says (a value is compared, never hashed)."""
+    def kind(value):
+        x = base(value)
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"{rule}, got {x!r}")
+        return x
+    return kind
 
 
 def _load_json(path):
@@ -99,64 +127,32 @@ def _parse_measure(d, default=_REQUIRED):
     return _get(d, "measure", default, FiniteMeasure.from_json_dict)
 
 
-def _mc_paths(value):
-    n = int(value)
-    if n != 0 and not 100 <= n <= MC_MAX_SAMPLES:
-        raise ValueError(f"need 0 (no Monte Carlo) or from 100 to "
-                         f"{MC_MAX_SAMPLES} paths, got {n}")
-    return n
-
-
-def _workers(value):
-    n = int(value)
-    if n < 1:
-        raise ValueError(f"a worker count is a positive integer, got {n}")
-    return n
-
-
-def _tol(value):
-    tol = float(value)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"a tolerance is a positive finite number, "
-                         f"got {tol}")
-    return tol
-
-
-def _seed(value):
-    seed = int(value)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"a seed is an integer in [0, 2**64), got {seed}")
-    return seed
-
+_mc_paths = _kind(lambda n: n == 0 or 100 <= n <= MC_MAX_SAMPLES,
+                  f"need 0 or from 100 to {MC_MAX_SAMPLES} paths", _int)
+_workers = _kind(lambda n: n >= 1, "a worker count is positive", _int)
+_tol = _kind(lambda x: x > 0.0, "a tolerance is positive", _float)
+_seed = _kind(lambda n: 0 <= n < 2**64, "a seed lies in [0, 2**64)", _int)
+_mode = _kind(lambda v: v in MODES, f"choose one of {MODES}")
+_case_id = _kind(
+    lambda v: isinstance(v, (str, int, float)) and not isinstance(v, bool),
+    "a case id is a string or a number",
+    lambda v: _float(v) if isinstance(v, float) else v)
 
 #: spde-sim's settings as ``name: (type, default)``: the flags of spde-sim
 #: and the keys of run-suite's ``"spde"`` block.
-SPDE_SETTINGS = {"K": (int, 256), "dt": (float, 1e-5), "T": (float, 0.05),
-                 "eps": (float, 0.05), "eta": (float, 0.01),
-                 "replicas": (int, 200), "store_every": (int, 100),
-                 "seed": (_seed, 0)}
-
-
-def _mode(value):
-    if value not in MODES:
-        raise ValueError(f"unknown mode {value!r}; choose from {MODES}")
-    return value
-
-
-def _case_id(value):
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise TypeError(f"a case id is a string or a number, got {value!r}")
-    return value
+SPDE_SETTINGS = {"K": (_int, 256), "dt": (_float, 1e-5),
+                 "T": (_float, 0.05), "eps": (_float, 0.05),
+                 "eta": (_float, 0.01), "replicas": (_int, 200),
+                 "store_every": (_int, 100), "seed": (_seed, 0)}
 
 
 def _parse_h(d):
     if not isinstance(d, dict):
         raise ConfigError('"h" must be an object')
     makers = {"bump": bump, "poly_bump": poly_bump}
-    kind = d.get("type", "bump")
-    if kind not in makers:
-        raise ConfigError(f"unknown test function type {kind!r}")
-    theta = _get(d, "theta", 0.2, float)
+    kind = _get(d, "type", "bump", _kind(lambda v: v in tuple(makers),
+                                         f"choose one of {tuple(makers)}"))
+    theta = _get(d, "theta", 0.2, _float)
     try:
         return makers[kind](theta)
     except ValueError as exc:
@@ -169,14 +165,15 @@ def _parse_phi(terms):
     if not isinstance(terms, list) or not all(isinstance(t, dict)
                                               for t in terms):
         raise ConfigError('"phi" must be a list of term objects')
-    return ExpFunctional([(_get(t, "coef", 1.0, float),
+    return ExpFunctional([(_get(t, "coef", 1.0, _float),
                            _parse_measure(t, FiniteMeasure.zero()))
                           for t in terms])
 
 
 def _parse_spec(d):
-    delta = _get(d, "delta", _REQUIRED, float)
-    a, ap = _get(d, "a", 0.0, float), _get(d, "ap", 0.0, float)
+    """The bridge spec of a config object, or of the flags ``vars(args)``."""
+    delta = _get(d, "delta", _REQUIRED, _float)
+    a, ap = _get(d, "a", 0.0, _float), _get(d, "ap", 0.0, _float)
     try:
         return BridgeSpec(delta, a, ap)
     except ValueError as exc:
@@ -279,6 +276,7 @@ def _jobs(args):
 # ---------------------------------------------------------------------------
 
 def cmd_density(args):
+    _parse_spec(vars(args))
     bs = np.linspace(0.0, args.bmax, args.n)
     if args.delta < 1.0:
         bs[bs == 0.0] = 1e-12  # density diverges at 0 below dimension 1
@@ -295,10 +293,7 @@ _STOCK_FNS = {
 
 
 def cmd_mu(args):
-    if args.fn not in _STOCK_FNS:
-        raise ConfigError(f"unknown stock function {args.fn!r}; "
-                          f"choose from {sorted(_STOCK_FNS)}")
-    if args.fn == "exp" and not 0.0 < args.lam < np.inf:
+    if args.fn == "exp" and not args.lam > 0.0:
         raise ConfigError(f"exp needs a finite --lambda > 0, got {args.lam}")
     fn = _STOCK_FNS[args.fn](args.lam)
     val = mu_pair(args.alpha, fn)
@@ -362,6 +357,7 @@ def cmd_ibpf_check(args):
 
 
 def cmd_sample(args):
+    _parse_spec(vars(args))
     rng = RngStream(args.seed)
     times = np.linspace(0.0, 1.0, args.mesh)
     paths = bessel_bridge_general(args.delta, args.a, args.ap, times, rng,
@@ -450,7 +446,6 @@ def _add_case_flags(p):
     p.add_argument("--seed", type=_seed)
     p.add_argument("--tol", type=_tol)
     p.add_argument("--jobs", type=_workers)
-    p.add_argument("--out")
 
 
 def _build_parser():
@@ -460,62 +455,54 @@ def _build_parser():
                     "parts identities and the weak delta=2 dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("density", help="bridge marginal density as CSV")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--ap", type=float, default=0.0)
-    p.add_argument("--bmax", type=float, default=4.0)
-    p.add_argument("--n", type=int, default=201)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_density)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("mu", help="finite-part pairing with a stock function")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--fn", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_mu)
+    p = command("density", cmd_density, "bridge marginal density as CSV")
+    p.add_argument("--delta", type=_float, required=True)
+    p.add_argument("--r", type=_float, required=True)
+    p.add_argument("--a", type=_float, default=0.0)
+    p.add_argument("--ap", type=_float, default=0.0)
+    p.add_argument("--bmax", type=_float, default=4.0)
+    p.add_argument("--n", type=_int, default=201)
 
-    p = sub.add_parser("sl-solve", help="transform phi, phi', rho as CSV")
+    p = command("mu", cmd_mu, "finite-part pairing with a stock function")
+    p.add_argument("--alpha", type=_float, required=True)
+    p.add_argument("--fn", required=True, choices=sorted(_STOCK_FNS))
+    p.add_argument("--lambda", dest="lam", type=_float, default=1.0)
+
+    p = command("sl-solve", cmd_sl_solve, "transform phi, phi', rho as CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--n", type=int, default=101)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sl_solve)
+    p.add_argument("--n", type=_int, default=101)
 
-    p = sub.add_parser("sigma", help="conditional Laplace functional as CSV")
+    p = command("sigma", cmd_sigma, "conditional Laplace functional as CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--r", type=float, default=0.5)
-    p.add_argument("--bmax", type=float, default=4.0)
-    p.add_argument("--n", type=int, default=201)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sigma)
+    p.add_argument("--r", type=_float, default=0.5)
+    p.add_argument("--bmax", type=_float, default=4.0)
+    p.add_argument("--n", type=_int, default=201)
 
-    p = sub.add_parser("ibpf-check", help="run verification cases")
-    _add_case_flags(p)
-    p.set_defaults(func=cmd_ibpf_check)
+    _add_case_flags(command("ibpf-check", cmd_ibpf_check,
+                            "run verification cases"))
 
-    p = sub.add_parser("sample", help="exact Bessel bridge paths as CSV")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--ap", type=float, default=0.0)
-    p.add_argument("--n", type=int, required=True)
+    p = command("sample", cmd_sample, "exact Bessel bridge paths as CSV")
+    p.add_argument("--delta", type=_float, required=True)
+    p.add_argument("--a", type=_float, default=0.0)
+    p.add_argument("--ap", type=_float, default=0.0)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--mesh", type=int, default=101)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sample)
+    p.add_argument("--mesh", type=_int, default=101)
 
-    p = sub.add_parser("spde-sim", help="weak delta=2 decomposition run")
+    p = command("spde-sim", cmd_spde_sim, "weak delta=2 decomposition run")
     for key, (kind, default) in SPDE_SETTINGS.items():
         p.add_argument("--" + key.replace("_", "-"), type=kind,
                        default=default)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_spde_sim)
 
-    p = sub.add_parser("run-suite", help="orchestrate a full suite config")
-    _add_case_flags(p)
-    p.set_defaults(func=cmd_run_suite)
-
+    _add_case_flags(command("run-suite", cmd_run_suite,
+                            "orchestrate a full suite config"))
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
@@ -532,7 +519,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, OverflowError, QuadratureError,
-            MuConvergenceError) as exc:
+            MuConvergenceError, SeriesTruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

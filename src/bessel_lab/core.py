@@ -101,9 +101,15 @@ class FiniteMeasure:
     def from_json_dict(cls, d):
         if not isinstance(d, dict):
             raise TypeError("a measure must be a JSON object")
+
+        def num(v):  # JSON's true is not the number 1
+            if isinstance(v, bool):
+                raise TypeError(f"a measure holds numbers, not {v!r}")
+            return v
+
         return cls(
-            atoms=[(a["t"], a["w"]) for a in d.get("atoms", [])],
-            pieces=[(p["lo"], p["hi"], p["coeffs"])
+            atoms=[(num(a["t"]), num(a["w"])) for a in d.get("atoms", [])],
+            pieces=[(num(p["lo"]), num(p["hi"]), [num(c) for c in p["coeffs"]])
                     for p in d.get("pieces", [])],
         )
 
@@ -223,9 +229,10 @@ class BridgeSpec:
 
     def __post_init__(self):
         if not self.delta > 0:
-            raise ValueError("dimension must be positive")
-        if self.a < 0 or self.ap < 0:
-            raise ValueError("boundary values must be >= 0")
+            raise ValueError("dimension delta must be positive")
+        for name in ("a", "ap"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"boundary value {name} must be >= 0")
 
 
 def hat_weights(times, g):

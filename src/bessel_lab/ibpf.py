@@ -43,8 +43,9 @@ The split belongs to that RHS alone: the analytic bridge LHS's integrand
 ``s^{(delta-1)/2} Sigma(s)`` subtracts nothing, and its power is the weight
 of a Gauss-Jacobi first panel.
 
-Every route's outer integral in r hands its integrand one Gauss-Legendre
-panel of r-nodes, whose inner integrals run as one row-batched quadrature:
+Every route makes one outer pass in r per case, one row per (term of Phi,
+segment of supp h), handing its integrand one Gauss-Legendre panel of
+r-nodes at a time, whose inner integrals run as one row-batched quadrature:
 on (r-node x s-node) grids of Sigma, or as one ``mu_pair`` of a row of
 functions (the unified RHS; zeta'' on the unconditioned LHS).
 """
@@ -55,6 +56,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 from scipy import special
@@ -69,6 +71,7 @@ from .samplers import bessel_bridge_general, mc_estimate
 
 __all__ = [
     "MODES",
+    "SeriesTruncationError",
     "IbpfCase",
     "VerifyReport",
     "rel_err",
@@ -88,6 +91,10 @@ _DELTA2_GUARD = 1e-6
 
 #: Guard band for detecting the special dimensions 1 and 3.
 _INT_GUARD = 1e-12
+
+
+class SeriesTruncationError(RuntimeError):
+    """The Sigma series is too short for fp_s_integral's closed form."""
 
 
 @dataclass
@@ -202,45 +209,39 @@ def fp_s_integral(ctx, r, p, ksub):
     tail = np.sum(c[:, :ksub] * big_s[:, None] ** q[:ksub] / q[:ksub], axis=1)
 
     if np.any(tail_term > 1e-9 * (np.abs(near + mid + tail) + scale_ref)):
-        raise RuntimeError("Sigma series truncation too coarse for s0")
+        raise SeriesTruncationError("Sigma series truncation too coarse")
     return near + mid + tail
 
 
 # ---------------------------------------------------------------------------
-# Outer integrals in r.
+# The outer integral in r.
 # ---------------------------------------------------------------------------
-
-def _outer_integral(h, breakpoints, per_r):
-    """``int per_r(r) dr`` over supp h, split at the given interior
-    breakpoints; ``per_r`` gets one Gauss-Legendre panel of r-nodes per call
-    (a round of up to 128 nodes at once would put Sigma on 128 x 512 grids
-    and raise the peak memory by a tenth)."""
-    def f(r):
-        return np.concatenate([per_r(x) for x in r.reshape(-1, GL_ORDER)])
-
-    lo, hi = h.support
-    pts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
-    total = 0.0
-    scale = 0.0
-    for left, right in zip(pts[:-1], pts[1:]):
-        part = adaptive_gl(f, left, right, rtol=1e-9,
-                           atol=1e-13 * scale + 1e-280, confirm=1)
-        total += part
-        scale = max(scale, abs(part))
-    return total
-
 
 def _sum_terms(case, per_r, point=lambda ctx: 0.0):
     """``sum_i c_i (int per_r(ctx_i, r) dr + point(ctx_i))`` over the terms
-    ``c_i exp(-<m_i, X^2>)`` of Phi, split at the breakpoints of m_i, with
-    each ``ctx_i`` of the case's law."""
-    total = 0.0
-    for coef, m in case.phi.terms:
-        ctx = SigmaContext(case.spec, m, case.mode == "bridge")
-        part = _outer_integral(case.h, m.breakpoints(),
-                               lambda r, ctx=ctx: per_r(ctx, r))
-        total += coef * (part + point(ctx))
-    return total
+    ``c_i exp(-<m_i, X^2>)`` of Phi, with each ``ctx_i`` of the case's law.
+
+    Each term's r-integral over supp h, split at the breakpoints of its m_i,
+    gives rows of one quadrature that ends when every row passes its own
+    relative test.  A row hands ``per_r`` its term's context and one panel
+    of r-nodes per call (128 nodes at once would put Sigma on 128 x 512
+    grids and raise the peak memory by a tenth)."""
+    lo, hi = case.h.support
+    terms = [(c, SigmaContext(case.spec, m, case.mode == "bridge"))
+             for c, m in case.phi.terms]
+    rows = [(i, ends) for i, (_, ctx) in enumerate(terms) for ends in pairwise(
+        sorted({lo, hi, *(b for b in ctx.m.breakpoints() if lo < b < hi)}))]
+    term, ends = (np.array(v) for v in zip(*rows))
+
+    def f(r):
+        return np.array([np.concatenate([per_r(terms[i][1], x) for x in
+                                         row.reshape(-1, GL_ORDER)])
+                         for i, row in zip(term, r)])
+
+    parts = adaptive_gl(f, ends[:, 0], ends[:, 1], rtol=1e-9, atol=1e-280,
+                        confirm=1)
+    return sum(c * (parts[term == i].sum() + point(ctx))
+               for i, (c, ctx) in enumerate(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +351,11 @@ def lhs_bridge_analytic(case):
         return weight * bridge_mean_phi(ctx, r)
 
     def atoms(ctx):
-        return sum(-2.0 * w * h(t) * bridge_mean_phi(ctx, t)
-                   for t, w in ctx.m.atoms if h(t) != 0.0)
+        inside = [(t, w) for t, w in ctx.m.atoms if h(t) != 0.0]
+        if not inside:
+            return 0.0
+        t, w = np.array(inside).T
+        return np.sum(-2.0 * w * h(t) * bridge_mean_phi(ctx, t))
 
     return _sum_terms(case, per_r, atoms)
 

@@ -251,7 +251,8 @@ def martingale_regression(series):
     """Regress M-increments on the adapted state (<u_t,h>, N_t, M_t).
 
     Returns (coefficients, stderrs): each coefficient should vanish for a
-    martingale.  Pools all replicas and snapshot increments.
+    martingale.  Pools all replicas and snapshot increments; the errors are
+    HC1 (White 1980), since the increments of M are heavy-tailed.
     """
     dm = np.diff(series.mart, axis=1).ravel()
     z1 = series.uh[:, :-1].ravel()
@@ -269,9 +270,9 @@ def martingale_regression(series):
     coef, *_ = np.linalg.lstsq(design, dm, rcond=None)
     resid = dm - design @ coef
     dof = max(len(dm) - design.shape[1], 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    return coef, np.sqrt(np.diag(cov))
+    bread = np.linalg.inv(design.T @ design)
+    meat = (design * resid[:, None] ** 2).T @ design
+    return coef, np.sqrt(np.diag(bread @ meat @ bread) * len(dm) / dof)
 
 
 def gamma_rs(r, s, t, theta, k_max):

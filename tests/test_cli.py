@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import warnings
 
 import pytest
 
-from bessel_lab import cli
+from bessel_lab import cli, ibpf
 from bessel_lab.cli import main
 from bessel_lab.quadrature import QuadratureError
 
@@ -178,7 +180,18 @@ class TestExitCodes:
         # past 5000 * 2**20 paths the blocks would reuse the next case's
         # substreams
         ("ibpf-check", {"cases": [{"delta": 3}], "mc": 1e300}, "'mc'"),
-        ("ibpf-check", {"cases": [{"delta": 3}], "mc": 5242880001}, "'mc'")])
+        ("ibpf-check", {"cases": [{"delta": 3}], "mc": 5242880001}, "'mc'"),
+        # a bool is not a number, nor a test-function type
+        ("ibpf-check", {"cases": [{"delta": True}]}, "'delta'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "tol": True}]}, "'tol'"),
+        ("ibpf-check", {"cases": [{"delta": 3}], "seed": True}, "'seed'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "phi": [{"coef": False}]}]},
+         "'coef'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "phi": [{"measure": {
+            "atoms": [{"t": 0.5, "w": True}]}}]}]}, "'measure'"),
+        ("run-suite", {"spde": {"K": True}}, "'K'"),
+        ("ibpf-check", {"cases": [{"delta": 3, "h": {"type": []}}]},
+         "'type'")])
     def test_wrong_json_type_is_two(self, command, config, field, tmp_path,
                                     capsys):
         cfg = tmp_path / "typed.json"
@@ -195,6 +208,24 @@ class TestExitCodes:
                                         capsys):
         assert main(["ibpf-check", "--config", cases_file, flag, value]) == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["density", "--delta", "2", "--r", "0.5", "--bmax", "nan"],
+         "argument --bmax"),
+        (["density", "--delta", "2", "--r", "0.5", "--a", "-1"],
+         "config error: bad bridge spec: boundary value a must be >= 0"),
+        (["sample", "--delta", "inf", "--n", "1", "--seed", "1"],
+         "argument --delta"),
+        (["sample", "--delta", "2", "--a", "-1", "--n", "1", "--seed", "1"],
+         "config error: bad bridge spec: boundary value a must be >= 0"),
+        (["sample", "--delta", "2", "--ap", "-1", "--n", "1", "--seed",
+          "1"], "boundary value ap must be >= 0"),
+        (["spde-sim", "--dt", "nan"], "argument --dt"),
+        (["mu", "--alpha", "inf", "--fn", "exp"], "argument --alpha")])
+    def test_bad_number_flag_is_two(self, argv, message, capsys):
+        # a float flag is finite, and a bridge's ends are non-negative
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["ibpf-check", "run-suite"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-5"])
@@ -317,6 +348,22 @@ class TestDataCommands:
         monkeypatch.setattr(cli, "mu_pair", fail)
         assert main(["mu", "--alpha", "0.5", "--fn", "exp"]) == 2
         assert "error: did not converge" in capsys.readouterr().err
+
+    def test_series_truncation_is_two(self, monkeypatch, tmp_path, capsys):
+        # a Sigma series with a huge last coefficient cannot carry the
+        # closed-form piece of the branch RHS: a typed numerical failure
+        series = ibpf.sigma_s_series
+
+        def huge_tail(ctx, r):
+            c = series(ctx, r).copy()
+            c[..., -1] = 1e300
+            return c
+
+        monkeypatch.setattr(ibpf, "sigma_s_series", huge_tail)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"cases": [{"delta": 2.5}]}))
+        assert main(["ibpf-check", "--config", str(cfg)]) == 2
+        assert "error: Sigma series truncation" in capsys.readouterr().err
 
     def test_sl_solve_too_heavy_measure(self, tmp_path, capsys):
         cfg = tmp_path / "m.json"
@@ -443,3 +490,88 @@ def test_readme_command_lines_parse():
     parser = cli._build_parser()
     for argv in lines:
         assert parser.parse_args(argv[1:]).func.__name__.startswith("cmd_")
+
+
+def _readme_config():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("### Case configuration", 1)[1]
+    return json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+
+
+def _paths(node, prefix=()):
+    """The key path of every value inside a JSON object or list."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+#: Values of a wrong JSON type, and numbers that are not finite, zero,
+#: negative or huge.
+_WRONG = ["x", True, False, None, [], [1], {}, {"x": 1}, math.nan, math.inf,
+          -math.inf, 0, -1, 1e300]
+
+
+def _mutations(config):
+    """Each single mutation of ``config``: every value dropped, replaced by
+    each of ``_WRONG`` and, for a list, emptied; and a duplicated case."""
+    for path in _paths(config):
+        for how in ["drop", "empty", *_WRONG]:
+            yield path, how
+    yield ("cases",), "duplicate"
+
+
+def _mutate(config, mutations):
+    """A copy of ``config`` with the ``mutations`` applied in turn; one whose
+    path an earlier one removed is skipped."""
+    config = copy.deepcopy(config)
+    for path, how in mutations:
+        try:
+            parent = config
+            for key in path[:-1]:
+                parent = parent[key]
+            key = path[-1]
+            if how == "drop":
+                del parent[key]
+            elif how == "empty":
+                if isinstance(parent[key], list):
+                    parent[key] = []
+            elif how == "duplicate":
+                parent[key].append(copy.deepcopy(parent[key][0]))
+            else:
+                parent[key] = copy.deepcopy(how)
+        except (KeyError, IndexError, TypeError):
+            continue
+    return config
+
+
+def test_seeded_config_mutations(tmp_path, capsys):
+    # README's example config and a cheap variant of it (delta = 3, Phi = 1,
+    # no Monte Carlo), each mutated one key at a time and, with a seed, two
+    # at a time: a config is parsed into cases or is a ConfigError, and
+    # main ends every cheap one with an exit code, never a traceback
+    rng = random.Random(8)
+    base = _readme_config()
+    cheap = copy.deepcopy(base)
+    for case in cheap["cases"]:
+        case.update(delta=3)
+        del case["phi"]
+    cheap["mc"] = 0
+    singles = list(_mutations(base))
+    pairs = [rng.sample(singles, 2) for _ in range(100)]
+    outcomes = []
+    for mutations in [[m] for m in singles] + pairs:
+        try:
+            cases = cli._parse_cases(_mutate(base, mutations))
+        except cli.ConfigError:
+            outcomes.append(None)
+        else:
+            outcomes.append(len(cases))
+    assert len(outcomes) > 400 and None in outcomes and 1 in outcomes
+
+    cfg = tmp_path / "mutated.json"
+    for mutation in rng.sample(list(_mutations(cheap)), 60):
+        cfg.write_text(json.dumps(_mutate(cheap, [mutation])))
+        assert main(["ibpf-check", "--config", str(cfg)]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err

@@ -12,7 +12,7 @@ from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump,
 from bessel_lab.ibpf import (IbpfCase, lhs_bridge_analytic, lhs_mc,
                              lhs_uncond_analytic, rel_err, rhs_ibpf, verify)
 from bessel_lab.laplace_sigma import SigmaContext, sigma_s, sigma_s_series
-from bessel_lab.quadrature import GL_ORDER
+from bessel_lab.quadrature import GL_ORDER, adaptive_gl
 from bessel_lab.samplers import RngStream
 
 H = bump(0.2)
@@ -177,6 +177,42 @@ def test_sigma_sees_one_outer_panel_of_r(monkeypatch):
     lhs_uncond_analytic(simple_case(2.5, 1.0, m=m, mode="unconstrained"))
     assert max(seen) == GL_ORDER
     assert rows and set(rows) == {(GL_ORDER,)}
+
+
+def test_one_outer_pass_per_case(monkeypatch):
+    # Phi = 0.7 e^{-<m1, X^2>} - 0.4 e^{-<m2, X^2>} + 1.2 e^{-<m3, X^2>}:
+    # every route integrates all (term, segment) intervals of supp h, split
+    # at each m_i's breakpoints, as the rows of one outer quadrature (the
+    # one at rtol 1e-9; the inner ones run at 1e-10), and the result is the
+    # coefficient-weighted sum of the one-term cases
+    m1 = FiniteMeasure(pieces=[(0.3, 0.7, [0.5, 1.0])])
+    m2 = FiniteMeasure.atom(0.6, 1.0)
+    m3 = FiniteMeasure(atoms=[(0.4, 0.5), (0.55, 1.0)])
+    terms = [(0.7, m1), (-0.4, m2), (1.2, m3)]
+    spec = BridgeSpec(2.5, 1.0, 0.5)
+    rows = [(0.2, 0.3), (0.3, 0.7), (0.7, 0.8), (0.2, 0.6), (0.6, 0.8),
+            (0.2, 0.4), (0.4, 0.55), (0.55, 0.8)]
+    outer = []
+
+    def recording(f, a, b, rtol=1e-10, **kw):
+        if rtol == 1e-9:
+            outer.append(list(zip(np.atleast_1d(a), np.atleast_1d(b))))
+        return adaptive_gl(f, a, b, rtol=rtol, **kw)
+
+    monkeypatch.setattr(ibpf, "adaptive_gl", recording)
+    bridge = IbpfCase(spec, ExpFunctional(terms), H)
+    uncond = IbpfCase(spec, ExpFunctional(terms), H, mode="unconstrained")
+    for route, case in [(rhs_ibpf, bridge), (lhs_bridge_analytic, bridge),
+                        (lambda c: rhs_ibpf(c, route="unified"), bridge),
+                        (rhs_ibpf, uncond), (lhs_uncond_analytic, uncond)]:
+        outer.clear()
+        route(case)
+        assert outer == [rows]
+
+    for route in (rhs_ibpf, lhs_bridge_analytic):
+        want = sum(c * route(IbpfCase(spec, ExpFunctional.single(m), H))
+                   for c, m in terms)
+        assert route(bridge) == pytest.approx(want, rel=1e-12)
 
 
 class TestVerify:

@@ -9,8 +9,8 @@ from bessel_lab.core import bump
 from bessel_lab.quadrature import adaptive_gl
 from bessel_lab.samplers import RngStream
 from bessel_lab.spde import (f_eps_eta, field_to_u, gamma_rs, h_l2_norm_sq,
-                             mollifier, ou_step, run_decomposition,
-                             stationary_field)
+                             martingale_regression, mollifier, ou_step,
+                             run_decomposition, stationary_field)
 
 
 def covariance_q(t, x, xp, k_max):
@@ -260,6 +260,17 @@ class TestDecomposition:
         val, _ = integrate.quad(lambda r: float(h(r)) ** 2, 0.2, 0.8,
                                 epsabs=1e-14, limit=200)
         assert h_l2_norm_sq(h) == pytest.approx(val, rel=1e-10)
+
+    def test_regression_errors_carry_the_heavy_tails(self):
+        # 500 steps of 1e-5 at K = 256 with 200 replicas: the increments of
+        # M are heavy-tailed (pooled kurtosis 11.5 at this stream), and
+        # sigma^2 (X^T X)^{-1} errors put the N_t coefficient at z = 5.13;
+        # heteroscedasticity-consistent errors put it at 1.62
+        ser = run_decomposition(bump(0.2), 0.05, 0.01, 500 * 1e-5, 1e-5,
+                                256, RngStream(1146, 0), replicas=200,
+                                store_every=100)
+        coef, errs = martingale_regression(ser)
+        assert np.max(np.abs(coef / errs)) <= 3.0
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
