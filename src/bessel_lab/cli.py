@@ -138,9 +138,25 @@ _case_id = _kind(
     "a case id is a string or a number",
     lambda v: _float(v) if isinstance(v, float) else v)
 
+#: A boundary value's square enters every kernel, so it must be a finite
+#: double: a, a' < 1.34e154.
+_boundary = _kind(lambda x: math.isfinite(x * x),
+                  "a boundary value's square must be a finite double", _float)
+
+#: The largest dimension of a verification case.  Up to it the unconstrained
+#: identity holds to 2e-15 at a = 0; at 200 it misses by 4e-3, and past
+#: about 340 Gamma(delta/2) and the kernel's prefactor overflow.
+CASE_DELTA_MAX = 100.0
+
+#: The most sine modes spde-sim takes: its (replicas x 2 x K) float64
+#: coefficients then hold 1 MiB per replica, and an OU step about three
+#: such arrays.
+K_MAX = 2**16
+_modes = _kind(lambda n: n <= K_MAX, f"at most {K_MAX} modes", _int)
+
 #: spde-sim's settings as ``name: (type, default)``: the flags of spde-sim
 #: and the keys of run-suite's ``"spde"`` block.
-SPDE_SETTINGS = {"K": (_int, 256), "dt": (_float, 1e-5),
+SPDE_SETTINGS = {"K": (_modes, 256), "dt": (_float, 1e-5),
                  "T": (_float, 0.05), "eps": (_float, 0.05),
                  "eta": (_float, 0.01), "replicas": (_int, 200),
                  "store_every": (_int, 100), "seed": (_seed, 0)}
@@ -173,7 +189,7 @@ def _parse_phi(terms):
 def _parse_spec(d):
     """The bridge spec of a config object, or of the flags ``vars(args)``."""
     delta = _get(d, "delta", _REQUIRED, _float)
-    a, ap = _get(d, "a", 0.0, _float), _get(d, "ap", 0.0, _float)
+    a, ap = _get(d, "a", 0.0, _boundary), _get(d, "ap", 0.0, _boundary)
     try:
         return BridgeSpec(delta, a, ap)
     except ValueError as exc:
@@ -184,6 +200,9 @@ def _parse_case(d, default_tol=None):
     if not isinstance(d, dict):
         raise ConfigError("each case must be an object")
     spec = _parse_spec(d)
+    if spec.delta > CASE_DELTA_MAX:
+        raise ConfigError(f"bad 'delta': a case's dimension is at most "
+                          f"{CASE_DELTA_MAX:g}, got {spec.delta!r}")
     tol = _get(d, "tol", IbpfCase.tol if default_tol is None else default_tol,
                _tol)
     return IbpfCase(

@@ -47,7 +47,7 @@ Every route makes one outer pass in r per case, one row per (term of Phi,
 segment of supp h), handing its integrand one Gauss-Legendre panel of
 r-nodes at a time, whose inner integrals run as one row-batched quadrature:
 on (r-node x s-node) grids of Sigma, or as one ``mu_pair`` of a row of
-functions (the unified RHS; zeta'' on the unconditioned LHS).
+functions (the unified RHS); the unconditioned LHS has no inner integral.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def fp_s_integral(ctx, r, p, ksub):
     """
     c = sigma_s_series(ctx, r)
     series_scale, decay_scale = _s_scales(ctx, r)
-    s0 = np.minimum(0.4 * series_scale, 0.25 * decay_scale)
+    s0 = 0.4 * series_scale
     q = p + np.arange(SERIES_ORDER + 1.0) + 1.0
 
     # [0, s0]: closed form from the series.
@@ -317,7 +317,7 @@ def lhs_uncond_analytic(case):
     h = case.h
 
     def per_r(ctx, r):
-        zpp = zeta_second_deriv(d, a, ctx.sol.rho(r))
+        zpp = zeta_second_deriv(d, a, ctx.sol.rho(r), route="closed-form")
         return ctx.K * h(r) * ctx.sol.phi(r) ** (-3.0) * zpp
 
     return _sum_terms(case, per_r)

@@ -24,9 +24,8 @@ past) ``s = 0``, which is what the finite-part machinery differentiates;
 :func:`sigma_s_series` gives their exact Taylor coefficients there.
 
 The module also provides the mean ``zeta(t) = E[X_t]`` of the Bessel process
-started at ``a`` and its second time-derivative, computed either by
-Richardson-extrapolated finite differences or through a finite-part pairing
-of the regularised kernel.
+started at ``a`` and its second time-derivative, in closed form through
+Kummer's function or through a finite-part pairing of the regularised kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from scipy import special
 
 from .core import BridgeSpec, FiniteMeasure
 from .mu_dist import SmoothTestFn, mu_pair
-from .quadrature import adaptive_gl, decay_cutoff
 from .specfun import (besq_density_reg, besq_density_reg_ytaylor,
                       cauchy_product)
 from .sturm_liouville import solve_sl
@@ -147,37 +145,32 @@ def sigma_s_series(ctx, r):
 
 def zeta(delta, a, t):
     """``E[X_t]`` for the Bessel process of dimension delta started at a,
-    per entry of ``t``.
-
-    Closed form for ``a = 0``; otherwise quadrature of the transition
-    density.
-    """
-    if a == 0.0:
-        return (np.sqrt(2.0 * t) * special.gamma((delta + 1.0) / 2.0)
-                / special.gamma(delta / 2.0))
-
-    # E[sqrt(X_t)] = int_0^inf y^{(delta-1)/2} q_reg(delta, t, a^2, y) dy;
-    # the algebraic weight at y = 0 goes to the Gauss-Jacobi end panel.
-    beta = (delta - 1.0) / 2.0
-
-    def q(y):
-        return besq_density_reg(delta, np.asarray(t)[..., None], a**2, y)
-
-    hi = (a + 14.0 * np.sqrt(t) + 6.0 * t) ** 2
-    hi = decay_cutoff(lambda y: y**beta * q(y), 1e-3 * hi, hi)
-    return adaptive_gl(q, 0.0, hi, rtol=1e-12, atol=1e-13, beta=beta)
+    per entry of ``t``: ``X_t^2 / t`` is noncentral chi-squared, so
+    ``zeta = C sqrt(2 t) M(-1/2; delta/2; -a^2/(2 t))`` with Kummer's ``M``
+    (DLMF 13.2) and ``C = Gamma((delta+1)/2) / Gamma(delta/2)``."""
+    c = special.gamma((delta + 1.0) / 2.0) / special.gamma(delta / 2.0)
+    return c * np.sqrt(2.0 * t) * special.hyp1f1(-0.5, delta / 2.0,
+                                                 -a**2 / (2.0 * t))
 
 
-def _zeta_second_deriv_fd(delta, a, t):
-    """Richardson-extrapolated central second difference of zeta in t, with
-    steps h_l = 0.1 t / 2^l, from one ``zeta`` call on the stencil
-    ``t, t + h_l, t - h_l``."""
-    t = np.asarray(t, dtype=float)[..., None]
-    h = 0.1 * t / 2.0 ** np.arange(3)
-    z = zeta(delta, a, np.concatenate([t, t + h, t - h], axis=-1))
-    ests = (z[..., 1:4] - 2.0 * z[..., :1] + z[..., 4:]) / h**2
-    r1 = (4.0 * ests[..., 1:] - ests[..., :-1]) / 3.0
-    return ((16.0 * r1[..., 1] - r1[..., 0]) / 15.0)[()]
+def _zeta_second_deriv_closed(delta, a, t):
+    """Closed-form route: Ito's formula gives ``zeta'' = -kappa E[X_t^{-3}]``,
+    ``kappa = (delta-1)(delta-3)/4``, and the noncentral chi-squared law of
+    ``X_t^2 / t`` then ``zeta'' = -C (2t)^{-3/2} M(3/2; delta/2; u)``,
+    ``u = -a^2/(2t)``: accurate relative to zeta'' also where it is
+    exponentially small (delta = 1, 3).  Past ``u = -1e7`` scipy's ``M``
+    slows in proportion to ``|u|`` (delta = 1, 3) or turns NaN (large
+    delta), and three terms of its expansion in ``1/u`` (DLMF 13.7.2) reach
+    double precision."""
+    b, t = delta / 2.0, np.asarray(t, dtype=float)
+    far = a**2 > 2e7 * t
+    m = np.empty(t.shape)
+    m[~far] = special.hyp1f1(1.5, b, -a**2 / (2.0 * t[~far]))
+    v = 2.0 * t[far] / a**2  # -1/u
+    m[far] = (special.gamma(b) * special.rgamma(b - 1.5) * v**1.5 * (
+        1.0 + 1.5 * (2.5 - b) * v * (1.0 + 1.25 * (3.5 - b) * v)))
+    c = special.gamma((delta + 1.0) / 2.0) / special.gamma(b)
+    return (-c * (2.0 * t) ** -1.5 * m)[()]
 
 
 def _zeta_second_deriv_fp(delta, a, t):
@@ -194,9 +187,9 @@ def _zeta_second_deriv_fp(delta, a, t):
 
 def zeta_second_deriv(delta, a, t, route="finite-part"):
     """Second time-derivative of the Bessel mean per entry of ``t``, by the
-    requested route (``"finite-part"`` or ``"finite-difference"``)."""
+    requested route (``"finite-part"`` or ``"closed-form"``)."""
     if route == "finite-part":
         return _zeta_second_deriv_fp(delta, a, t)
-    if route == "finite-difference":
-        return _zeta_second_deriv_fd(delta, a, t)
+    if route == "closed-form":
+        return _zeta_second_deriv_closed(delta, a, t)
     raise ValueError(f"unknown route {route!r}")

@@ -103,7 +103,9 @@ def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, confirm=2, beta=0.0):
     for _ in range(MAX_ROUNDS):
         panels *= 2
         cur = fixed_gl(f, a, b, panels, GL_ORDER, beta)
-        if np.all(np.abs(cur - prev) <= np.maximum(atol, rtol * np.abs(cur))):
+        step, tol = np.abs(cur - prev), np.maximum(atol, rtol * np.abs(cur))
+        ok = step <= tol
+        if np.all(ok):
             agreed += 1
             if agreed >= confirm:
                 return cur
@@ -112,8 +114,13 @@ def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, confirm=2, beta=0.0):
         prev = cur
     if agreed >= 1:
         return prev
+    # name the failing count and the row whose last step missed by most
+    miss = np.where(ok, 0.0, np.nan_to_num(step / tol, nan=np.inf))
+    i = np.unravel_index(np.argmax(miss), ok.shape)
+    lo, hi = (np.broadcast_to(v, ok.shape)[i] for v in (a, b))
     raise QuadratureError(
-        f"integral over [{a}, {b}] did not converge (last value {prev!r})")
+        f"{np.count_nonzero(~ok)} of {ok.size} integrals did not converge; "
+        f"the worst, over [{lo:.6g}, {hi:.6g}], last read {float(cur[i])!r}")
 
 
 def decay_cutoff(f, lo, hi, rel=1e-22, probes=400):

@@ -134,9 +134,9 @@ def besq_density_reg(delta, t, x, y):
     nu = 0.5 * delta - 1.0
     w = x * y / (4.0 * t * t)
     big = w >= _SERIES_W_MAX  # the rest, all negative w too, is the series'
-    # 2t at full shape: scalar and array t then go through the same loops
-    t2 = 2.0 * t + np.zeros(w.shape)
-    pref = t2 ** (-0.5 * delta) * np.exp(-(x + y) / t2)
+    t2 = 2.0 * t
+    # np.power, not **: a NumPy scalar's ** rounds apart from the array loop
+    pref = np.power(t2, -0.5 * delta) * np.exp(-(x + y) / t2)
     out = np.asarray(pref * _s_nu(nu, np.where(big, 0.0, w)))
     if big.any():
         xb, yb, tb = (np.broadcast_to(v, w.shape)[big] for v in (x, y, t))

@@ -86,16 +86,16 @@ class TestCriterion2MonteCarloCrossCheck:
 
 
 class TestCriterion3SecondDerivativeRoutes:
-    """zeta'' finite-difference vs finite-part to rel 1e-4; closed form at
-    a = 0."""
+    """zeta'' closed-form vs finite-part to rel 1e-4; the a = 0 closed
+    form."""
 
     @pytest.mark.parametrize("delta", [1.3, 2.5, 3.5])
     @pytest.mark.parametrize("a", [0.0, 0.8])
     @pytest.mark.parametrize("t", [0.3, 0.7])
     def test_routes_agree(self, delta, a, t):
         fp = zeta_second_deriv(delta, a, t, route="finite-part")
-        fd = zeta_second_deriv(delta, a, t, route="finite-difference")
-        assert rel_err(fp, fd) <= 1e-4
+        cf = zeta_second_deriv(delta, a, t, route="closed-form")
+        assert rel_err(fp, cf) <= 1e-4
 
     @pytest.mark.parametrize("delta", [1.3, 2.5, 3.5])
     @pytest.mark.parametrize("t", [0.3, 0.7])
@@ -103,7 +103,7 @@ class TestCriterion3SecondDerivativeRoutes:
         want = (-math.sqrt(2.0) / 4.0 * t ** (-1.5)
                 * special.gamma((delta + 1.0) / 2.0)
                 / special.gamma(delta / 2.0))
-        for route in ("finite-part", "finite-difference"):
+        for route in ("finite-part", "closed-form"):
             got = zeta_second_deriv(delta, 0.0, t, route=route)
             assert got == pytest.approx(want, rel=1e-4)
 

@@ -267,6 +267,38 @@ class TestExitCodes:
         ids = [r["case_id"] for r in json.loads(capsys.readouterr().out)]
         assert ids == [5, 0, "a"]
 
+    @pytest.mark.parametrize("case,key", [
+        ({"delta": 3, "a": 1e300}, "'a'"),
+        ({"delta": 3, "ap": 1e300}, "'ap'"),
+        ({"delta": 3, "a": 1e300, "mode": "unconstrained"}, "'a'"),
+        ({"delta": 1e300}, "'delta'")])
+    def test_out_of_range_case_is_one_line(self, case, key, tmp_path,
+                                           capsys):
+        # a boundary value whose square overflows, or a dimension past the
+        # engine's range, ends in one short line naming its key
+        cfg = tmp_path / "range.json"
+        cfg.write_text(json.dumps({"cases": [case]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ibpf-check", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200 and key in err
+        # the ranges keep far-apart bridges and the largest squares
+        case = cli._parse_case({"delta": cli.CASE_DELTA_MAX, "a": 45.0,
+                                "ap": 1.3e154})
+        assert case.spec.ap == 1.3e154
+
+    def test_mode_count_is_bounded(self, capsys):
+        # K is bounded by the memory of spde-sim's (replicas x 2 x K)
+        # coefficients; neither check builds a field
+        kind = cli.SPDE_SETTINGS["K"][0]
+        assert kind(cli.K_MAX) == cli.K_MAX
+        with pytest.raises(cli.ConfigError, match="'K'"):
+            cli._get({"K": 1e12}, "K", 256, kind)
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(["spde-sim", "--K", str(10**12)])
+        assert "argument --K" in capsys.readouterr().err
+
 
 class TestReports:
     def test_schema_and_columns(self, cases_file, tmp_path, capsys):

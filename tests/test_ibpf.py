@@ -131,6 +131,21 @@ class TestLhs:
         case = simple_case(1.5, 1.0, 2.0, FiniteMeasure.atom(0.6, 1.0))
         assert np.isfinite(lhs_bridge_analytic(case))
 
+    def test_uncond_shares_no_rhs_integrand(self, monkeypatch):
+        # the unconditioned LHS takes zeta'' in closed form: neither the
+        # finite-part zeta'' (the RHS's integrand term by term) nor any
+        # finite-part integral may run
+        def forbidden(*args, **kwargs):
+            raise AssertionError("unconditioned LHS reached an RHS integrand")
+
+        monkeypatch.setattr(laplace_sigma, "_zeta_second_deriv_fp", forbidden)
+        monkeypatch.setattr(laplace_sigma, "mu_pair", forbidden)
+        monkeypatch.setattr(ibpf, "mu_pair", forbidden)
+        monkeypatch.setattr(ibpf, "fp_s_integral", forbidden)
+        case = simple_case(1.5, 1.0, m=FiniteMeasure.atom(0.6, 1.0),
+                           mode="unconstrained")
+        assert np.isfinite(lhs_uncond_analytic(case))
+
     def test_uncond_zero_measure_reduction(self):
         # a = 0, m = 0, Phi = 1: LHS = int h(r) zeta''(r) dr with the a = 0
         # closed form zeta''(t) = -(sqrt2/4) t^{-3/2} G((d+1)/2)/G(d/2).

@@ -111,6 +111,23 @@ class TestSigmaReductions:
         assert np.isfinite(v)
 
 
+def _kummer_referee(delta, a, t):
+    """30-digit ``(zeta, zeta'', |zeta''| at a = 0)`` from
+    E[X_t] = sqrt(2t) G((d+1)/2)/G(d/2) 1F1(-1/2; d/2; -a^2/(2t)), with
+    zeta'' by mpmath's numerical differentiation."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        d, a2 = mpmath.mpf(delta), mpmath.mpf(a) ** 2
+        c = mpmath.gamma((d + 1) / 2) / mpmath.gamma(d / 2)
+
+        def mean(tt):
+            return (mpmath.sqrt(2 * tt) * c
+                    * mpmath.hyp1f1(-0.5, d / 2, -a2 / (2 * tt)))
+        tt = mpmath.mpf(t)
+        return (float(mean(tt)), float(mpmath.diff(mean, tt, 2)),
+                float(mpmath.sqrt(2) / 4 * c * tt ** -1.5))
+
+
 class TestZeta:
     def test_closed_form_a0(self):
         assert zeta(2.0, 0.0, 0.5) == pytest.approx(math.sqrt(math.pi) / 2.0,
@@ -131,7 +148,7 @@ class TestZeta:
         want = (-math.sqrt(2.0) / 4.0 * t ** (-1.5)
                 * special.gamma((delta + 1.0) / 2.0)
                 / special.gamma(delta / 2.0))
-        for route in ("finite-part", "finite-difference"):
+        for route in ("finite-part", "closed-form"):
             got = zeta_second_deriv(delta, 0.0, t, route=route)
             assert got == pytest.approx(want, rel=1e-5)
 
@@ -140,8 +157,8 @@ class TestZeta:
     @pytest.mark.parametrize("t", [0.3, 0.7])
     def test_dual_routes_agree(self, delta, a, t):
         fp = zeta_second_deriv(delta, a, t, route="finite-part")
-        fd = zeta_second_deriv(delta, a, t, route="finite-difference")
-        assert fp == pytest.approx(fd, rel=1e-4)
+        cf = zeta_second_deriv(delta, a, t, route="closed-form")
+        assert fp == pytest.approx(cf, rel=1e-4)
 
     @pytest.mark.parametrize("delta, a, t", [(0.5, 0.3, 0.01),
                                              (0.5, 0.8, 0.05)])
@@ -149,28 +166,48 @@ class TestZeta:
         # the Taylor data of q_reg grows like (2t)^{-j} here, so the
         # finite-part tail switch has to move in towards 0
         fp = zeta_second_deriv(delta, a, t, route="finite-part")
-        fd = zeta_second_deriv(delta, a, t, route="finite-difference")
-        assert fp == pytest.approx(fd, rel=1e-4)
+        cf = zeta_second_deriv(delta, a, t, route="closed-form")
+        assert fp == pytest.approx(cf, rel=1e-4)
 
     @pytest.mark.parametrize("delta, a, t", [(0.5, 0.3, 0.01),
                                              (1.3, 0.8, 0.05),
                                              (3.5, 1.5, 0.3),
                                              (4.9, 0.8, 0.7)])
     def test_hypergeometric_closed_form(self, delta, a, t):
-        # E[X_t] = sqrt(2t) G((d+1)/2)/G(d/2) 1F1(-1/2; d/2; -a^2/(2t))
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(30):
-            d, a2 = mpmath.mpf(delta), mpmath.mpf(a) ** 2
-
-            def mean(tt):
-                return (mpmath.sqrt(2 * tt) * mpmath.gamma((d + 1) / 2)
-                        / mpmath.gamma(d / 2)
-                        * mpmath.hyp1f1(-0.5, d / 2, -a2 / (2 * tt)))
-            want = float(mean(mpmath.mpf(t)))
-            want2 = float(mpmath.diff(mean, mpmath.mpf(t), 2))
+        want, want2, _ = _kummer_referee(delta, a, t)
         assert zeta(delta, a, t) == pytest.approx(want, rel=1e-13)
-        assert zeta_second_deriv(delta, a, t) == pytest.approx(want2,
-                                                               rel=1e-11)
+        for route in ("finite-part", "closed-form"):
+            assert zeta_second_deriv(delta, a, t, route=route) == \
+                pytest.approx(want2, rel=1e-11)
+
+    @pytest.mark.parametrize("delta", [0.3, 0.5, 1.0, 2.5, 3.5, 10.0])
+    def test_referee_grid(self, delta):
+        # zeta'' of a start a > 0 can be far smaller than at a = 0, so both
+        # routes are held to 1e-12 of |zeta''| at a = 0, C sqrt2 t^{-3/2}/4
+        for a in (0.0, 0.5, 1.0, 3.0, 5.0, 10.0):
+            for t in (0.05, 0.2, 0.5, 1.0, 2.0):
+                want, want2, scale = _kummer_referee(delta, a, t)
+                assert zeta(delta, a, t) == pytest.approx(want, rel=1e-13)
+                for route in ("finite-part", "closed-form"):
+                    got = zeta_second_deriv(delta, a, t, route=route)
+                    assert abs(got - want2) <= 1e-12 * scale, (a, t, route)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.5, 3.0, 10.0])
+    def test_closed_form_far_start(self, delta):
+        # past u = -a^2/(2t) = -1e7 the closed form sums M(3/2; delta/2; u)
+        # by its expansion in 1/u, where scipy's M turns slow (delta = 1, 3)
+        # or NaN (large delta)
+        mpmath = pytest.importorskip("mpmath")
+        t = np.array([0.2, 0.5, 0.8])
+        for a in (1e3, 5e3, 1e6, 1e100):
+            got = zeta_second_deriv(delta, a, t, route="closed-form")
+            with mpmath.workdps(30):
+                d, a2 = mpmath.mpf(delta), mpmath.mpf(a) ** 2
+                c = mpmath.gamma((d + 1) / 2) / mpmath.gamma(d / 2)
+                want = [float(-c * (2 * tt) ** -1.5
+                              * mpmath.hyp1f1(1.5, d / 2, -a2 / (2 * tt)))
+                        for tt in map(mpmath.mpf, t)]
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_unknown_route(self):
         with pytest.raises(ValueError):
