@@ -154,6 +154,10 @@ CASE_DELTA_MAX = 100.0
 K_MAX = 2**16
 _modes = _kind(lambda n: n <= K_MAX, f"at most {K_MAX} modes", _int)
 
+#: The most (replicas x 2 x K) coefficients spde-sim takes: 256 MiB of
+#: float64, 256 replicas at K_MAX.
+SPDE_COEFS_MAX = 2**25
+
 #: spde-sim's settings as ``name: (type, default)``: the flags of spde-sim
 #: and the keys of run-suite's ``"spde"`` block.
 SPDE_SETTINGS = {"K": (_modes, 256), "dt": (_float, 1e-5),
@@ -417,6 +421,10 @@ def cmd_spde_sim(args):
     if args.replicas < 2:
         raise ConfigError("need --replicas >= 2: the diagnostics' standard "
                           "errors are taken across replicas")
+    if args.replicas * 2 * args.K > SPDE_COEFS_MAX:
+        raise ConfigError(f"bad 'replicas': {args.replicas} replicas of "
+                          f"{args.K} modes exceed {SPDE_COEFS_MAX} "
+                          f"coefficients (replicas x 2 x K)")
     h = bump(0.2)
     rng = RngStream(args.seed)
     series = spde.run_decomposition(

@@ -12,25 +12,21 @@ are evaluated by independent numerical routes:
 * the left-hand side analytically, through the conditional Laplace
   functional ``Sigma`` (bridge) or the process mean ``zeta`` (unconditioned),
   and by Monte Carlo over exactly sampled paths;
-* the right-hand side by the dimension-dependent formula
+* the right-hand side by one formula for every dimension,
 
-    generic delta (not 1 or 3):
-        -kappa(delta) int_0^1 h_r int_0^inf b^{delta-4}
-                        [T^{2k}_b Sigma(Phi | .)] db dr,
-        kappa = (delta-3)(delta-1)/4,   k = floor((3-delta)/2),
-    delta = 3:   -(1/2) int h_r Sigma(Phi | 0) dr,
-    delta = 1:   +(1/4) int h_r (d^2/db^2 Sigma)(Phi | 0) dr,
+        pref int_0^1 h_r <mu_alpha(dx), Sigma_r(x)> dr,
 
-  and by the unified finite-part form
+  with the finite-part distributions mu_alpha of :mod:`.mu_dist`, by two
+  routes.  The branch route pairs in ``s = b^2``, with
+  pref = -Gamma((delta+1)/2)/2 and alpha = (delta-3)/2 (mu_0 = delta_0 and
+  <mu_{-1}, f> = -f'(0) are the paper's delta = 3 and delta = 1 cases); the
+  unified route pairs in b, with pref = -Gamma(delta)/(4(delta-2)) and
+  alpha = delta-3, and is disabled in a small guard band around delta = 2,
+  where its prefactor pole is only removable analytically.
 
-        -Gamma(delta)/(4(delta-2)) int h_r <mu_{delta-3}, Sigma(Phi | .)> dr
-
-  (disabled in a small guard band around delta = 2, where the prefactor
-  pole is only removable analytically).
-
-The delicate object is the branch RHS's inner b-integral: after the Taylor
-subtraction the integrand vanishes to high order at 0 and direct evaluation
-loses all precision there.  Working in ``s = b^2``, the integral splits into
+The delicate object is the branch pairing at non-integer alpha: after the
+Taylor subtraction the integrand vanishes to high order at 0 and direct
+evaluation loses all precision there.  In ``s`` the integral splits into
 
 * [0, s0]: closed form from the exact Taylor coefficients of Sigma in s
   (obtained by convolving the y-Taylor series of the two regularised
@@ -65,7 +61,7 @@ from .core import (BridgeSpec, ExpFunctional, TestFunctionC2c, hat_weights,
                    pairing_weights)
 from .laplace_sigma import (SERIES_ORDER, SigmaContext, sigma_s,
                             sigma_s_series, zeta_second_deriv)
-from .mu_dist import SmoothTestFn, mu_pair
+from .mu_dist import SmoothTestFn, mu_pair, taylor_rule
 from .quadrature import GL_ORDER, adaptive_gl, decay_cutoff
 from .samplers import bessel_bridge_general, mc_estimate
 
@@ -88,9 +84,6 @@ MODES = ("bridge", "unconstrained")
 #: Guard band around delta = 2 inside which the unified evaluator refuses
 #: to run (the 1/(delta-2) pole is only removable analytically).
 _DELTA2_GUARD = 1e-6
-
-#: Guard band for detecting the special dimensions 1 and 3.
-_INT_GUARD = 1e-12
 
 
 class SeriesTruncationError(RuntimeError):
@@ -173,44 +166,47 @@ def _s_scales(ctx, r):
     return series_scale, decay_scale
 
 
-def fp_s_integral(ctx, r, p, ksub):
-    """``int_0^inf s^p [Sigma(s) - sum_{j<ksub} c_j s^j] ds``, the inner
-    integral of the dimension-branch RHS, per entry of the 1-d ``r``.
-
-    Requires p + ksub + 1 > 0 (integrable at 0 after subtraction) and
-    p + ksub < 0 (tails integrable); rhs_ibpf's p and ksub meet both.
-    """
+def fp_s_integral(ctx, r, alpha):
+    """``<mu_alpha(ds), Sigma_r(s)>``, the inner pairing of the branch RHS,
+    per entry of the 1-d ``r``: ``(-1)^k k! c_k`` at an integer
+    ``alpha = -k <= 0``, else ``int_0^inf s^{alpha-1} [Sigma(s) - sum_{j<=k}
+    c_j s^j] ds / Gamma(alpha)``, mu_alpha's Taylor orders 0 .. k
+    (``taylor_rule``) subtracted."""
     c = sigma_s_series(ctx, r)
+    k, integral = taylor_rule(alpha)
+    if integral:
+        return (-1.0) ** k * math.factorial(k) * c[:, k]
     series_scale, decay_scale = _s_scales(ctx, r)
     s0 = 0.4 * series_scale
-    q = p + np.arange(SERIES_ORDER + 1.0) + 1.0
+    q = alpha + np.arange(SERIES_ORDER + 1.0)
 
     # [0, s0]: closed form from the series.
     near_terms = c * s0[:, None] ** q / q
-    near = near_terms[:, ksub:].sum(axis=1)
+    near = near_terms[:, k + 1:].sum(axis=1)
     # truncation diagnostic: the last term (j = SERIES_ORDER) must be tiny
     tail_term = np.abs(near_terms[:, -1])
-    scale_ref = np.abs(near) + np.abs(c[:, 0]) * s0 ** abs(p + 1.0) + 1e-300
+    scale_ref = np.abs(near) + np.abs(c[:, 0]) * s0 ** abs(alpha) + 1e-300
 
     # [s0, S]: direct quadrature with explicit subtraction.
     def f(s):
-        powers = s[:, None, :] ** np.arange(ksub)[:, None]
-        sub = np.sum(c[:, :ksub, None] * powers, axis=1)
-        return s**p * (sigma_s(ctx, r[:, None], s) - sub)
+        powers = s[:, None, :] ** np.arange(k + 1)[:, None]
+        sub = np.sum(c[:, :k + 1, None] * powers, axis=1)
+        return s ** (alpha - 1.0) * (sigma_s(ctx, r[:, None], s) - sub)
 
     def probe(s):
-        return s**p * sigma_s(ctx, r[:, None], s)
+        return s ** (alpha - 1.0) * sigma_s(ctx, r[:, None], s)
 
     big_s = decay_cutoff(probe, s0, decay_scale, probes=100)
     mid = adaptive_gl(f, s0, big_s, rtol=1e-10,
                       atol=1e-13 * scale_ref + 1e-250, confirm=1)
 
     # [S, inf): Sigma negligible; power tails of the subtracted monomials.
-    tail = np.sum(c[:, :ksub] * big_s[:, None] ** q[:ksub] / q[:ksub], axis=1)
+    tail = np.sum(c[:, :k + 1] * big_s[:, None] ** q[:k + 1] / q[:k + 1],
+                  axis=1)
 
     if np.any(tail_term > 1e-9 * (np.abs(near + mid + tail) + scale_ref)):
         raise SeriesTruncationError("Sigma series truncation too coarse")
-    return near + mid + tail
+    return (near + mid + tail) * special.rgamma(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -249,57 +245,34 @@ def _sum_terms(case, per_r, point=lambda ctx: 0.0):
 # ---------------------------------------------------------------------------
 
 def rhs_ibpf(case, route="branch"):
-    """The right-hand side of the IbPF for the case, by the requested route
-    (``"branch"``: the dimension-dependent formulas; ``"unified"``: the
-    mu_{delta-3} finite-part form)."""
+    """The right-hand side ``pref int h_r <mu_alpha, Sigma_r> dr`` of the
+    IbPF for the case, by the requested route (``"branch"`` or
+    ``"unified"``, see the module docstring).  The unified route pairs one
+    row of functions ``b -> Sigma(Phi | b)`` per panel of r-nodes, whose
+    b-Taylor coefficients are the s-coefficients of ``sigma_s_series`` at
+    the even orders and 0 at the odd ones."""
     d = case.spec.delta
-    h = case.h
+    if route == "branch":
+        pref = -0.5 * special.gamma((d + 1.0) / 2.0)
 
-    if route == "unified":
+        def pair(ctx, r):
+            return fp_s_integral(ctx, r, (d - 3.0) / 2.0)
+    elif route == "unified":
         if abs(d - 2.0) < _DELTA2_GUARD:
             raise ValueError(
                 "unified evaluator disabled near delta = 2 "
                 "(analytically removable pole)")
-        return _rhs_unified(case)
-    if route != "branch":
-        raise ValueError(f"unknown route {route!r}")
+        pref = -special.gamma(d) / (4.0 * (d - 2.0))
 
-    if abs(d - 3.0) < _INT_GUARD:
-        def per_r(ctx, r):
-            return -0.5 * h(r) * sigma_s_series(ctx, r)[:, 0]
-    elif abs(d - 1.0) < _INT_GUARD:
-        def per_r(ctx, r):
-            # d^2/db^2 Sigma |_0 = 2 c_1, times the prefactor 1/4
-            return 0.5 * h(r) * sigma_s_series(ctx, r)[:, 1]
+        def pair(ctx, r):
+            taylor = np.zeros((r.size, 2 * SERIES_ORDER + 1))
+            taylor[:, ::2] = sigma_s_series(ctx, r)
+            fn = SmoothTestFn(lambda b: sigma_s(ctx, r[:, None], b**2),
+                              taylor, label="Sigma")
+            return mu_pair(d - 3.0, fn)
     else:
-        kappa = (d - 3.0) * (d - 1.0) / 4.0
-        ksub = max(math.floor((3.0 - d) / 2.0) + 1, 0)
-        p = (d - 5.0) / 2.0
-
-        def per_r(ctx, r):
-            # the 1/2 converts the b-integral to the s-integral
-            return -kappa * h(r) * 0.5 * fp_s_integral(ctx, r, p, ksub)
-    return _sum_terms(case, per_r)
-
-
-def _rhs_unified(case):
-    """The unified finite-part RHS: one ``mu_pair`` per panel of r-nodes, of
-    the row of functions ``b -> Sigma(Phi | b)``, whose b-Taylor
-    coefficients are the s-coefficients of ``sigma_s_series`` at the even
-    orders (``s = b^2``) and 0 at the odd ones."""
-    d = case.spec.delta
-    h = case.h
-    alpha = d - 3.0
-    pref = -special.gamma(d) / (4.0 * (d - 2.0))
-
-    def per_r(ctx, r):
-        taylor = np.zeros((r.size, 2 * SERIES_ORDER + 1))
-        taylor[:, ::2] = sigma_s_series(ctx, r)
-        fn = SmoothTestFn(lambda b: sigma_s(ctx, r[:, None], b**2),
-                          taylor, label="Sigma")
-        return h(r) * mu_pair(alpha, fn)
-
-    return pref * _sum_terms(case, per_r)
+        raise ValueError(f"unknown route {route!r}")
+    return pref * _sum_terms(case, lambda ctx, r: case.h(r) * pair(ctx, r))
 
 
 # ---------------------------------------------------------------------------

@@ -123,13 +123,13 @@ def sigma_s_series(ctx, r):
     regularised squared Bessel kernel, multiplied as power series for the
     bridge, where Sigma is a product of two kernels in the same variable.
     """
-    d, a, ap = ctx.spec.delta, ctx.spec.a, ctx.spec.ap
+    d, a = ctx.spec.delta, ctx.spec.a
     sol = ctx.sol
     phr = np.asarray(sol.phi(r))[..., None]
     rr = sol.rho(r)
     av = besq_density_reg_ytaylor(d, rr, a**2, SERIES_ORDER)
     if ctx.bridge:
-        bv = besq_density_reg_ytaylor(d, sol.rho1 - rr, (ap / sol.phi1) ** 2,
+        bv = besq_density_reg_ytaylor(d, sol.rho1 - rr, ctx.end_z,
                                       SERIES_ORDER)
         coeffs = (ctx.bridge_pref * phr ** (-d) / ctx.bridge_den
                   * cauchy_product(av, bv))
@@ -143,14 +143,31 @@ def sigma_s_series(ctx, r):
 # Mean of the Bessel process and its second time-derivative.
 # ---------------------------------------------------------------------------
 
+def _kummer_m(p, b, u):
+    """Kummer's ``M(p; b; u)`` (DLMF 13.2) per entry of ``u <= 0``.  Past
+    ``u = -1e7`` scipy's ``hyp1f1`` slows in proportion to ``|u|`` (b = 1/2,
+    3/2) or turns inf or NaN (large b or ``|u|``), and three terms of M's
+    expansion in ``1/u`` (DLMF 13.7.2) reach double precision."""
+    u = np.asarray(u, dtype=float)
+    far = u < -1e7
+    m = np.empty(u.shape)
+    m[~far] = special.hyp1f1(p, b, u[~far])
+    v = -1.0 / u[far]
+    m[far] = special.gamma(b) * special.rgamma(b - p) * v**p * (
+        1.0 + p * (p - b + 1.0) * v * (
+            1.0 + (p + 1.0) * (p - b + 2.0) / 2.0 * v))
+    return m
+
+
 def zeta(delta, a, t):
     """``E[X_t]`` for the Bessel process of dimension delta started at a,
     per entry of ``t``: ``X_t^2 / t`` is noncentral chi-squared, so
     ``zeta = C sqrt(2 t) M(-1/2; delta/2; -a^2/(2 t))`` with Kummer's ``M``
-    (DLMF 13.2) and ``C = Gamma((delta+1)/2) / Gamma(delta/2)``."""
+    and ``C = Gamma((delta+1)/2) / Gamma(delta/2)``."""
     c = special.gamma((delta + 1.0) / 2.0) / special.gamma(delta / 2.0)
-    return c * np.sqrt(2.0 * t) * special.hyp1f1(-0.5, delta / 2.0,
-                                                 -a**2 / (2.0 * t))
+    t = np.asarray(t, dtype=float)
+    return (c * np.sqrt(2.0 * t) * _kummer_m(-0.5, delta / 2.0,
+                                             -a**2 / (2.0 * t)))[()]
 
 
 def _zeta_second_deriv_closed(delta, a, t):
@@ -158,18 +175,10 @@ def _zeta_second_deriv_closed(delta, a, t):
     ``kappa = (delta-1)(delta-3)/4``, and the noncentral chi-squared law of
     ``X_t^2 / t`` then ``zeta'' = -C (2t)^{-3/2} M(3/2; delta/2; u)``,
     ``u = -a^2/(2t)``: accurate relative to zeta'' also where it is
-    exponentially small (delta = 1, 3).  Past ``u = -1e7`` scipy's ``M``
-    slows in proportion to ``|u|`` (delta = 1, 3) or turns NaN (large
-    delta), and three terms of its expansion in ``1/u`` (DLMF 13.7.2) reach
-    double precision."""
-    b, t = delta / 2.0, np.asarray(t, dtype=float)
-    far = a**2 > 2e7 * t
-    m = np.empty(t.shape)
-    m[~far] = special.hyp1f1(1.5, b, -a**2 / (2.0 * t[~far]))
-    v = 2.0 * t[far] / a**2  # -1/u
-    m[far] = (special.gamma(b) * special.rgamma(b - 1.5) * v**1.5 * (
-        1.0 + 1.5 * (2.5 - b) * v * (1.0 + 1.25 * (3.5 - b) * v)))
-    c = special.gamma((delta + 1.0) / 2.0) / special.gamma(b)
+    exponentially small (delta = 1, 3)."""
+    t = np.asarray(t, dtype=float)
+    m = _kummer_m(1.5, delta / 2.0, -a**2 / (2.0 * t))
+    c = special.gamma((delta + 1.0) / 2.0) / special.gamma(delta / 2.0)
     return (-c * (2.0 * t) ** -1.5 * m)[()]
 
 

@@ -37,7 +37,7 @@ from scipy import special
 
 from .quadrature import QuadratureError, adaptive_gl, decay_cutoff
 
-__all__ = ["SmoothTestFn", "mu_pair", "MuConvergenceError"]
+__all__ = ["SmoothTestFn", "mu_pair", "taylor_rule", "MuConvergenceError"]
 
 #: Distance to the nearest integer below which alpha is treated as integral.
 INTEGER_GUARD = 1e-12
@@ -122,6 +122,16 @@ class SmoothTestFn:
                    label="(1+x)exp(-2x)")
 
 
+def taylor_rule(alpha):
+    """``(k, True)`` if mu_alpha is the point pairing ``(-1)^k f^(k)(0)``
+    (alpha = -k <= 0 to within INTEGER_GUARD), else ``(k, False)``: mu_alpha
+    subtracts f's Taylor orders 0 .. k, k = max(floor(-alpha), -1)."""
+    nearest = round(alpha)
+    if abs(alpha - nearest) < INTEGER_GUARD and nearest <= 0:
+        return -int(nearest), True
+    return max(math.floor(-alpha), -1), False
+
+
 def mu_pair(alpha, f):
     """The pairing ``<mu_alpha, f>`` for ``alpha`` in [-2.5, 5].
 
@@ -135,10 +145,7 @@ def mu_pair(alpha, f):
                          f"[{ALPHA_MIN}, {ALPHA_MAX}]")
     c = np.moveaxis(f.taylor, -1, 0)  # (orders,) or (orders, rows)
     n = len(c) - 1
-    nearest = round(alpha)
-    integral = abs(alpha - nearest) < INTEGER_GUARD and nearest <= 0
-    # T^k f; k = -1 is no subtraction
-    k = -int(nearest) if integral else max(math.floor(-alpha), -1)
+    k, integral = taylor_rule(alpha)
     need = k if integral else k + 4
     if n < need:
         raise ValueError(f"mu_{alpha:g} needs derivatives of {f.label} at 0 "

@@ -299,6 +299,28 @@ class TestExitCodes:
             cli._build_parser().parse_args(["spde-sim", "--K", str(10**12)])
         assert "argument --K" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, setting", [
+        ("spde-sim", ["--replicas", str(10**12)]),
+        ("spde-sim", ["--K", str(2**16), "--replicas", "257"]),
+        ("run-suite", {"replicas": 1e12}),
+        ("run-suite", {"K": 2**16, "replicas": 257})])
+    def test_replica_count_is_bounded(self, command, setting, tmp_path,
+                                      monkeypatch, capsys):
+        # the (replicas x 2 x K) coefficients are bounded before any is made
+        def forbidden(*args, **kwargs):
+            raise AssertionError("spde-sim ran past its coefficient bound")
+
+        monkeypatch.setattr(cli.spde, "run_decomposition", forbidden)
+        if command == "run-suite":
+            cfg = tmp_path / "suite.json"
+            cfg.write_text(json.dumps({"spde": setting}))
+            setting = ["--config", str(cfg)]
+        assert main([command] + setting) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'replicas'" in err
+        # the default 200 replicas pass the bound at K_MAX
+        assert 200 * 2 * cli.K_MAX <= cli.SPDE_COEFS_MAX
+
 
 class TestReports:
     def test_schema_and_columns(self, cases_file, tmp_path, capsys):

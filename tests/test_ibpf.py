@@ -89,6 +89,28 @@ class TestRhsBranches:
         slope = math.log(rem[1] / rem[0]) / math.log(b[1] / b[0])
         assert slope >= 2.0 * ksub - 0.1
 
+    def test_branch_pairing_at_integer_alpha_is_the_series(self):
+        # mu_0 = delta_0 and <mu_{-1}, f> = -f'(0): the delta = 3 and
+        # delta = 1 pairings read the Sigma series, bit for bit
+        spec = BridgeSpec(2.5, 1.0, 2.0)
+        ctx = SigmaContext(spec, FiniteMeasure.atom(0.6, 1.0), True)
+        r = np.linspace(0.25, 0.75, GL_ORDER)
+        c = sigma_s_series(ctx, r)
+        np.testing.assert_array_equal(ibpf.fp_s_integral(ctx, r, 0.0),
+                                      c[:, 0])
+        np.testing.assert_array_equal(ibpf.fp_s_integral(ctx, r, -1.0),
+                                      -c[:, 1])
+
+    @pytest.mark.parametrize("delta", [1.0, 3.0])
+    def test_branch_rhs_continuous_across_special_dimensions(self, delta):
+        # one formula for every delta: 1e-9 off an integer alpha the
+        # finite-part integral meets the point pairing
+        m = FiniteMeasure.atom(0.6, 1.0)
+        at = rhs_ibpf(simple_case(delta, 1.0, 2.0, m))
+        for eps in (-1e-9, 1e-9):
+            near = rhs_ibpf(simple_case(delta + eps, 1.0, 2.0, m))
+            assert near == pytest.approx(at, rel=1e-8)
+
     def test_rhs_sign_negative_for_plain_cases(self):
         # kappa > 0 for delta < 1 and delta > 3; the finite-part term is a
         # genuine (negative) renormalised drift for Phi = 1.
@@ -130,6 +152,22 @@ class TestLhs:
         monkeypatch.setattr(laplace_sigma, "sigma_s_series", forbidden)
         case = simple_case(1.5, 1.0, 2.0, FiniteMeasure.atom(0.6, 1.0))
         assert np.isfinite(lhs_bridge_analytic(case))
+
+    def test_rhs_routes_share_no_pairing(self, monkeypatch):
+        # routes stay independent: the branch RHS pairs Sigma without
+        # mu_pair, and the unified RHS without fp_s_integral
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an RHS route reached the other's pairing")
+
+        m = FiniteMeasure.atom(0.6, 1.0)
+        with monkeypatch.context() as mp:
+            mp.setattr(ibpf, "mu_pair", forbidden)
+            mp.setattr(laplace_sigma, "mu_pair", forbidden)
+            for delta in (0.5, 1.0, 2.5, 3.0):
+                assert np.isfinite(rhs_ibpf(simple_case(delta, 1.0, 2.0, m)))
+        monkeypatch.setattr(ibpf, "fp_s_integral", forbidden)
+        assert np.isfinite(rhs_ibpf(simple_case(2.5, 1.0, 2.0, m),
+                                    route="unified"))
 
     def test_uncond_shares_no_rhs_integrand(self, monkeypatch):
         # the unconditioned LHS takes zeta'' in closed form: neither the

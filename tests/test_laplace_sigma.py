@@ -209,6 +209,19 @@ class TestZeta:
                         for tt in map(mpmath.mpf, t)]
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("delta, a", [(10.0, 1e50), (2.5, 1e101)])
+    def test_far_start(self, delta, a):
+        # past u = -a^2/(2t) = -1e7 zeta too sums M's expansion in 1/u,
+        # where scipy's M(-1/2; delta/2; u) turns NaN or inf
+        mpmath = pytest.importorskip("mpmath")
+        t = 0.5
+        with mpmath.workdps(30):
+            d, a2 = mpmath.mpf(delta), mpmath.mpf(a) ** 2
+            c = mpmath.gamma((d + 1) / 2) / mpmath.gamma(d / 2)
+            want = float(c * mpmath.sqrt(2 * t)
+                         * mpmath.hyp1f1(-0.5, d / 2, -a2 / (2 * t)))
+        assert zeta(delta, a, t) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_unknown_route(self):
         with pytest.raises(ValueError):
             zeta_second_deriv(2.0, 0.0, 0.5, route="magic")
