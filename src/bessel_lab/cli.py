@@ -415,7 +415,8 @@ def _spde_summary(series, h):
     }
 
 
-def cmd_spde_sim(args):
+def _check_spde(args):
+    """Reject spde-sim settings that a run cannot take, before any work."""
     if not 0.0 < args.eta < args.eps:
         raise ConfigError("need 0 < eta < eps")
     if args.replicas < 2:
@@ -425,6 +426,10 @@ def cmd_spde_sim(args):
         raise ConfigError(f"bad 'replicas': {args.replicas} replicas of "
                           f"{args.K} modes exceed {SPDE_COEFS_MAX} "
                           f"coefficients (replicas x 2 x K)")
+
+
+def cmd_spde_sim(args):
+    _check_spde(args)
     h = bump(0.2)
     rng = RngStream(args.seed)
     series = spde.run_decomposition(
@@ -443,10 +448,8 @@ def cmd_spde_sim(args):
 
 def cmd_run_suite(args):
     config = _load_json(args.config)
-    status = 0
-    if config.get("cases"):
-        status = cmd_ibpf_check(args)
-    if "spde" in config:
+    sub = None
+    if "spde" in config:  # checked before any case runs
         s = config["spde"]
         if not isinstance(s, dict):
             raise ConfigError('"spde" must be an object')
@@ -456,6 +459,11 @@ def cmd_run_suite(args):
         if args.seed is not None:
             sub.seed = args.seed
         sub.out = os.path.join(args.out, "spde") if args.out else None
+        _check_spde(sub)
+    status = 0
+    if config.get("cases"):
+        status = cmd_ibpf_check(args)
+    if sub is not None:
         status = max(status, cmd_spde_sim(sub))
     if not config.get("cases") and "spde" not in config:
         _write_reports([], args.out)

@@ -31,7 +31,9 @@ evaluation loses all precision there.  In ``s`` the integral splits into
 * [0, s0]: closed form from the exact Taylor coefficients of Sigma in s
   (obtained by convolving the y-Taylor series of the two regularised
   kernels -- no numerical differentiation);
-* [s0, S]: direct adaptive quadrature (subtraction is benign there);
+* [s0, S]: adaptive quadrature in ``u = log s`` of
+  ``e^{alpha u} [Sigma - P_k](e^u)`` (subtraction is benign there, and the
+  ``s^{alpha-1}`` end layer is flat in u);
 * [S, inf): Sigma itself is negligible; the power tails of the subtracted
   monomials are added in closed form.
 
@@ -40,10 +42,12 @@ The split belongs to that RHS alone: the analytic bridge LHS's integrand
 of a Gauss-Jacobi first panel.
 
 Every route makes one outer pass in r per case, one row per (term of Phi,
-segment of supp h), handing its integrand one Gauss-Legendre panel of
-r-nodes at a time, whose inner integrals run as one row-batched quadrature:
-on (r-node x s-node) grids of Sigma, or as one ``mu_pair`` of a row of
-functions (the unified RHS); the unconditioned LHS has no inner integral.
+segment of supp h), handing its integrand all of a row's r-nodes of the
+round at once, whose inner integrals run as one row-batched quadrature on
+(r-node x s-node) grids of Sigma, so they share one panel count and the
+r-integrand of a round comes from one rule; the unified RHS pairs them as
+rows of functions, one ``mu_pair`` per Gauss-Legendre panel of r-nodes, and
+the unconditioned LHS has no inner integral.
 """
 
 from __future__ import annotations
@@ -187,17 +191,19 @@ def fp_s_integral(ctx, r, alpha):
     tail_term = np.abs(near_terms[:, -1])
     scale_ref = np.abs(near) + np.abs(c[:, 0]) * s0 ** abs(alpha) + 1e-300
 
-    # [s0, S]: direct quadrature with explicit subtraction.
-    def f(s):
+    # [s0, S]: quadrature in u = log s with explicit subtraction, which
+    # flattens the s^{alpha-1} end layer.
+    def f(u):
+        s = np.exp(u)
         powers = s[:, None, :] ** np.arange(k + 1)[:, None]
         sub = np.sum(c[:, :k + 1, None] * powers, axis=1)
-        return s ** (alpha - 1.0) * (sigma_s(ctx, r[:, None], s) - sub)
+        return np.exp(alpha * u) * (sigma_s(ctx, r[:, None], s) - sub)
 
     def probe(s):
         return s ** (alpha - 1.0) * sigma_s(ctx, r[:, None], s)
 
     big_s = decay_cutoff(probe, s0, decay_scale, probes=100)
-    mid = adaptive_gl(f, s0, big_s, rtol=1e-10,
+    mid = adaptive_gl(f, np.log(s0), np.log(big_s), rtol=1e-10,
                       atol=1e-13 * scale_ref + 1e-250, confirm=1)
 
     # [S, inf): Sigma negligible; power tails of the subtracted monomials.
@@ -219,9 +225,9 @@ def _sum_terms(case, per_r, point=lambda ctx: 0.0):
 
     Each term's r-integral over supp h, split at the breakpoints of its m_i,
     gives rows of one quadrature that ends when every row passes its own
-    relative test.  A row hands ``per_r`` its term's context and one panel
-    of r-nodes per call (128 nodes at once would put Sigma on 128 x 512
-    grids and raise the peak memory by a tenth)."""
+    relative test.  A row hands ``per_r`` its term's context and all of its
+    r-nodes of the round in one call (up to 256 in the battery, on Sigma
+    grids of up to 32768 points: a traced peak under 2 MB a case)."""
     lo, hi = case.h.support
     terms = [(c, SigmaContext(case.spec, m, case.mode == "bridge"))
              for c, m in case.phi.terms]
@@ -230,9 +236,7 @@ def _sum_terms(case, per_r, point=lambda ctx: 0.0):
     term, ends = (np.array(v) for v in zip(*rows))
 
     def f(r):
-        return np.array([np.concatenate([per_r(terms[i][1], x) for x in
-                                         row.reshape(-1, GL_ORDER)])
-                         for i, row in zip(term, r)])
+        return np.array([per_r(terms[i][1], row) for i, row in zip(term, r)])
 
     parts = adaptive_gl(f, ends[:, 0], ends[:, 1], rtol=1e-9, atol=1e-280,
                         confirm=1)
@@ -248,7 +252,8 @@ def rhs_ibpf(case, route="branch"):
     """The right-hand side ``pref int h_r <mu_alpha, Sigma_r> dr`` of the
     IbPF for the case, by the requested route (``"branch"`` or
     ``"unified"``, see the module docstring).  The unified route pairs one
-    row of functions ``b -> Sigma(Phi | b)`` per panel of r-nodes, whose
+    row of functions ``b -> Sigma(Phi | b)`` per panel of r-nodes (a whole
+    round's row would make ``mu_pair``'s decay probes up to 16x larger), whose
     b-Taylor coefficients are the s-coefficients of ``sigma_s_series`` at
     the even orders and 0 at the odd ones."""
     d = case.spec.delta
@@ -264,12 +269,16 @@ def rhs_ibpf(case, route="branch"):
                 "(analytically removable pole)")
         pref = -special.gamma(d) / (4.0 * (d - 2.0))
 
-        def pair(ctx, r):
+        def pair_panel(ctx, r):
             taylor = np.zeros((r.size, 2 * SERIES_ORDER + 1))
             taylor[:, ::2] = sigma_s_series(ctx, r)
             fn = SmoothTestFn(lambda b: sigma_s(ctx, r[:, None], b**2),
                               taylor, label="Sigma")
             return mu_pair(d - 3.0, fn)
+
+        def pair(ctx, r):
+            return np.concatenate([pair_panel(ctx, x)
+                                   for x in r.reshape(-1, GL_ORDER)])
     else:
         raise ValueError(f"unknown route {route!r}")
     return pref * _sum_terms(case, lambda ctx, r: case.h(r) * pair(ctx, r))

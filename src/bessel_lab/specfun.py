@@ -134,12 +134,13 @@ def besq_density_reg(delta, t, x, y):
     nu = 0.5 * delta - 1.0
     w = x * y / (4.0 * t * t)
     big = w >= _SERIES_W_MAX  # the rest, all negative w too, is the series'
+    out = _s_nu(nu, np.where(big, 0.0, w))
+    del w  # then at most three grids of the broadcast shape are alive
     t2 = 2.0 * t
     # np.power, not **: a NumPy scalar's ** rounds apart from the array loop
-    pref = np.power(t2, -0.5 * delta) * np.exp(-(x + y) / t2)
-    out = np.asarray(pref * _s_nu(nu, np.where(big, 0.0, w)))
+    out = np.asarray(np.power(t2, -0.5 * delta) * np.exp(-(x + y) / t2) * out)
     if big.any():
-        xb, yb, tb = (np.broadcast_to(v, w.shape)[big] for v in (x, y, t))
+        xb, yb, tb = (np.broadcast_to(v, big.shape)[big] for v in (x, y, t))
         sx, sy = np.sqrt(xb), np.sqrt(yb)
         arg = sx * sy / tb
         out[big] = (

@@ -321,6 +321,29 @@ class TestExitCodes:
         # the default 200 replicas pass the bound at K_MAX
         assert 200 * 2 * cli.K_MAX <= cli.SPDE_COEFS_MAX
 
+    @pytest.mark.parametrize("spde_block, message", [
+        ({"replicas": 1e12}, "'replicas'"),
+        ({"K": "x"}, "'K'"),
+        ({"eta": 0.05}, "need 0 < eta < eps"),
+        ({"replicas": 1}, "need --replicas >= 2")])
+    def test_run_suite_checks_spde_before_cases(self, spde_block, message,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+        # a bad "spde" block ends run-suite before its first case runs, so
+        # no report of the cases is written
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a case ran before the spde block's check")
+
+        monkeypatch.setattr(cli, "verify", forbidden)
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({
+            "cases": [{"delta": 2.5, "a": 1, "ap": 2}], "spde": spde_block}))
+        out = tmp_path / "rep"
+        assert main(["run-suite", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 class TestReports:
     def test_schema_and_columns(self, cases_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump,
 from bessel_lab.ibpf import (IbpfCase, lhs_bridge_analytic, lhs_mc,
                              lhs_uncond_analytic, rel_err, rhs_ibpf, verify)
 from bessel_lab.laplace_sigma import SigmaContext, sigma_s, sigma_s_series
-from bessel_lab.quadrature import GL_ORDER, adaptive_gl
+from bessel_lab.quadrature import GL_ORDER, START_PANELS, adaptive_gl
 from bessel_lab.samplers import RngStream
 
 H = bump(0.2)
@@ -198,11 +199,12 @@ class TestLhs:
         assert got == pytest.approx(want, rel=1e-8)
 
 
-def test_sigma_sees_one_outer_panel_of_r(monkeypatch):
-    # the outer r-integral hands Sigma one Gauss-Legendre panel of r-nodes
-    # per call, and mu_pair one row of functions per panel: the peak memory
-    # of a case rests on that bound
-    seen, rows = [], []
+def test_sigma_sees_one_rows_whole_round(monkeypatch):
+    # the outer r-integral hands Sigma all r-nodes of one row's round per
+    # call (the atom's point term: its one atom), so those nodes share one
+    # inner quadrature and one panel count; mu_pair still pairs at most
+    # GL_ORDER functions per call, which bounds the unified route's memory
+    seen, rows, outer = [], [], []
 
     def recording(fn):
         def wrapped(ctx, r, *args):
@@ -216,20 +218,62 @@ def test_sigma_sees_one_outer_panel_of_r(monkeypatch):
             return fn(alpha, f)
         return wrapped
 
+    def outer_rounds(fn):
+        def wrapped(f, a, b, **kwargs):
+            if kwargs["rtol"] == 1e-9:  # the outer r-integral
+                def g(r, f=f):
+                    outer.append(r.shape[-1])
+                    return f(r)
+                return fn(g, a, b, **kwargs)
+            return fn(f, a, b, **kwargs)
+        return wrapped
+
     for mod, name in [(laplace_sigma, "_sigma_bridge_s"),
                       (laplace_sigma, "_sigma_uncond_s"),
                       (ibpf, "sigma_s_series")]:
         monkeypatch.setattr(mod, name, recording(getattr(mod, name)))
     for mod in (ibpf, laplace_sigma):
         monkeypatch.setattr(mod, "mu_pair", row_count(mod.mu_pair))
+    monkeypatch.setattr(ibpf, "adaptive_gl", outer_rounds(ibpf.adaptive_gl))
     m = FiniteMeasure.atom(0.6, 1.0)
     verify(simple_case(2.5, 1.0, 0.0, m))  # branch RHS and bridge LHS
     rhs_ibpf(simple_case(3.0, 1.0, 0.0, m))  # the series alone
     rhs_ibpf(simple_case(2.5, 1.0, m=m, mode="unconstrained"))
+    assert set(seen) - {1} == set(outer)
+    assert max(outer) >= 2 * START_PANELS * GL_ORDER
     rhs_ibpf(simple_case(2.5, 1.0, 0.0, m), route="unified")
-    lhs_uncond_analytic(simple_case(2.5, 1.0, m=m, mode="unconstrained"))
-    assert max(seen) == GL_ORDER
     assert rows and set(rows) == {(GL_ORDER,)}
+
+
+@pytest.mark.parametrize("case_id, spec, m", [
+    ("d2.5_a0_ap0_atom", BridgeSpec(2.5, 0.0, 0.0),
+     FiniteMeasure.atom(0.6, 1.0)),
+    ("d1_a1_ap2_leb", BridgeSpec(1.0, 1.0, 2.0),
+     FiniteMeasure.lebesgue(0.5))])
+def test_verify_peak_memory(case_id, spec, m):
+    # traced peak of one verify: 1.34 MB (branch RHS of the atom case) and
+    # 1.73 MB (bridge LHS of the Lebesgue case, on 256 r-nodes x 128
+    # s-nodes); the 3 MB ceiling leaves a 1.7x margin over the larger and
+    # fails on Sigma grids a doubling larger
+    case = IbpfCase(spec, ExpFunctional.single(m), H, case_id=case_id)
+    verify(case)  # warm the caches
+    tracemalloc.start()
+    try:
+        assert verify(case).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
+
+
+@pytest.mark.parametrize("delta, a, ap", [
+    (2.5, 1.0, 20.0), (3.5, 1.0, 20.0), (1.5, 20.0, 1.0)])
+def test_far_apart_bridges_verify(delta, a, ap):
+    # ends 19 apart: the bridge LHS's r-integrand is steep, and the outer
+    # quadrature converges in seconds when a round's r-nodes share one
+    # inner rule
+    report = verify(simple_case(delta, a, ap))
+    assert report.passed and report.rel_err <= 1e-5
 
 
 def test_one_outer_pass_per_case(monkeypatch):
