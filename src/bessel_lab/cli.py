@@ -149,8 +149,8 @@ _boundary = _kind(lambda x: math.isfinite(x * x),
 CASE_DELTA_MAX = 100.0
 
 #: The most sine modes spde-sim takes: its (replicas x 2 x K) float64
-#: coefficients then hold 1 MiB per replica, and an OU step about three
-#: such arrays.
+#: coefficients then hold 1 MiB per replica, and a run about two such
+#: arrays (the coefficients and the next step's normals).
 K_MAX = 2**16
 _modes = _kind(lambda n: n <= K_MAX, f"at most {K_MAX} modes", _int)
 
@@ -422,6 +422,12 @@ def _check_spde(args):
     if args.replicas < 2:
         raise ConfigError("need --replicas >= 2: the diagnostics' standard "
                           "errors are taken across replicas")
+    try:
+        spde.check_settings(args.T, args.dt, args.K, args.replicas,
+                            args.store_every)
+    except spde.SettingError as exc:
+        key = {"t_final": "T", "k_max": "K"}.get(exc.name, exc.name)
+        raise ConfigError(f"bad {key!r}: {exc}") from exc
     if args.replicas * 2 * args.K > SPDE_COEFS_MAX:
         raise ConfigError(f"bad 'replicas': {args.replicas} replicas of "
                           f"{args.K} modes exceed {SPDE_COEFS_MAX} "

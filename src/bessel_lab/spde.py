@@ -11,6 +11,10 @@ uniform grid ``x_j = j/n`` by one DST-I: ``sin(k pi j/n)`` has period 2n in
 k, so the K modes fold onto n - 1 interior slots before the transform, and
 ``u`` is exactly 0 at both ends.
 
+:func:`run_decomposition` draws each step's normals on one worker thread
+while the caller's thread builds the field; only the draw runs there, so the
+series are a serial loop's bit for bit.
+
 The weak-dynamics decomposition under test is
 
     <u_t, h> - <u_0, h> = M_t + (1/2) int_0^t <h'', u_s> ds - N_t,
@@ -26,6 +30,7 @@ the stationary marginals against the 2-dimensional Bessel bridge density.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +39,8 @@ import numpy as np
 from .quadrature import adaptive_gl
 
 __all__ = [
+    "SettingError",
+    "check_settings",
     "mollifier",
     "ou_step",
     "field_to_u",
@@ -68,21 +75,23 @@ def stationary_field(k_max, rng, replicas):
     return rng.generator.standard_normal((replicas, 2, k_max)) / np.sqrt(lam)
 
 
-def ou_step(coef, dt, rng):
+def ou_step(coef, dt, noise):
     """Exact Ornstein-Uhlenbeck update over a step ``dt`` of every mode of
-    the coefficients ``coef`` (..., 2, K), returned as a new array:
+    the coefficients ``coef`` (..., 2, K), given standard normals ``noise``
+    of the same shape:
 
-        c <- e^{-lambda_k dt / 2} c + N(0, (1 - e^{-lambda_k dt}) / lambda_k).
+        c <- e^{-lambda_k dt/2} c + sqrt((1 - e^{-lambda_k dt})/lambda_k) N.
+
+    Works in place: ``coef`` is updated and returned, and ``noise`` is
+    overwritten (IEEE ``*`` and ``+`` commute, so no temporary is needed).
     """
     if dt <= 0:
         raise ValueError("time step must be positive")
     lam = _lambdas(coef.shape[-1])
-    decay = np.exp(-0.5 * lam * dt)
-    std = np.sqrt(-np.expm1(-lam * dt) / lam)
-    noise = rng.generator.standard_normal(coef.shape)
-    noise *= std
-    noise += coef * decay
-    return noise
+    coef *= np.exp(-0.5 * lam * dt)
+    noise *= np.sqrt(-np.expm1(-lam * dt) / lam)
+    coef += noise
+    return coef
 
 
 def field_to_u(coef, n):
@@ -101,20 +110,27 @@ def field_to_u(coef, n):
     if n < 2:
         raise ValueError("need n >= 2 grid intervals")
     k_max = coef.shape[-1]  # mode k at coef[..., k - 1]
-    folded = np.zeros(coef.shape[:-1] + (n + 1,))
-    for lo in range(0, k_max + 1, n):  # one block: modes lo..hi-1
-        hi = min(lo + n, k_max + 1)
-        first = max(lo, 1)
-        block = coef[..., first - 1:hi - 1]
-        if (lo // n) % 2 == 0:  # k = 2pn + r adds to slot r
-            folded[..., first - lo:hi - lo] += block
-        else:  # k = 2pn + n + s subtracts from slot n - s
-            top = lo + n
-            folded[..., top - hi + 1:top - first + 1] -= block[..., ::-1]
+    if n - 1 <= k_max <= n:  # no mode folds onto an interior slot
+        inner = coef[..., :n - 1]
+    else:
+        folded = np.zeros(coef.shape[:-1] + (n + 1,))
+        for lo in range(0, k_max + 1, n):  # one block: modes lo..hi-1
+            hi = min(lo + n, k_max + 1)
+            first = max(lo, 1)
+            block = coef[..., first - 1:hi - 1]
+            if (lo // n) % 2 == 0:  # k = 2pn + r adds to slot r
+                folded[..., first - lo:hi - lo] += block
+            else:  # k = 2pn + n + s subtracts from slot n - s
+                top = lo + n
+                folded[..., top - hi + 1:top - first + 1] -= block[..., ::-1]
+        inner = folded[..., 1:n]
     # DST-I: y_j = 2 sum_m a_m sin(pi m j/n); e_k carries sqrt(2)
-    v = fft.dst(folded[..., 1:n], type=1, axis=-1) * math.sqrt(0.5)
+    v = fft.dst(inner, type=1, axis=-1)
+    v *= math.sqrt(0.5)
+    v *= v
     u = np.zeros(coef.shape[:-2] + (n + 1,))
-    u[..., 1:n] = np.sqrt(np.sum(v**2, axis=-2))
+    np.add(v[..., 0, :], v[..., 1, :], out=v[..., 0, :])
+    np.sqrt(v[..., 0, :], out=u[..., 1:n])
     return u
 
 
@@ -154,8 +170,9 @@ def f_eps_eta(x, eps, eta):
     big = x >= eps
     val[big] = 0.25 / x[big]**3
     small = (x > 0) & (x < eta)
-    xs = x[small]
-    val[small] -= 0.5 / eps * mollifier(xs, eta) / xs
+    if small.any():
+        xs = x[small]
+        val[small] -= 0.5 / eps * mollifier(xs, eta) / xs
     return val[()]
 
 
@@ -170,6 +187,37 @@ class DecompositionSeries:
     mart: np.ndarray    # M_t = uh - uh_0 - lap + N
 
 
+class SettingError(ValueError):
+    """A setting that :func:`run_decomposition` cannot take; ``name`` is
+    the parameter's name."""
+
+    def __init__(self, name, message):
+        super().__init__(message)
+        self.name = name
+
+
+def check_settings(t_final, dt, k_max, replicas, store_every):
+    """Reject the settings of :func:`run_decomposition` that no run can
+    take, before any work; returns the number of steps.  Raises
+    :class:`SettingError` naming the first bad parameter."""
+    if not dt > 0:
+        raise SettingError("dt", f"time step must be positive, got {dt}")
+    if not t_final > 0:
+        raise SettingError("t_final",
+                           f"t_final must be positive, got {t_final}")
+    for name, count in (("k_max", k_max), ("replicas", replicas),
+                        ("store_every", store_every)):
+        if count < 1:
+            raise SettingError(name, f"{name} must be >= 1, got {count}")
+    steps = t_final / dt
+    n_steps = int(round(steps)) if math.isfinite(steps) else 0
+    if (n_steps < 1
+            or abs(n_steps * dt - t_final) > 1e-12 * max(t_final, 1.0)):
+        raise SettingError("t_final", f"t_final must be a positive integer "
+                           f"multiple of dt, got {t_final} and {dt}")
+    return n_steps
+
+
 def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
                       store_every=1):
     """Simulate the stationary field and accumulate the decomposition.
@@ -178,18 +226,17 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
     vectorised sweep.  Time integrals use the left-point (adapted) rule.
     Returns a :class:`DecompositionSeries` with snapshots every
     ``store_every`` steps (plus the final time).
+
+    One worker thread draws the next step's normals from ``rng``
+    (``standard_normal(out=...)`` releases the GIL) while this thread does
+    the accumulators, ``f_eps_eta``, the OU update and the synthesis.  The
+    draws keep the serial order (the stationary field, then one batch per
+    step, none after the last), so the series and ``rng``'s state after the
+    run are a serial loop's.  Only the draw runs there: it needs nothing
+    else, and the other layers stay on the caller's thread, where a tracer
+    sees them.
     """
-    if dt <= 0:
-        raise ValueError("time step must be positive")
-    if t_final <= 0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
-    for name, count in (("k_max", k_max), ("replicas", replicas),
-                        ("store_every", store_every)):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-12 * max(t_final, 1.0):
-        raise ValueError("t_final must be an integer multiple of dt")
+    n_steps = check_settings(t_final, dt, k_max, replicas, store_every)
     n = SYNTH_MESH - 1
     x = np.linspace(0.0, 1.0, SYNTH_MESH)
     wq = np.full(SYNTH_MESH, 1.0 / n)  # trapezoid rule on x_j = j/n
@@ -212,19 +259,26 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
     lap_acc = np.zeros(replicas)
     n_acc = np.zeros(replicas)
     col = 0
-    for i in range(n_steps + 1):
-        if i == keep[col]:
-            uh_out[:, col] = u @ hv
-            lap_out[:, col] = lap_acc
-            n_out[:, col] = n_acc
-            col += 1
-            if col == len(keep):
-                break
-        # left-point increments over [i dt, (i+1) dt)
-        lap_acc = lap_acc + 0.5 * dt * (u @ h2v)
-        n_acc = n_acc + 0.5 * dt * (f_eps_eta(u, eps, eta) @ hv)
-        coef = ou_step(coef, dt, rng)
-        u = field_to_u(coef, n)
+    noise = np.empty_like(coef)
+    with ThreadPoolExecutor(1) as worker:
+        draw = worker.submit(rng.generator.standard_normal, out=noise)
+        for i in range(n_steps + 1):
+            if i == keep[col]:
+                uh_out[:, col] = u @ hv
+                lap_out[:, col] = lap_acc
+                n_out[:, col] = n_acc
+                col += 1
+                if col == len(keep):
+                    break
+            # left-point increments over [i dt, (i+1) dt)
+            lap_acc = lap_acc + 0.5 * dt * (u @ h2v)
+            n_acc = n_acc + 0.5 * dt * (f_eps_eta(u, eps, eta) @ hv)
+            draw.result()
+            ou_step(coef, dt, noise)
+            if i + 1 < n_steps:  # the next step's normals
+                draw = worker.submit(rng.generator.standard_normal,
+                                     out=noise)
+            u = field_to_u(coef, n)
 
     mart = uh_out - uh0[:, None] - lap_out + n_out
     return DecompositionSeries(times=times, uh=uh_out, lap=lap_out,

@@ -325,7 +325,13 @@ class TestExitCodes:
         ({"replicas": 1e12}, "'replicas'"),
         ({"K": "x"}, "'K'"),
         ({"eta": 0.05}, "need 0 < eta < eps"),
-        ({"replicas": 1}, "need --replicas >= 2")])
+        ({"replicas": 1}, "need --replicas >= 2"),
+        ({"dt": -1e-5}, "bad 'dt': time step must be positive"),
+        ({"T": 0.00035, "dt": 1e-4}, "bad 'T': t_final must be"),
+        ({"T": 0.0}, "bad 'T': t_final must be positive"),
+        ({"T": 1e300, "dt": 1e-300}, "bad 'T': t_final must be"),
+        ({"K": 0}, "bad 'K': k_max must be >= 1"),
+        ({"store_every": 0}, "bad 'store_every': store_every must be >= 1")])
     def test_run_suite_checks_spde_before_cases(self, spde_block, message,
                                                 tmp_path, monkeypatch,
                                                 capsys):

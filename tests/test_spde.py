@@ -1,5 +1,8 @@
 import math
+import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -123,7 +126,7 @@ class TestOuStep:
     def test_preserves_stationary_moments(self):
         rng = RngStream(100)
         fld = stationary_field(64, rng, replicas=20000)
-        stepped = ou_step(fld, 0.01, rng)
+        stepped = ou_step(fld, 0.01, rng.generator.standard_normal(fld.shape))
         lam = (np.arange(1, 65) * math.pi) ** 2
         var = np.var(stepped, axis=(0, 1))
         want = 1.0 / lam
@@ -132,7 +135,8 @@ class TestOuStep:
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):
-            ou_step(stationary_field(32, RngStream(0), 1), 0.0, RngStream(1))
+            ou_step(stationary_field(32, RngStream(0), 1), 0.0,
+                    RngStream(1).generator.standard_normal((1, 2, 32)))
 
     def test_matches_closed_form_update_bitwise(self):
         fld = stationary_field(64, RngStream(6), replicas=5)
@@ -141,7 +145,8 @@ class TestOuStep:
         noise = RngStream(9).generator.standard_normal(fld.shape)
         want = (fld * np.exp(-0.5 * lam * dt)
                 + np.sqrt(-np.expm1(-lam * dt) / lam) * noise)
-        got = ou_step(fld, dt, RngStream(9))
+        got = ou_step(fld, dt,
+                      RngStream(9).generator.standard_normal(fld.shape))
         assert np.array_equal(got, want)
 
 
@@ -281,7 +286,8 @@ class TestDecomposition:
         ({"dt": 0.0}, "time step"), ({"dt": -1e-4}, "time step"),
         ({"k_max": 0}, "k_max"), ({"replicas": 0}, "replicas"),
         ({"store_every": 0}, "store_every"), ({"t_final": 0.0}, "t_final"),
-        ({"t_final": -1e-5}, "t_final")])
+        ({"t_final": -1e-5}, "t_final"), ({"t_final": 1e-13}, "t_final"),
+        ({"t_final": 1e300, "dt": 1e-300}, "t_final")])
     def test_bad_settings(self, kwargs, match):
         args = {"t_final": 0.001, "dt": 1e-4, "k_max": 32, "replicas": 2,
                 "store_every": 1}
@@ -291,3 +297,109 @@ class TestDecomposition:
                               args["dt"], args["k_max"], RngStream(0),
                               replicas=args["replicas"],
                               store_every=args["store_every"])
+
+
+def serial_decomposition(h, eps, eta, n_steps, dt, k_max, rng, replicas,
+                         store_every):
+    """The decomposition by a plain serial loop over the public layers:
+    the stationary field, then one draw, OU update and synthesis per
+    step."""
+    n = 256
+    x = np.linspace(0.0, 1.0, n + 1)
+    wq = np.full(n + 1, 1.0 / n)
+    wq[[0, -1]] = 0.5 / n
+    hv = h(x) * wq
+    h2v = h.d2(x) * wq
+    coef = stationary_field(k_max, rng, replicas)
+    u = field_to_u(coef, n)
+    lap_acc = np.zeros(replicas)
+    n_acc = np.zeros(replicas)
+    times, uh, lap, n_drift = [], [], [], []
+    for i in range(n_steps + 1):
+        if i % store_every == 0 or i == n_steps:
+            times.append(i * dt)
+            uh.append(u @ hv)
+            lap.append(lap_acc)
+            n_drift.append(n_acc)
+        if i == n_steps:
+            break
+        lap_acc = lap_acc + 0.5 * dt * (u @ h2v)
+        n_acc = n_acc + 0.5 * dt * (f_eps_eta(u, eps, eta) @ hv)
+        coef = ou_step(coef, dt, rng.generator.standard_normal(coef.shape))
+        u = field_to_u(coef, n)
+    uh, lap, n_drift = (np.column_stack(c) for c in (uh, lap, n_drift))
+    return np.array(times), uh, lap, n_drift, uh - uh[:, :1] - lap + n_drift
+
+
+class TestPipeline:
+    """``run_decomposition`` draws on a worker thread; its series and the
+    stream it leaves behind are a serial loop's, bit for bit."""
+
+    @pytest.mark.parametrize("k_max", [32, 255, 256, 257, 513])
+    def test_matches_serial_loop_bitwise(self, k_max):
+        h = bump(0.2)
+        ser = run_decomposition(h, 0.05, 0.01, 12 * 1e-5, 1e-5, k_max,
+                                RngStream(21, k_max), replicas=5,
+                                store_every=5)
+        want = serial_decomposition(h, 0.05, 0.01, 12, 1e-5, k_max,
+                                    RngStream(21, k_max), 5, 5)
+        for got, ref in zip((ser.times, ser.uh, ser.lap, ser.n_drift,
+                             ser.mart), want):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n_steps,store_every", [(1, 1), (3, 10),
+                                                     (6, 4)])
+    def test_draws_nothing_past_last_step(self, n_steps, store_every):
+        k_max, replicas = 64, 3
+        rng = RngStream(8, n_steps)
+        run_decomposition(bump(0.2), 0.05, 0.01, n_steps * 1e-4, 1e-4,
+                          k_max, rng, replicas=replicas,
+                          store_every=store_every)
+        replay = RngStream(8, n_steps)
+        stationary_field(k_max, replay, replicas)
+        for _ in range(n_steps):
+            replay.generator.standard_normal((replicas, 2, k_max))
+        assert np.array_equal(rng.generator.standard_normal(4),
+                              replay.generator.standard_normal(4))
+
+    def test_concurrent_runs_match_serial_loop(self):
+        # four callers' runs, each with its own draw worker, interleaved
+        # at a short switch interval: no run sees another's stream
+        h = bump(0.2)
+
+        def run(stream):
+            ser = run_decomposition(h, 0.05, 0.01, 15 * 1e-4, 1e-4, 48,
+                                    RngStream(30, stream), replicas=3,
+                                    store_every=4)
+            return ser.times, ser.uh, ser.lap, ser.n_drift, ser.mart
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = [pool.submit(run, k) for k in range(4)]
+                got = [r.result(timeout=120) for r in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, series in enumerate(got):
+            want = serial_decomposition(h, 0.05, 0.01, 15, 1e-4, 48,
+                                        RngStream(30, k), 3, 4)
+            for a, b in zip(series, want):
+                assert np.array_equal(a, b)
+
+    def test_memory_ceiling(self):
+        # the (replicas x 2 x K) coefficients are 4 MiB here; a step holds
+        # them and the next step's normals
+        k_max, replicas = 4096, 64
+        coef_bytes = replicas * 2 * k_max * 8
+        h = bump(0.2)
+        # a first run imports scipy.fft and caches the mollifier's mass
+        run_decomposition(h, 0.05, 0.01, 1e-4, 1e-5, 32, RngStream(0))
+        tracemalloc.start()
+        try:
+            run_decomposition(h, 0.05, 0.01, 10 * 1e-5, 1e-5, k_max,
+                              RngStream(0), replicas=replicas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * coef_bytes
