@@ -423,11 +423,11 @@ def _check_spde(args):
         raise ConfigError("need --replicas >= 2: the diagnostics' standard "
                           "errors are taken across replicas")
     try:
-        spde.check_settings(args.T, args.dt, args.K, args.replicas,
-                            args.store_every)
-    except spde.SettingError as exc:
-        key = {"t_final": "T", "k_max": "K"}.get(exc.name, exc.name)
-        raise ConfigError(f"bad {key!r}: {exc}") from exc
+        spde.check_settings(("T", args.T), ("dt", args.dt), ("K", args.K),
+                            ("replicas", args.replicas),
+                            ("store_every", args.store_every))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.replicas * 2 * args.K > SPDE_COEFS_MAX:
         raise ConfigError(f"bad 'replicas': {args.replicas} replicas of "
                           f"{args.K} modes exceed {SPDE_COEFS_MAX} "

@@ -39,7 +39,6 @@ import numpy as np
 from .quadrature import adaptive_gl
 
 __all__ = [
-    "SettingError",
     "check_settings",
     "mollifier",
     "ou_step",
@@ -110,9 +109,11 @@ def field_to_u(coef, n):
     if n < 2:
         raise ValueError("need n >= 2 grid intervals")
     k_max = coef.shape[-1]  # mode k at coef[..., k - 1]
-    if n - 1 <= k_max <= n:  # no mode folds onto an interior slot
-        inner = coef[..., :n - 1]
-    else:
+    # up to K = n no mode folds onto another: the DST pads the modes with
+    # zeros to n - 1 slots, or drops mode n, which sits on the vanishing
+    # slot n
+    inner = coef
+    if k_max > n:
         folded = np.zeros(coef.shape[:-1] + (n + 1,))
         for lo in range(0, k_max + 1, n):  # one block: modes lo..hi-1
             hi = min(lo + n, k_max + 1)
@@ -125,7 +126,7 @@ def field_to_u(coef, n):
                 folded[..., top - hi + 1:top - first + 1] -= block[..., ::-1]
         inner = folded[..., 1:n]
     # DST-I: y_j = 2 sum_m a_m sin(pi m j/n); e_k carries sqrt(2)
-    v = fft.dst(inner, type=1, axis=-1)
+    v = fft.dst(inner, type=1, n=n - 1, axis=-1)
     v *= math.sqrt(0.5)
     v *= v
     u = np.zeros(coef.shape[:-2] + (n + 1,))
@@ -170,9 +171,8 @@ def f_eps_eta(x, eps, eta):
     big = x >= eps
     val[big] = 0.25 / x[big]**3
     small = (x > 0) & (x < eta)
-    if small.any():
-        xs = x[small]
-        val[small] -= 0.5 / eps * mollifier(xs, eta) / xs
+    xs = x[small]
+    val[small] -= 0.5 / eps * mollifier(xs, eta) / xs
     return val[()]
 
 
@@ -187,34 +187,30 @@ class DecompositionSeries:
     mart: np.ndarray    # M_t = uh - uh_0 - lap + N
 
 
-class SettingError(ValueError):
-    """A setting that :func:`run_decomposition` cannot take; ``name`` is
-    the parameter's name."""
-
-    def __init__(self, name, message):
-        super().__init__(message)
-        self.name = name
-
-
 def check_settings(t_final, dt, k_max, replicas, store_every):
     """Reject the settings of :func:`run_decomposition` that no run can
-    take, before any work; returns the number of steps.  Raises
-    :class:`SettingError` naming the first bad parameter."""
+    take, before any work; returns the number of steps.  Each argument is a
+    ``(key, value)`` pair, and the :class:`ValueError` for the first bad
+    setting begins ``bad '<key>':``, so a caller's own names reach its
+    user."""
+    (t_key, t_final), (dt_key, dt) = t_final, dt
     if not dt > 0:
-        raise SettingError("dt", f"time step must be positive, got {dt}")
+        raise ValueError(f"bad {dt_key!r}: time step must be positive, "
+                         f"got {dt}")
     if not t_final > 0:
-        raise SettingError("t_final",
-                           f"t_final must be positive, got {t_final}")
-    for name, count in (("k_max", k_max), ("replicas", replicas),
-                        ("store_every", store_every)):
+        raise ValueError(f"bad {t_key!r}: t_final must be positive, "
+                         f"got {t_final}")
+    for name, (key, count) in (("k_max", k_max), ("replicas", replicas),
+                               ("store_every", store_every)):
         if count < 1:
-            raise SettingError(name, f"{name} must be >= 1, got {count}")
+            raise ValueError(f"bad {key!r}: {name} must be >= 1, "
+                             f"got {count}")
     steps = t_final / dt
     n_steps = int(round(steps)) if math.isfinite(steps) else 0
     if (n_steps < 1
             or abs(n_steps * dt - t_final) > 1e-12 * max(t_final, 1.0)):
-        raise SettingError("t_final", f"t_final must be a positive integer "
-                           f"multiple of dt, got {t_final} and {dt}")
+        raise ValueError(f"bad {t_key!r}: t_final must be a positive whole "
+                         f"multiple of dt, got {t_final} and {dt}")
     return n_steps
 
 
@@ -236,7 +232,9 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
     else, and the other layers stay on the caller's thread, where a tracer
     sees them.
     """
-    n_steps = check_settings(t_final, dt, k_max, replicas, store_every)
+    n_steps = check_settings(("t_final", t_final), ("dt", dt),
+                             ("k_max", k_max), ("replicas", replicas),
+                             ("store_every", store_every))
     n = SYNTH_MESH - 1
     x = np.linspace(0.0, 1.0, SYNTH_MESH)
     wq = np.full(SYNTH_MESH, 1.0 / n)  # trapezoid rule on x_j = j/n

@@ -389,7 +389,8 @@ class TestPipeline:
 
     def test_memory_ceiling(self):
         # the (replicas x 2 x K) coefficients are 4 MiB here; a step holds
-        # them and the next step's normals
+        # them and the next step's normals, and a third such array (a
+        # temporary in the OU update) would break the bound
         k_max, replicas = 4096, 64
         coef_bytes = replicas * 2 * k_max * 8
         h = bump(0.2)
@@ -402,4 +403,4 @@ class TestPipeline:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * coef_bytes
+        assert peak <= 2.75 * coef_bytes
