@@ -422,16 +422,16 @@ def _check_spde(args):
     if args.replicas < 2:
         raise ConfigError("need --replicas >= 2: the diagnostics' standard "
                           "errors are taken across replicas")
+    if args.replicas * 2 * args.K > SPDE_COEFS_MAX:
+        raise ConfigError(f"bad 'replicas': {args.replicas} replicas of "
+                          f"{args.K} modes exceed {SPDE_COEFS_MAX} "
+                          f"coefficients (replicas x 2 x K)")
     try:
         spde.check_settings(("T", args.T), ("dt", args.dt), ("K", args.K),
                             ("replicas", args.replicas),
                             ("store_every", args.store_every))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if args.replicas * 2 * args.K > SPDE_COEFS_MAX:
-        raise ConfigError(f"bad 'replicas': {args.replicas} replicas of "
-                          f"{args.K} modes exceed {SPDE_COEFS_MAX} "
-                          f"coefficients (replicas x 2 x K)")
 
 
 def cmd_spde_sim(args):

@@ -45,9 +45,9 @@ Every route makes one outer pass in r per case, one row per (term of Phi,
 segment of supp h), handing its integrand all of a row's r-nodes of the
 round at once, whose inner integrals run as one row-batched quadrature on
 (r-node x s-node) grids of Sigma, so they share one panel count and the
-r-integrand of a round comes from one rule; the unified RHS pairs them as
-rows of functions, one ``mu_pair`` per Gauss-Legendre panel of r-nodes, and
-the unconditioned LHS has no inner integral.
+r-integrand of a round comes from one rule; the unified RHS pairs a row's
+whole round as one row of functions in one ``mu_pair``, and the
+unconditioned LHS has no inner integral.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .core import (BridgeSpec, ExpFunctional, TestFunctionC2c, hat_weights,
 from .laplace_sigma import (SERIES_ORDER, SigmaContext, sigma_s,
                             sigma_s_series, zeta_second_deriv)
 from .mu_dist import SmoothTestFn, mu_pair, taylor_rule
-from .quadrature import GL_ORDER, adaptive_gl, decay_cutoff
+from .quadrature import adaptive_gl, decay_cutoff
 from .samplers import bessel_bridge_general, mc_estimate
 
 __all__ = [
@@ -251,11 +251,11 @@ def _sum_terms(case, per_r, point=lambda ctx: 0.0):
 def rhs_ibpf(case, route="branch"):
     """The right-hand side ``pref int h_r <mu_alpha, Sigma_r> dr`` of the
     IbPF for the case, by the requested route (``"branch"`` or
-    ``"unified"``, see the module docstring).  The unified route pairs one
-    row of functions ``b -> Sigma(Phi | b)`` per panel of r-nodes (a whole
-    round's row would make ``mu_pair``'s decay probes up to 16x larger), whose
-    b-Taylor coefficients are the s-coefficients of ``sigma_s_series`` at
-    the even orders and 0 at the odd ones."""
+    ``"unified"``, see the module docstring).  The unified route pairs a
+    row's whole round of r-nodes as one row of functions ``b -> Sigma(Phi |
+    b)`` in one ``mu_pair`` (whose decay probes ``decay_cutoff`` evaluates
+    in bounded slices), with b-Taylor coefficients the s-coefficients of
+    ``sigma_s_series`` at the even orders and 0 at the odd ones."""
     d = case.spec.delta
     if route == "branch":
         pref = -0.5 * special.gamma((d + 1.0) / 2.0)
@@ -269,16 +269,12 @@ def rhs_ibpf(case, route="branch"):
                 "(analytically removable pole)")
         pref = -special.gamma(d) / (4.0 * (d - 2.0))
 
-        def pair_panel(ctx, r):
+        def pair(ctx, r):
             taylor = np.zeros((r.size, 2 * SERIES_ORDER + 1))
             taylor[:, ::2] = sigma_s_series(ctx, r)
             fn = SmoothTestFn(lambda b: sigma_s(ctx, r[:, None], b**2),
                               taylor, label="Sigma")
             return mu_pair(d - 3.0, fn)
-
-        def pair(ctx, r):
-            return np.concatenate([pair_panel(ctx, x)
-                                   for x in r.reshape(-1, GL_ORDER)])
     else:
         raise ValueError(f"unknown route {route!r}")
     return pref * _sum_terms(case, lambda ctx, r: case.h(r) * pair(ctx, r))

@@ -168,8 +168,11 @@ def mu_pair(alpha, f):
         switch = np.where(big, 0.5 * switch, switch)
 
     def near(x):
-        direct = (f(x) - np.polyval(head, x)) / x ** (k + 2)
-        return np.where(x < switch[..., None], np.polyval(tail, x), direct)
+        out = (f(x) - np.polyval(head, x)) / x ** (k + 2)
+        below = x < switch[..., None]
+        out[below] = np.polyval(np.broadcast_to(
+            tail, tail.shape[:1] + x.shape)[:, below], x[below])
+        return out
 
     def far(x):
         return (f(x) - np.polyval(head[1:], x)) * x ** (alpha - 1.0)

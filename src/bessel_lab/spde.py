@@ -52,6 +52,11 @@ __all__ = [
 #: Spatial synthesis mesh size: x_j = j/256, j = 0..256.
 SYNTH_MESH = 257
 
+#: The most (replicas x snapshots) values a run stores per series: 256 MiB
+#: of float64 for each of the four, the ceiling spde-sim puts on its
+#: (replicas x 2 x K) coefficients.
+SERIES_MAX = 2**25
+
 
 def _lambdas(k_max):
     k = np.arange(1, k_max + 1)
@@ -192,7 +197,8 @@ def check_settings(t_final, dt, k_max, replicas, store_every):
     take, before any work; returns the number of steps.  Each argument is a
     ``(key, value)`` pair, and the :class:`ValueError` for the first bad
     setting begins ``bad '<key>':``, so a caller's own names reach its
-    user."""
+    user.  A run whose replicas x snapshots exceed ``SERIES_MAX`` names
+    the ``t_final`` key."""
     (t_key, t_final), (dt_key, dt) = t_final, dt
     if not dt > 0:
         raise ValueError(f"bad {dt_key!r}: time step must be positive, "
@@ -211,6 +217,11 @@ def check_settings(t_final, dt, k_max, replicas, store_every):
             or abs(n_steps * dt - t_final) > 1e-12 * max(t_final, 1.0)):
         raise ValueError(f"bad {t_key!r}: t_final must be a positive whole "
                          f"multiple of dt, got {t_final} and {dt}")
+    replicas, store_every = replicas[1], store_every[1]
+    snapshots = -(-n_steps // store_every) + 1
+    if replicas * snapshots > SERIES_MAX:
+        raise ValueError(f"bad {t_key!r}: {replicas} replicas x {snapshots} "
+                         f"snapshots exceed {SERIES_MAX} stored values")
     return n_steps
 
 
@@ -246,11 +257,10 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
     u = field_to_u(coef, n)  # (replicas, n + 1)
     uh0 = u @ hv
 
-    keep = list(range(0, n_steps + 1, store_every))
-    if keep[-1] != n_steps:
-        keep.append(n_steps)
-    times = np.array([i * dt for i in keep])
-    uh_out = np.empty((replicas, len(keep)))
+    # snapshots at every store_every-th step and at the last
+    n_keep = -(-n_steps // store_every) + 1
+    times = np.minimum(np.arange(n_keep) * store_every, n_steps) * dt
+    uh_out = np.empty((replicas, n_keep))
     lap_out = np.empty_like(uh_out)
     n_out = np.empty_like(uh_out)
 
@@ -261,12 +271,12 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
     with ThreadPoolExecutor(1) as worker:
         draw = worker.submit(rng.generator.standard_normal, out=noise)
         for i in range(n_steps + 1):
-            if i == keep[col]:
+            if i % store_every == 0 or i == n_steps:
                 uh_out[:, col] = u @ hv
                 lap_out[:, col] = lap_acc
                 n_out[:, col] = n_acc
                 col += 1
-                if col == len(keep):
+                if col == n_keep:
                     break
             # left-point increments over [i dt, (i+1) dt)
             lap_acc = lap_acc + 0.5 * dt * (u @ h2v)

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -320,6 +321,32 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "'replicas'" in err
         # the default 200 replicas pass the bound at K_MAX
         assert 200 * 2 * cli.K_MAX <= cli.SPDE_COEFS_MAX
+
+    @pytest.mark.parametrize("command", ["spde-sim", "run-suite"])
+    def test_snapshot_count_is_bounded(self, command, tmp_path, monkeypatch,
+                                       capsys):
+        # T = 1e6 at the default dt and store_every asks for 10^9 + 1
+        # snapshots of 200 replicas: a config error before any case or step
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran past the snapshot bound")
+
+        monkeypatch.setattr(cli, "verify", forbidden)
+        monkeypatch.setattr(cli.spde, "run_decomposition", forbidden)
+        out = tmp_path / "rep"
+        argv = ["spde-sim", "--T", "1e6", "--out", str(out)]
+        if command == "run-suite":
+            cfg = tmp_path / "suite.json"
+            cfg.write_text(json.dumps({
+                "cases": [{"delta": 2.5, "a": 1, "ap": 2}],
+                "spde": {"T": 1e6}}))
+            argv = ["run-suite", "--config", str(cfg), "--out", str(out)]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "bad 'T': 200 replicas x 1000000001 snapshots" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("spde_block, message", [
         ({"replicas": 1e12}, "'replicas'"),

@@ -202,8 +202,8 @@ class TestLhs:
 def test_sigma_sees_one_rows_whole_round(monkeypatch):
     # the outer r-integral hands Sigma all r-nodes of one row's round per
     # call (the atom's point term: its one atom), so those nodes share one
-    # inner quadrature and one panel count; mu_pair still pairs at most
-    # GL_ORDER functions per call, which bounds the unified route's memory
+    # inner quadrature and one panel count, and the unified route pairs
+    # them in one mu_pair call
     seen, rows, outer = [], [], []
 
     def recording(fn):
@@ -241,8 +241,10 @@ def test_sigma_sees_one_rows_whole_round(monkeypatch):
     rhs_ibpf(simple_case(2.5, 1.0, m=m, mode="unconstrained"))
     assert set(seen) - {1} == set(outer)
     assert max(outer) >= 2 * START_PANELS * GL_ORDER
+    outer.clear()
     rhs_ibpf(simple_case(2.5, 1.0, 0.0, m), route="unified")
-    assert rows and set(rows) == {(GL_ORDER,)}
+    # the atom splits supp h in two rows, each paired once per round
+    assert rows == [(n,) for n in outer for _ in range(2)]
 
 
 @pytest.mark.parametrize("case_id, spec, m", [
@@ -260,6 +262,21 @@ def test_verify_peak_memory(case_id, spec, m):
     tracemalloc.start()
     try:
         assert verify(case).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
+
+
+def test_unified_peak_memory():
+    # traced peak of the unified RHS on the finite_part benchmark's case:
+    # 1.75 MB with mu_pair's decay probes evaluated in slices, 4.5 MB with
+    # one whole round of r-nodes probed unsliced
+    case = simple_case(2.5)
+    rhs_ibpf(case, route="unified")  # warm the caches
+    tracemalloc.start()
+    try:
+        rhs_ibpf(case, route="unified")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,7 +5,10 @@ import pytest
 
 from conftest import derivative, stock_fns, x_times
 
-from bessel_lab import mu_dist
+from bessel_lab import ibpf, mu_dist, quadrature
+from bessel_lab.core import BridgeSpec, ExpFunctional, bump
+from bessel_lab.ibpf import IbpfCase, rhs_ibpf
+from bessel_lab.laplace_sigma import sigma_s
 from bessel_lab.mu_dist import MuConvergenceError, SmoothTestFn, mu_pair
 from bessel_lab.quadrature import decay_cutoff
 
@@ -119,6 +122,61 @@ class TestMuRows:
     def test_one_row_without_decay_is_typed(self):
         with pytest.raises(MuConvergenceError, match="not decayed"):
             mu_pair(0.5, exp_rows([1.0, 1e-4, 3.0]))
+
+
+def sigma_rows(ctx, r, series):
+    """The unified RHS's row of functions ``b -> Sigma_r(b)``, one row per
+    entry of ``r``, with their even b-Taylor coefficients ``series``."""
+    taylor = np.zeros((r.size, 2 * series.shape[-1] - 1))
+    taylor[:, ::2] = series
+    return SmoothTestFn(lambda b: sigma_s(ctx, r[:, None], b**2), taylor,
+                        label="Sigma")
+
+
+class TestBatchInvariance:
+    @pytest.fixture(scope="class")
+    def second_round(self):
+        # the (context, r-nodes, Sigma series) of the second outer round of
+        # the finite_part benchmark's unified RHS: delta = 2.5, a = a' = 0,
+        # Phi = 1, bump(0.2)
+        rounds = []
+
+        def recording(ctx, r, series=ibpf.sigma_s_series):
+            rounds.append((ctx, r, series(ctx, r)))
+            return rounds[-1][2]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ibpf, "sigma_s_series", recording)
+            rhs_ibpf(IbpfCase(BridgeSpec(2.5, 0.0, 0.0), ExpFunctional.one(),
+                              bump(0.2)), route="unified")
+        assert [r.size for _, r, _ in rounds] == [64, 128]
+        return rounds[1]
+
+    def test_round_equals_its_slices(self, second_round):
+        ctx, r, series = second_round
+        whole = mu_pair(-0.5, sigma_rows(ctx, r, series))
+        parts = np.concatenate([
+            mu_pair(-0.5, sigma_rows(ctx, r[i:i + 16], series[i:i + 16]))
+            for i in range(0, r.size, 16)])
+        assert np.array_equal(whole, parts)
+
+    def test_sliced_probes_give_unsliced_cutoffs(self, second_round,
+                                                 monkeypatch):
+        ctx, r, series = second_round
+        fn, calls = sigma_rows(ctx, r, series), []
+
+        def f(b):
+            calls.append(b.size)
+            return fn(b)
+
+        window = np.full(r.size, 60.0)
+        sliced = decay_cutoff(f, 0.0, window, rel=1e-18, probes=601)
+        assert len(calls) > 1 and max(calls) <= quadrature.PROBE_SLICE
+        monkeypatch.setattr(quadrature, "PROBE_SLICE", r.size * 601)
+        calls.clear()
+        whole = decay_cutoff(f, 0.0, window, rel=1e-18, probes=601)
+        assert calls == [r.size * 601]
+        assert np.array_equal(sliced, whole)
 
 
 class TestMuIdentities:

@@ -11,7 +11,8 @@ from scipy import integrate, stats
 from bessel_lab.core import bump
 from bessel_lab.quadrature import adaptive_gl
 from bessel_lab.samplers import RngStream
-from bessel_lab.spde import (f_eps_eta, field_to_u, gamma_rs, h_l2_norm_sq,
+from bessel_lab.spde import (SERIES_MAX, check_settings, f_eps_eta,
+                             field_to_u, gamma_rs, h_l2_norm_sq,
                              martingale_regression, mollifier, ou_step,
                              run_decomposition, stationary_field)
 
@@ -297,6 +298,28 @@ class TestDecomposition:
                               args["dt"], args["k_max"], RngStream(0),
                               replicas=args["replicas"],
                               store_every=args["store_every"])
+
+    def test_snapshot_count_is_bounded(self):
+        # replicas x snapshots is bounded before any work, and the error
+        # names the horizon's key: spde-sim's defaults at T = 1e6 are 10^11
+        # steps, 10^9 + 1 snapshots of 200 replicas
+        def settings(t_final, replicas, dt=1.0, store_every=1):
+            return check_settings(("T", t_final), ("dt", dt), ("K", 256),
+                                  ("replicas", replicas),
+                                  ("store_every", store_every))
+
+        assert SERIES_MAX == 2**25
+        assert settings(1023.0, 2**15) == 1023  # 1024 snapshots
+        assert settings(1023.0 * 7, 2**15, store_every=7) == 7161
+        with pytest.raises(ValueError, match=r"^bad 'T': 32768 replicas x "
+                                             r"1025 snapshots exceed"):
+            settings(1024.0, 2**15)
+        with pytest.raises(ValueError, match=r"^bad 'T': 32768 replicas x "
+                                             r"1025 snapshots exceed"):
+            settings(1023.0 * 7 + 1.0, 2**15, store_every=7)
+        with pytest.raises(ValueError, match=r"^bad 'T': 200 replicas x "
+                                             r"1000000001 snapshots exceed"):
+            settings(1e6, 200, dt=1e-5, store_every=100)
 
 
 def serial_decomposition(h, eps, eta, n_steps, dt, k_max, rng, replicas,
