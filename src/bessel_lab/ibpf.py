@@ -305,14 +305,22 @@ def bridge_mean_phi(ctx, r):
     """``E[X_r Phi]`` for one exponential term under the bridge law, per
     entry of ``r``: ``(1/2) int_0^inf s^{(delta-1)/2} Sigma(s) ds``, with
     the power taken by the Gauss-Jacobi end panel and the range cut where
-    Sigma has decayed (the integrand is positive, so the relative tolerance
-    alone decides), all entries in one row-batched quadrature."""
+    the whole integrand has decayed (it is positive, so the relative
+    tolerance alone decides), all entries in one row-batched quadrature.
+    The cut probes the power with Sigma, since at large delta the power
+    moves the mass far past Sigma's own decay; the probe at s = 0, where
+    the power is 0 or (below delta = 1) infinite, counts as 0."""
+    beta = (ctx.spec.delta - 1.0) / 2.0
+
     def sig(s):
         return sigma_s(ctx, np.asarray(r)[..., None], s)
 
-    big_s = decay_cutoff(sig, 0.0, _s_scales(ctx, r)[1], probes=100)
+    def probe(s):
+        return np.power(s, beta, out=np.zeros_like(s), where=s > 0.0) * sig(s)
+
+    big_s = decay_cutoff(probe, 0.0, _s_scales(ctx, r)[1], probes=100)
     return 0.5 * adaptive_gl(sig, 0.0, big_s, rtol=1e-10, atol=1e-300,
-                             confirm=1, beta=(ctx.spec.delta - 1.0) / 2.0)
+                             confirm=1, beta=beta)
 
 
 def lhs_bridge_analytic(case):

@@ -25,6 +25,21 @@ by the evaluators behind the kernel ``besq_density_reg`` (its own series of
 ``S_nu`` below ``w = 400``, ``ive`` above), so a defect in one cannot reach
 both the analytic and the Monte Carlo route.
 
+Given L, the Poisson mixture of Gamma(delta/2 + M) is half a noncentral
+chi^2 of ``delta`` degrees of freedom and noncentrality ``2 (u + v)``, and
+for ``delta >= 1`` that is ``chi^2_{delta-1} + (Z + sqrt(2 (u + v)))^2``
+(Johnson, Kotz & Balakrishnan, *Continuous Univariate Distributions* 2,
+ch. 29).  So a step with ``delta >= 1`` draws
+
+    (dt S / T) ((Z + sqrt(2 (u + v)))^2 + 2 Gamma((delta - 1)/2 + 2 L)),
+
+one normal and one gamma of a fixed shape when ``y = 0``, in place of a
+Poisson and a gamma of a per-path shape.  Steps with ``delta < 1``, where
+there is no chi^2_{delta-1}, keep the Poisson-Gamma draws, in the order
+Poisson, L, gamma.  The unconditioned process's step over ``dt`` is the
+same with ``L = 0``: ``dt`` times a noncentral chi^2 of noncentrality
+``x / dt``.
+
 All randomness flows through :class:`RngStream` (counter-based Philox keyed
 by ``(seed, stream)``), so every sampler is reproducible and independent
 streams can be drawn for parallel blocks.
@@ -262,18 +277,46 @@ def bessel_rv(nu, w, g):
     return out
 
 
+def _besq_step(delta, c, mean, g, w=None):
+    """One exact squared Bessel step, an array with one draw per entry of
+    ``mean``: ``c`` times a noncentral chi^2 of ``delta`` degrees of freedom
+    and noncentrality ``2 mean``, plus ``c chi^2_{4L}`` with ``L ~
+    Bessel(delta/2 - 1, w)`` when ``w`` is given.
+
+    For ``delta >= 1`` this is ``c ((Z + sqrt(2 mean))^2 + 2 G)``, ``G ~
+    Gamma((delta - 1)/2 + 2L)``: one normal and one gamma a draw, the gamma
+    of a scalar shape without ``w`` and left out when that shape is 0.
+    Below 1 it is ``Gamma(delta/2 + Poisson(mean) + 2L, scale 2c)``, drawn
+    in the order Poisson, L, gamma."""
+    if delta < 1.0:
+        shape = 0.5 * delta + g.poisson(mean)
+        if w is not None:
+            shape = shape + 2 * bessel_rv(0.5 * delta - 1.0, w, g)
+        return g.gamma(shape, 2.0 * c)
+    shape = 0.5 * (delta - 1.0)
+    if w is not None:
+        shape = shape + 2 * bessel_rv(0.5 * delta - 1.0, w, g)
+    out = g.standard_normal(mean.shape)
+    out += np.sqrt(2.0 * mean)
+    np.square(out, out=out)
+    if np.ndim(shape) or shape > 0.0:
+        out += 2.0 * g.standard_gamma(shape, mean.shape)
+    out *= c
+    return out
+
+
 def besq_bridge_general(delta, x, y, times, rng, size=1):
     """Exact squared Bessel bridge of dimension delta from x to y over [0,1].
 
-    Sequential conditional Poisson-Bessel-Gamma transitions (see the module
-    docstring).  Returns (size, len(times)), with first column ``x`` and
-    last column ``y``.
+    Sequential conditional noncentral chi^2 (delta >= 1) or Poisson-Gamma
+    (delta < 1) transitions with a Bessel-distributed shape shift (see the
+    module docstring).  Returns (size, len(times)), with first column ``x``
+    and last column ``y``.
     """
     if delta <= 0 or x < 0 or y < 0:
         raise ValueError("need delta > 0 and nonnegative boundary values")
     times = _check_times(times)
     g = rng.generator
-    nu = 0.5 * delta - 1.0
     n = len(times)
     out = np.empty((size, n))
     cur = np.full(size, float(x))
@@ -285,12 +328,8 @@ def besq_bridge_general(delta, x, y, times, rng, size=1):
         s = 1.0 - tn
         u = cur * s / (2.0 * dt * big_t)
         v = y * dt / (2.0 * s * big_t)
-        m = g.poisson(u + v)
-        shape = 0.5 * delta + m
-        if y > 0.0:
-            ell = bessel_rv(nu, np.sqrt(cur * y) / big_t, g)
-            shape = shape + 2 * ell
-        cur = g.gamma(shape, 2.0 * dt * s / big_t)
+        w = np.sqrt(cur * y) / big_t if y > 0.0 else None
+        cur = _besq_step(delta, dt * s / big_t, u + v, g, w)
         out[:, i] = cur
     out[:, n - 1] = y
     return out
@@ -304,7 +343,8 @@ def bessel_bridge_general(delta, a, ap, times, rng, size=1):
 
 def bessel_process(delta, a, times, rng, size=1):
     """Unconditioned Bessel process of dimension delta started at a,
-    sampled at ``times`` by exact squared Bessel transitions."""
+    sampled at ``times`` by exact squared Bessel transitions: the step over
+    ``dt`` is ``dt`` times a noncentral chi^2 of noncentrality ``x / dt``."""
     if delta <= 0 or a < 0:
         raise ValueError("need delta > 0 and a >= 0")
     times = np.asarray(times, dtype=float)
@@ -315,8 +355,7 @@ def bessel_process(delta, a, times, rng, size=1):
     out[:, 0] = cur
     for i in range(1, n):
         dt = times[i] - times[i - 1]
-        j = g.poisson(cur / (2.0 * dt))
-        cur = g.gamma(0.5 * delta + j, 2.0 * dt)
+        cur = _besq_step(delta, dt, cur / (2.0 * dt), g)
         out[:, i] = cur
     return np.sqrt(out)
 

@@ -20,15 +20,17 @@ def bridge_marginal_cdf(delta, r, a, ap, bmax=None, n=4001):
 
     Integrates the density in the variable g = b**delta, in which the
     integrand is bounded at the origin even for delta < 1 (where the density
-    itself diverges like b**(delta-1)).
+    itself diverges like b**(delta-1)), on the nodes of a uniform grid in b:
+    a grid uniform in g would leave only a dozen nodes under the bulk at
+    delta = 3.
     """
     if bmax is None:
-        # centre + 8 bridge standard deviations keeps the g-grid resolved
+        # centre + 8 bridge standard deviations keeps the grid resolved
         # even when the marginal is concentrated (small r(1-r), larger delta)
         bmax = (a * (1.0 - r) + ap * r
                 + 8.0 * math.sqrt(delta * r * (1.0 - r)))
-    g = np.linspace(0.0, bmax**delta, n)
-    b = g ** (1.0 / delta)
+    b = np.linspace(0.0, bmax, n)
+    g = b**delta
     q = (besq_density_reg(delta, r, a**2, b**2)
          * besq_density_reg(delta, 1.0 - r, b**2, ap**2)
          / besq_density_reg(delta, 1.0, a**2, ap**2))

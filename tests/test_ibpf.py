@@ -293,6 +293,27 @@ def test_far_apart_bridges_verify(delta, a, ap):
     assert report.passed and report.rel_err <= 1e-5
 
 
+@pytest.mark.parametrize("m", [None, FiniteMeasure.atom(0.6, 1.0),
+                               FiniteMeasure.lebesgue(0.5)],
+                         ids=["m0", "atom", "leb"])
+@pytest.mark.parametrize("a, ap", [(0.0, 0.0), (1.0, 2.0)])
+@pytest.mark.parametrize("delta", [30.0, 45.0, 60.0, 100.0])
+def test_large_dimensions_verify(delta, a, ap, m):
+    # the bridge LHS cuts its s-range where s^{(delta-1)/2} Sigma(s) has
+    # decayed: at large delta the power moves the mass far past Sigma's
+    # own decay
+    report = verify(simple_case(delta, a, ap, m))
+    assert report.passed and report.rel_err <= 1e-5
+    if m is None and a == ap == 0.0:
+        # E[X_r] = sqrt(2r(1-r)) Gamma((delta+1)/2) / Gamma(delta/2)
+        base, _ = integrate.quad(
+            lambda r: float(H.d2(r)) * math.sqrt(2.0 * r * (1.0 - r)),
+            0.2, 0.8, epsabs=0.0, epsrel=1e-12, limit=200)
+        want = base * math.exp(special.gammaln((delta + 1.0) / 2.0)
+                               - special.gammaln(delta / 2.0))
+        assert report.lhs_analytic == pytest.approx(want, rel=1e-12)
+
+
 def test_one_outer_pass_per_case(monkeypatch):
     # Phi = 0.7 e^{-<m1, X^2>} - 0.4 e^{-<m2, X^2>} + 1.2 e^{-<m3, X^2>}:
     # every route integrates all (term, segment) intervals of supp h, split

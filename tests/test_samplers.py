@@ -25,6 +25,21 @@ def besq_transition_sample(delta, t, x, rng, size=1):
     return g.gamma(0.5 * delta + j, 2.0 * t, size=size)
 
 
+def besq_bridge_step_pg(delta, z, y, t, tn, g):
+    """The squared Bessel bridge's step from ``z`` (an array) at ``t`` to
+    ``tn``, towards ``y`` at time 1, in its Poisson-Bessel-Gamma form:
+    Gamma(delta/2 + M + 2L, scale 2 dt S/T), M ~ Poisson(u + v),
+    L ~ Bessel(delta/2 - 1, sqrt(z y)/T), drawn in that order."""
+    dt, big_t, s = tn - t, 1.0 - t, 1.0 - tn
+    u = z * s / (2.0 * dt * big_t)
+    v = y * dt / (2.0 * s * big_t)
+    shape = 0.5 * delta + g.poisson(u + v)
+    if y > 0.0:
+        shape = shape + 2 * bessel_rv(0.5 * delta - 1.0,
+                                      np.sqrt(z * y) / big_t, g)
+    return g.gamma(shape, 2.0 * dt * s / big_t)
+
+
 class TestRngStream:
     def test_reproducible(self):
         a = RngStream(42, 1).generator.standard_normal(5)
@@ -89,6 +104,50 @@ class TestTransition:
             besq_transition_sample(0.0, 0.5, 1.0, RngStream(0))
 
 
+class TestBesqStep:
+    """The noncentral chi^2 step against the Poisson-Gamma form it replaced
+    for delta >= 1, and its Poisson-Gamma branch below 1."""
+
+    N = 400000
+
+    def test_unconditioned_delta_one(self):
+        # delta = 1: the normal alone, no gamma
+        t, x = 0.4, 1.0
+        got = samplers._besq_step(1.0, t, np.full(self.N, x / (2.0 * t)),
+                                  RngStream(40, 1).generator)
+        want = besq_transition_sample(1.0, t, x, RngStream(40, 2),
+                                      size=self.N)
+        assert stats.ks_2samp(got, want).pvalue > 0.001
+
+    @pytest.mark.parametrize("delta,z,y,t,tn", [
+        (1.2, 0.8, 2.0, 0.25, 0.5),
+        (3.5, 1.5, 1.0, 0.9, 0.95)])
+    def test_bridge_step(self, delta, z, y, t, tn):
+        # c (Z + sqrt(2 (u + v)))^2 + ..., with c, u, v as in the reference
+        dt, big_t, s = tn - t, 1.0 - t, 1.0 - tn
+        zs = np.full(self.N, z)
+        mean = zs * s / (2.0 * dt * big_t) + y * dt / (2.0 * s * big_t)
+        got = samplers._besq_step(delta, dt * s / big_t, mean,
+                                  RngStream(41, 1).generator,
+                                  np.sqrt(zs * y) / big_t)
+        want = besq_bridge_step_pg(delta, zs, y, t, tn,
+                                   RngStream(41, 2).generator)
+        assert stats.ks_2samp(got, want).pvalue > 0.001
+
+    @pytest.mark.parametrize("x,y", [(0.0, 0.0), (0.25, 1.0)])
+    def test_below_one_draws_the_poisson_gamma_stream(self, x, y):
+        # delta < 1 keeps the Poisson-Gamma draws bit for bit
+        delta, size = 0.7, 64
+        paths = besq_bridge_general(delta, x, y, TIMES_17, RngStream(42, 1),
+                                    size=size)
+        g = RngStream(42, 1).generator
+        cur = np.full(size, x)
+        for i in range(1, len(TIMES_17) - 1):
+            cur = besq_bridge_step_pg(delta, cur, y, TIMES_17[i - 1],
+                                      TIMES_17[i], g)
+            assert np.array_equal(paths[:, i], cur)
+
+
 class TestBesselRv:
     @pytest.mark.parametrize("nu,z", [
         (-0.5, 0.8), (0.25, 5.0), (0.75, 40.0), (0.25, 1000.0), (4.0, 60.0),
@@ -150,6 +209,20 @@ class TestLogIv:
         assert worst <= 1e-13
         # the grid reaches where scipy's scaled I_nu underflows to 0
         assert np.any(special.ive(199.0, z) == 0.0)
+
+
+class TestMarginalCdfOracle:
+    @pytest.mark.parametrize("delta", [1.0, 2.0, 3.0])
+    def test_zero_boundary_is_chi(self, delta):
+        # the bridge 0 -> 0 at time r is sqrt(r (1 - r)) chi_delta
+        worst = 0.0
+        for r in TIMES_17[1:-1]:
+            sd = math.sqrt(r * (1.0 - r))
+            x = np.linspace(0.0, 5.0, 501) * sd
+            got = bridge_marginal_cdf(delta, r, 0.0, 0.0)(x)
+            worst = max(worst, float(np.max(np.abs(
+                got - stats.chi(delta).cdf(x / sd)))))
+        assert worst <= 1e-5
 
 
 class TestBridgeGeneral:
