@@ -34,7 +34,8 @@ from .core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump, poly_bump)
 from .ibpf import MODES, IbpfCase, SeriesTruncationError, verify
 from .mu_dist import MuConvergenceError, SmoothTestFn, mu_pair
 from .quadrature import QuadratureError
-from .samplers import MC_MAX_SAMPLES, RngStream, bessel_bridge_general
+from .samplers import (MAX_MESH, MC_MAX_SAMPLES, RngStream,
+                       bessel_bridge_general)
 from .specfun import bridge_density
 from .sturm_liouville import solve_sl
 from .laplace_sigma import SigmaContext, sigma_s
@@ -130,6 +131,9 @@ def _parse_measure(d, default=_REQUIRED):
 _mc_paths = _kind(lambda n: n == 0 or 100 <= n <= MC_MAX_SAMPLES,
                   f"need 0 or from 100 to {MC_MAX_SAMPLES} paths", _int)
 _workers = _kind(lambda n: n >= 1, "a worker count is positive", _int)
+_paths = _kind(lambda n: n >= 1, "a path count is positive", _int)
+_mesh = _kind(lambda n: 2 <= n <= MAX_MESH,
+              f"a mesh has from 2 to {MAX_MESH} points", _int)
 _tol = _kind(lambda x: x > 0.0, "a tolerance is positive", _float)
 _seed = _kind(lambda n: 0 <= n < 2**64, "a seed lies in [0, 2**64)", _int)
 _mode = _kind(lambda v: v in MODES, f"choose one of {MODES}")
@@ -142,6 +146,10 @@ _case_id = _kind(
 #: double: a, a' < 1.34e154.
 _boundary = _kind(lambda x: math.isfinite(x * x),
                   "a boundary value's square must be a finite double", _float)
+
+#: The most path values (paths x mesh points) that sample writes: 256 MiB
+#: of float64, before the CSV text.
+SAMPLE_VALUES_MAX = 2**25
 
 #: The largest dimension of a verification case.  Up to it the unconstrained
 #: identity holds to 2e-15 at a = 0; at 200 it misses by 4e-3, and past
@@ -381,6 +389,9 @@ def cmd_ibpf_check(args):
 
 def cmd_sample(args):
     _parse_spec(vars(args))
+    if args.n * args.mesh > SAMPLE_VALUES_MAX:
+        raise ConfigError(f"bad --n: {args.n} paths of {args.mesh} points "
+                          f"exceed {SAMPLE_VALUES_MAX} values (n x mesh)")
     rng = RngStream(args.seed)
     times = np.linspace(0.0, 1.0, args.mesh)
     paths = bessel_bridge_general(args.delta, args.a, args.ap, times, rng,
@@ -531,9 +542,9 @@ def _build_parser():
     p.add_argument("--delta", type=_float, required=True)
     p.add_argument("--a", type=_float, default=0.0)
     p.add_argument("--ap", type=_float, default=0.0)
-    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--n", type=_paths, required=True)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--mesh", type=_int, default=101)
+    p.add_argument("--mesh", type=_mesh, default=101)
 
     p = command("spde-sim", cmd_spde_sim, "weak delta=2 decomposition run")
     for key, (kind, default) in SPDE_SETTINGS.items():

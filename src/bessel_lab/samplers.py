@@ -23,7 +23,11 @@ The Bessel(nu, w) draws are normalised by this module's own log I_nu
 (``_log_iv``: power series, Hankel and uniform expansions in log space), not
 by the evaluators behind the kernel ``besq_density_reg`` (its own series of
 ``S_nu`` below ``w = 400``, ``ive`` above), so a defect in one cannot reach
-both the analytic and the Monte Carlo route.
+both the analytic and the Monte Carlo route.  Each Bessel draw is an
+inverse-CDF search outward from the mode (mode, mode - 1, mode + 1, ...)
+that only counts the positions whose running CDF its uniform passes, with
+``log l!`` and ``log Gamma(l + nu + 1)`` at the modes tabulated over the
+batch's range of modes (``bessel_rv``).
 
 Given L, the Poisson mixture of Gamma(delta/2 + M) is half a noncentral
 chi^2 of ``delta`` degrees of freedom and noncentrality ``2 (u + v)``, and
@@ -96,13 +100,20 @@ class RngStream:
         return RngStream(self.seed, (self.stream << _SUBSTREAM_BITS) + i + 1)
 
 
-def _check_times(times):
+def _check_mesh(times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2:
         raise ValueError("need at least two sample times")
     if len(times) > MAX_MESH:
         raise ValueError(f"mesh size limited to {MAX_MESH} points")
-    if times[0] != 0.0 or times[-1] != 1.0 or np.any(np.diff(times) <= 0):
+    if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be finite and increase strictly")
+    return times
+
+
+def _check_times(times):
+    times = _check_mesh(times)
+    if times[0] != 0.0 or times[-1] != 1.0:
         raise ValueError("times must increase strictly from 0 to 1")
     return times
 
@@ -166,6 +177,18 @@ def _debye_polys():
     return polys
 
 
+def _horner(x, c):
+    """sum_k c[k] x^k for a finite array x (len(c) >= 2) by Horner's rule
+    in place: per term one product and one sum, rounded as ``P.polyval``
+    rounds them."""
+    out = x * c[-1]
+    out += c[-2]
+    for ck in c[-3::-1]:
+        out *= x
+        out += ck
+    return out
+
+
 def _log_iv(nu, z):
     """log I_nu(z) for a scalar order nu > -1 and an array of z > 0.
 
@@ -191,7 +214,7 @@ def _log_iv(nu, z):
                                          in enumerate(_debye_polys())))
         return (nu * (r + np.log(t / (1.0 + r))) - 0.5 * np.log(r)
                 - 0.5 * np.log(2.0 * np.pi * nu)
-                + np.log(P.polyval(1.0 / r, c)))
+                + np.log(_horner(1.0 / r, c)))
     out = np.empty_like(z)
     low = z <= max(_Z_HANKEL, 0.5 * nu * nu)
     if np.any(low):
@@ -203,7 +226,7 @@ def _log_iv(nu, z):
             k = len(terms)
             terms.append(terms[-1] * qmax / (k * (k + nu)))
         out[low] = (nu * np.log(0.5 * z[low]) - special.gammaln(nu + 1.0)
-                    + np.log(P.polyval(q / qmax, terms)))
+                    + np.log(_horner(q / qmax, terms)))
     if not np.all(low):
         x = z[~low]
         xmin = float(np.min(x))
@@ -214,7 +237,7 @@ def _log_iv(nu, z):
             terms.append(-terms[-1] * (mu - (2 * k - 1) ** 2)
                          / (8.0 * k * xmin))
         out[~low] = (x - 0.5 * np.log(2.0 * np.pi * x)
-                     + np.log(P.polyval(xmin / x, terms)))
+                     + np.log(_horner(xmin / x, terms)))
     return out
 
 
@@ -229,50 +252,83 @@ def bessel_rv(nu, w, g):
     underflow) and terminates after O(std) iterations.  The normaliser is
     this module's own ``_log_iv``, not the kernel's evaluator, so the Monte
     Carlo route shares no Bessel function code with the analytic one.
+
+    The search visits the mode, then mode - 1, mode + 1, mode - 2, ...,
+    each mass the one before times a pmf ratio, and adds each to a running
+    CDF; a draw's value is the first position p whose CDF exceeds its
+    uniform.  That CDF never falls, so p is the number of positions whose
+    CDF the uniform reaches, and the loop only counts them, until no draw
+    reaches its CDF: p = 0 is the mode, p = 2k - 1 is mode - k and p = 2k
+    is mode + k.  A draw still counting after ``kmax`` steps keeps the mode
+    (the mass left is rounding-level).  ``log l!`` and ``log Gamma(l + nu +
+    1)`` at the modes are read from a table over the modes' range when that
+    range is narrower than the batch, and computed per draw otherwise.
     """
     w = np.asarray(w, dtype=float)
-    out = np.zeros(w.shape, dtype=np.int64)
     act = w > 0.0
-    if not np.any(act):
-        return out
-    z = w[act]
+    whole = act.all()
+    z = w if whole else w[act]
+    if not z.size:
+        return np.zeros(w.shape, dtype=np.int64)
     q = 0.25 * z * z  # the pmf ratio parameter: p_{l+1}/p_l = q/((l+1)(l+nu+1))
     lmode = np.floor(0.5 * (-nu + np.sqrt(nu * nu + 4.0 * q))).astype(np.int64)
-    lmode = np.maximum(lmode, 0)
-    logp = ((2 * lmode + nu) * np.log(0.5 * z)
-            - special.gammaln(lmode + 1.0) - special.gammaln(lmode + nu + 1.0)
-            - _log_iv(nu, z))
-    pmode = np.exp(logp)
+    np.maximum(lmode, 0, out=lmode)
+    lmin, lmax = int(lmode.min()), int(lmode.max())
+    if lmax - lmin + 1 < z.size:
+        span = np.arange(lmin, lmax + 1)
+        at = lmode - lmin
+        log_fact = special.gammaln(span + 1.0)[at]
+        log_gamma = special.gammaln(span + nu + 1.0)[at]
+    else:
+        log_fact = special.gammaln(lmode + 1.0)
+        log_gamma = special.gammaln(lmode + nu + 1.0)
+    logp = (2 * lmode + nu) * np.log(0.5 * z)
+    logp -= log_fact
+    logp -= log_gamma
+    logp -= _log_iv(nu, z)
+    cum = np.exp(logp, out=logp)
 
     u = g.uniform(size=z.shape)
-    vals = lmode.copy()  # fallback: the mode (exhausted mass is rounding-level)
-    cum = pmode.copy()
-    todo = u >= cum
-    pl = pmode.copy()
-    pr = pmode.copy()
+    pl = cum.copy()
+    pr = cum.copy()
+    ge = u >= cum
+    count = ge.astype(np.int64)
+    # left + 1 and right of step k as exact floats: lmode - k + 1, lmode + k
+    lf = lmode.astype(float)
+    rf = lf + 1.0
+    t = np.empty_like(cum)
     # Worst case the search spans the whole bulk of the distribution; the
     # bound below is generous (many standard deviations).
-    kmax = int(np.max(lmode)) + 90 + int(8.0 * np.sqrt(float(np.max(q)) + 1.0))
-    for k in range(1, kmax + 1):
-        if not np.any(todo):
+    kmax = lmax + 90 + int(8.0 * np.sqrt(float(np.max(q)) + 1.0))
+    for _ in range(kmax):
+        if not ge.any():
             break
         # Left of l = 0 the factor (left + 1) makes pl exactly +-0 for good,
         # so those draws can hit only on the right.
-        left = lmode - k
-        pl *= left + 1.0
-        pl *= left + 1.0 + nu
+        pl *= lf
+        np.add(lf, nu, out=t)
+        pl *= t
         pl /= q
         cum += pl
-        hit = todo & (u < cum)
-        np.copyto(vals, left, where=hit)
-        todo ^= hit
-        right = lmode + k
+        count += np.greater_equal(u, cum, out=ge)
         pr *= q
-        pr /= right * (right + nu)
+        np.add(rf, nu, out=t)
+        t *= rf
+        pr /= t
         cum += pr
-        hit = todo & (u < cum)
-        np.copyto(vals, right, where=hit)
-        todo ^= hit
+        count += np.greater_equal(u, cum, out=ge)
+        lf -= 1.0
+        rf += 1.0
+    else:
+        count[count > 2 * kmax] = 0  # unresolved: the mode
+    k = (count + 1) >> 1
+    vals = np.where(count & 1, lmode - k, lmode + k)
+    # A draw whose q underflows to 0 (w below 3e-162) has mode 0 and a 0/0
+    # CDF from its first left step on: unresolved, it counts to p = 1.
+    np.maximum(vals, 0, out=vals)
+    if whole:
+        return vals
+    out = np.zeros(w.shape, dtype=np.int64)
     out[act] = vals
     return out
 
@@ -344,10 +400,12 @@ def bessel_bridge_general(delta, a, ap, times, rng, size=1):
 def bessel_process(delta, a, times, rng, size=1):
     """Unconditioned Bessel process of dimension delta started at a,
     sampled at ``times`` by exact squared Bessel transitions: the step over
-    ``dt`` is ``dt`` times a noncentral chi^2 of noncentrality ``x / dt``."""
+    ``dt`` is ``dt`` times a noncentral chi^2 of noncentrality ``x / dt``.
+    ``times`` (2 to ``MAX_MESH`` finite values, strictly increasing) may
+    start and end anywhere; the process is at ``a`` at ``times[0]``."""
     if delta <= 0 or a < 0:
         raise ValueError("need delta > 0 and a >= 0")
-    times = np.asarray(times, dtype=float)
+    times = _check_mesh(times)
     g = rng.generator
     n = len(times)
     out = np.empty((size, n))

@@ -228,6 +228,25 @@ class TestExitCodes:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n,mesh,message", [
+        # 1.49 TiB of paths, and one path over 2**25 values at two points
+        ("100000000", "2049", "config error: bad --n"),
+        (str(2**24 + 1), "2", "config error: bad --n"),
+        ("-3", "101", "argument --n"), ("0", "101", "argument --n"),
+        ("1", "1", "argument --mesh"), ("1", "2050", "argument --mesh"),
+        ("1", "1000000000", "argument --mesh")])
+    def test_bad_sample_size_is_two(self, n, mesh, message, capsys,
+                                    monkeypatch):
+        # rejected before any path is drawn or allocated
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sample drew paths")
+
+        monkeypatch.setattr(cli, "bessel_bridge_general", no_draw)
+        argv = ["sample", "--delta", "2", f"--n={n}", "--seed", "1",
+                f"--mesh={mesh}"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["ibpf-check", "run-suite"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-5"])
     def test_bad_tol_flag_is_two(self, command, value, cases_file, capsys):

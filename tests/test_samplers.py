@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from scipy import special, stats
 
 from conftest import bridge_marginal_cdf
@@ -38,6 +40,91 @@ def besq_bridge_step_pg(delta, z, y, t, tn, g):
         shape = shape + 2 * bessel_rv(0.5 * delta - 1.0,
                                       np.sqrt(z * y) / big_t, g)
     return g.gamma(shape, 2.0 * dt * s / big_t)
+
+
+def log_iv_polyval(nu, z):
+    """``samplers._log_iv`` summed by ``numpy``'s ``polyval``: the
+    reference for its in-place Horner sums."""
+    if nu >= samplers._NU_UNIFORM:
+        t = z / nu
+        r = np.sqrt(1.0 + t * t)
+        c = functools.reduce(P.polyadd, (u * nu**-k for k, u
+                                         in enumerate(samplers._debye_polys())))
+        return (nu * (r + np.log(t / (1.0 + r))) - 0.5 * np.log(r)
+                - 0.5 * np.log(2.0 * np.pi * nu)
+                + np.log(P.polyval(1.0 / r, c)))
+    out = np.empty_like(z)
+    low = z <= max(samplers._Z_HANKEL, 0.5 * nu * nu)
+    if np.any(low):
+        q = 0.25 * z[low] ** 2
+        qmax = float(np.max(q))
+        terms, total = [1.0], 0.0
+        while terms[-1] > samplers._EPS * total:
+            total += terms[-1]
+            k = len(terms)
+            terms.append(terms[-1] * qmax / (k * (k + nu)))
+        out[low] = (nu * np.log(0.5 * z[low]) - special.gammaln(nu + 1.0)
+                    + np.log(P.polyval(q / qmax, terms)))
+    if not np.all(low):
+        x = z[~low]
+        xmin = float(np.min(x))
+        mu = 4.0 * nu * nu
+        terms = [1.0]
+        while abs(terms[-1]) > samplers._EPS:
+            k = len(terms)
+            terms.append(-terms[-1] * (mu - (2 * k - 1) ** 2)
+                         / (8.0 * k * xmin))
+        out[~low] = (x - 0.5 * np.log(2.0 * np.pi * x)
+                     + np.log(P.polyval(xmin / x, terms)))
+    return out
+
+
+def bessel_rv_marking(nu, w, g, log_iv=log_iv_polyval):
+    """Bessel(nu, w) draws by the mode-outward search that marks each draw
+    where it hits: the reference for ``bessel_rv``'s counting search, its
+    ``gammaln`` table and its ``_log_iv``, which must give these draws bit
+    for bit."""
+    w = np.asarray(w, dtype=float)
+    out = np.zeros(w.shape, dtype=np.int64)
+    act = w > 0.0
+    if not np.any(act):
+        return out
+    z = w[act]
+    q = 0.25 * z * z
+    lmode = np.floor(0.5 * (-nu + np.sqrt(nu * nu + 4.0 * q))).astype(np.int64)
+    lmode = np.maximum(lmode, 0)
+    logp = ((2 * lmode + nu) * np.log(0.5 * z)
+            - special.gammaln(lmode + 1.0) - special.gammaln(lmode + nu + 1.0)
+            - log_iv(nu, z))
+    pmode = np.exp(logp)
+
+    u = g.uniform(size=z.shape)
+    vals = lmode.copy()
+    cum = pmode.copy()
+    todo = u >= cum
+    pl = pmode.copy()
+    pr = pmode.copy()
+    kmax = int(np.max(lmode)) + 90 + int(8.0 * np.sqrt(float(np.max(q)) + 1.0))
+    for k in range(1, kmax + 1):
+        if not np.any(todo):
+            break
+        left = lmode - k
+        pl *= left + 1.0
+        pl *= left + 1.0 + nu
+        pl /= q
+        cum += pl
+        hit = todo & (u < cum)
+        np.copyto(vals, left, where=hit)
+        todo ^= hit
+        right = lmode + k
+        pr *= q
+        pr /= right * (right + nu)
+        cum += pr
+        hit = todo & (u < cum)
+        np.copyto(vals, right, where=hit)
+        todo ^= hit
+    out[act] = vals
+    return out
 
 
 class TestRngStream:
@@ -173,6 +260,56 @@ class TestBesselRv:
         pval = 1.0 - stats.chi2.cdf(chi2, df=len(obs) - 1)
         assert pval > 0.001
 
+    ORACLE_NUS = [-0.9, -0.5, 0.25, 0.75, 4.0, 24.0, 199.0]
+
+    @staticmethod
+    def oracle_batches():
+        rng = np.random.default_rng(27)
+        for n in (1, 2000, 5000):
+            for top in (4.0, 1.5):
+                w = rng.permutation(np.logspace(-6.0, top, n))
+                w[3::7] = 0.0
+                yield w
+            yield np.zeros(n)
+        for w in (1e-6, 0.5, 30.0, 1e4):
+            yield np.array([w])
+        # three draws whose modes span about 5000 values
+        yield np.array([1e-3, 0.0, 1e4, 2.0])
+
+    @pytest.mark.parametrize("nu", ORACLE_NUS)
+    def test_draws_equal_the_marking_search(self, nu):
+        # one stream through every batch, so the uniforms drawn per call
+        # must match too
+        mine = RngStream(2027, 1).generator
+        ref = RngStream(2027, 1).generator
+        tabled = set()
+        for w in self.oracle_batches():
+            assert np.array_equal(bessel_rv(nu, w, mine),
+                                  bessel_rv_marking(nu, w, ref))
+            q = 0.25 * w[w > 0.0] ** 2
+            lmode = np.floor(0.5 * (-nu + np.sqrt(nu * nu + 4.0 * q)))
+            lmode = np.maximum(lmode, 0.0)
+            if lmode.size:
+                tabled.add(lmode.max() - lmode.min() + 1 < lmode.size)
+        assert mine.random() == ref.random()
+        # both the gammaln table and its direct fallback ran
+        assert tabled == {True, False}
+
+    def test_unresolved_draws_keep_the_mode(self, monkeypatch):
+        # I_nu overstated twofold leaves the pmf summing to 1/2, so about
+        # half the draws stay unresolved through kmax.  Below w = 3e-162,
+        # q = w^2/4 underflows to 0 and the first left step is 0/0.
+        def doubled(nu, z):
+            return log_iv_polyval(nu, z) + math.log(2.0)
+
+        w = np.tile([1e-170, 0.3, 2.0, 0.0, 1e-170, 40.0], 300)
+        monkeypatch.setattr(samplers, "_log_iv", doubled)
+        with np.errstate(invalid="ignore"):
+            ref = bessel_rv_marking(0.25, w, RngStream(5).generator, doubled)
+            got = bessel_rv(0.25, w, RngStream(5).generator)
+        assert np.array_equal(got, ref)
+        assert np.all(got[::6] == 0) and np.all(got[4::6] == 0)
+
     def test_zero_argument(self):
         g = RngStream(12).generator
         assert np.all(bessel_rv(0.25, np.zeros(10), g) == 0)
@@ -269,6 +406,19 @@ class TestBesselProcess:
         got = paths[:, 1].mean()
         se = paths[:, 1].std() / math.sqrt(100000)
         assert abs(got - want) <= 4 * se
+
+    @pytest.mark.parametrize("times", [
+        [0.0, 0.5, 0.3, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0, np.nan, 1.0],
+        [0.0, 1.0, np.inf], [0.0], np.linspace(0.0, 1.0, MAX_MESH + 1)])
+    def test_bad_times_raise(self, times):
+        with pytest.raises(ValueError):
+            bessel_process(2.5, 1.0, times, RngStream(1), size=3)
+
+    def test_times_need_not_run_from_zero_to_one(self):
+        paths = bessel_process(2.5, 1.0, [0.25, 0.5, 2.0], RngStream(1),
+                               size=3)
+        assert paths.shape == (3, 3) and np.all(np.isfinite(paths))
+        assert np.all(paths[:, 0] == 1.0)
 
 
 class TestMcEstimate:
