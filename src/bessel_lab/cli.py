@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -254,11 +255,15 @@ def _fmt(v):
 
 
 def _csv(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    return buf.getvalue()
+    """The CSV lines of ``header`` and ``rows`` (lists, or the rows of an
+    array), each formatted only when it is written."""
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\n")
+    for row in itertools.chain([header], rows):
+        line.seek(0)
+        line.truncate()
+        writer.writerow([_fmt(v) for v in row])
+        yield line.getvalue()
 
 
 def _json(obj):
@@ -266,12 +271,15 @@ def _json(obj):
 
 
 def _write(text, path):
-    """``text`` to the file ``path``, or to stdout when ``path`` is None."""
+    """``text``, a string or an iterable of strings, to the file ``path``,
+    or to stdout when ``path`` is None."""
+    if isinstance(text, str):
+        text = [text]
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
         return
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(text)
 
 
 def _write_dir(out, name, text, files=()):
@@ -312,7 +320,7 @@ def cmd_density(args):
     if args.delta < 1.0:
         bs[bs == 0.0] = 1e-12  # density diverges at 0 below dimension 1
     ps = bridge_density(args.delta, args.r, args.a, args.ap, bs)
-    _write(_csv(("b", "p"), np.column_stack([bs, ps]).tolist()), args.out)
+    _write(_csv(("b", "p"), np.column_stack([bs, ps])), args.out)
     return 0
 
 
@@ -336,8 +344,7 @@ def cmd_mu(args):
 def cmd_sl_solve(args):
     sol = solve_sl(_parse_measure(_load_json(args.config)))
     rs = np.linspace(0.0, 1.0, args.n)
-    rows = np.column_stack([rs, sol.phi(rs), sol.dphi(rs),
-                            sol.rho(rs)]).tolist()
+    rows = np.column_stack([rs, sol.phi(rs), sol.dphi(rs), sol.rho(rs)])
     _write(_csv(("r", "phi", "phi_prime", "rho"), rows), args.out)
     return 0
 
@@ -354,7 +361,7 @@ def cmd_sigma(args):
                           f"for mode {mode!r}, got {args.r}")
     ctx = SigmaContext(spec, m, bridge)
     bs = np.linspace(0.0, args.bmax, args.n)
-    rows = np.column_stack([bs, sigma_s(ctx, args.r, bs**2)]).tolist()
+    rows = np.column_stack([bs, sigma_s(ctx, args.r, bs**2)])
     _write(_csv(("b", "sigma"), rows), args.out)
     return 0
 
@@ -397,8 +404,7 @@ def cmd_sample(args):
     paths = bessel_bridge_general(args.delta, args.a, args.ap, times, rng,
                                   size=args.n)
     header = ("r",) + tuple(f"path{i}" for i in range(args.n))
-    _write(_csv(header, np.column_stack([times, paths.T]).tolist()),
-           args.out)
+    _write(_csv(header, np.column_stack([times, paths.T])), args.out)
     return 0
 
 
@@ -457,7 +463,7 @@ def cmd_spde_sim(args):
     replicas = ((f"replica_{i:0{width}d}.csv",
                  _csv(("t", "uh", "lap", "n", "m"), np.column_stack(
                      [series.times, series.uh[i], series.lap[i],
-                      series.n_drift[i], series.mart[i]]).tolist()))
+                      series.n_drift[i], series.mart[i]])))
                 for i in range(args.replicas))
     _write_dir(args.out, "diagnostics.json", _json(summary), replicas)
     return 0 if summary["pass"] else 1

@@ -20,9 +20,13 @@ are evaluated by independent numerical routes:
   routes.  The branch route pairs in ``s = b^2``, with
   pref = -Gamma((delta+1)/2)/2 and alpha = (delta-3)/2 (mu_0 = delta_0 and
   <mu_{-1}, f> = -f'(0) are the paper's delta = 3 and delta = 1 cases); the
-  unified route pairs in b, with pref = -Gamma(delta)/(4(delta-2)) and
-  alpha = delta-3, and is disabled in a small guard band around delta = 2,
-  where its prefactor pole is only removable analytically.
+  unified route pairs in b, with alpha = delta-3 and pref Gamma(alpha) =
+  -2 kappa(delta) = -(delta-1)(delta-3)/4, kappa the IbPF constant: that
+  polynomial times the Gamma-free pairing ``mu_dist.finite_part``, with no
+  pole at delta = 2, for delta in [0.5, 8] (mu's alpha in [-2.5, 5]).  At
+  delta = 1 and 3, where kappa = 0 meets the pole of Gamma(alpha), the
+  finite pref = -Gamma(delta)/(4(delta-2)) weighs mu_alpha's point pairing
+  with one Taylor coefficient of Sigma.
 
 The delicate object is the branch pairing at non-integer alpha: after the
 Taylor subtraction the integrand vanishes to high order at 0 and direct
@@ -46,7 +50,7 @@ segment of supp h), handing its integrand all of a row's r-nodes of the
 round at once, whose inner integrals run as one row-batched quadrature on
 (r-node x s-node) grids of Sigma, so they share one panel count and the
 r-integrand of a round comes from one rule; the unified RHS pairs a row's
-whole round as one row of functions in one ``mu_pair``, and the
+whole round as one row of functions in one pairing, and the
 unconditioned LHS has no inner integral.
 """
 
@@ -65,7 +69,7 @@ from .core import (BridgeSpec, ExpFunctional, TestFunctionC2c, hat_weights,
                    pairing_weights)
 from .laplace_sigma import (SERIES_ORDER, SigmaContext, sigma_s,
                             sigma_s_series, zeta_second_deriv)
-from .mu_dist import SmoothTestFn, mu_pair, taylor_rule
+from .mu_dist import SmoothTestFn, finite_part, mu_pair, taylor_rule
 from .quadrature import adaptive_gl, decay_cutoff
 from .samplers import bessel_bridge_general, mc_estimate
 
@@ -84,11 +88,6 @@ __all__ = [
 
 #: The laws a case can take: the bridge, or the process from ``a``.
 MODES = ("bridge", "unconstrained")
-
-#: Guard band around delta = 2 inside which the unified evaluator refuses
-#: to run (the 1/(delta-2) pole is only removable analytically).
-_DELTA2_GUARD = 1e-6
-
 
 class SeriesTruncationError(RuntimeError):
     """The Sigma series is too short for fp_s_integral's closed form."""
@@ -251,10 +250,13 @@ def _sum_terms(case, per_r, point=lambda ctx: 0.0):
 def rhs_ibpf(case, route="branch"):
     """The right-hand side ``pref int h_r <mu_alpha, Sigma_r> dr`` of the
     IbPF for the case, by the requested route (``"branch"`` or
-    ``"unified"``, see the module docstring).  The unified route pairs a
-    row's whole round of r-nodes as one row of functions ``b -> Sigma(Phi |
-    b)`` in one ``mu_pair`` (whose decay probes ``decay_cutoff`` evaluates
-    in bounded slices), with b-Taylor coefficients the s-coefficients of
+    ``"unified"``, see the module docstring).  The unified route, for delta
+    in [0.5, 8], is -2 kappa(delta) = -(delta-1)(delta-3)/4 times
+    ``finite_part(delta-3, .)``, and at delta = 1 and 3 (kappa = 0)
+    -Gamma(delta)/(4(delta-2)) times ``mu_pair``'s point pairing.  It pairs
+    a row's whole round of r-nodes as one row of functions ``b -> Sigma(Phi
+    | b)`` in one call (whose decay probes ``decay_cutoff`` evaluates in
+    bounded slices), with b-Taylor coefficients the s-coefficients of
     ``sigma_s_series`` at the even orders and 0 at the odd ones."""
     d = case.spec.delta
     if route == "branch":
@@ -263,18 +265,20 @@ def rhs_ibpf(case, route="branch"):
         def pair(ctx, r):
             return fp_s_integral(ctx, r, (d - 3.0) / 2.0)
     elif route == "unified":
-        if abs(d - 2.0) < _DELTA2_GUARD:
-            raise ValueError(
-                "unified evaluator disabled near delta = 2 "
-                "(analytically removable pole)")
-        pref = -special.gamma(d) / (4.0 * (d - 2.0))
+        k, point = taylor_rule(d - 3.0)
+        if point and k != 1:
+            # delta = 3 or 1: kappa = 0 cancels the pole of Gamma(delta-3),
+            # and -Gamma(delta)/(4(delta-2)) weighs mu's point pairing
+            pref, pairing = -special.gamma(d) / (4.0 * (d - 2.0)), mu_pair
+        else:
+            pref, pairing = -(d - 1.0) * (d - 3.0) / 4.0, finite_part
 
         def pair(ctx, r):
             taylor = np.zeros((r.size, 2 * SERIES_ORDER + 1))
             taylor[:, ::2] = sigma_s_series(ctx, r)
             fn = SmoothTestFn(lambda b: sigma_s(ctx, r[:, None], b**2),
                               taylor, label="Sigma")
-            return mu_pair(d - 3.0, fn)
+            return pairing(d - 3.0, fn)
     else:
         raise ValueError(f"unknown route {route!r}")
     return pref * _sum_terms(case, lambda ctx, r: case.h(r) * pair(ctx, r))

@@ -9,6 +9,15 @@ extends to all real alpha by
       <mu_alpha, f> = int_0^inf (T^k_x f) x^(alpha-1)/Gamma(alpha) dx,
   where T^n_x f = f(x) - sum_{j<=n} x^j f^(j)(0)/j! is the Taylor remainder.
 
+``finite_part(alpha, f)`` is the Gamma-free pairing Gamma(alpha) <mu_alpha,
+f> = int_0^inf (T^k_x f) x^(alpha-1) dx, the finite part of int_0^inf f(x)
+x^(alpha-1) dx, and ``mu_pair`` is its normalised wrapper: the point pairing
+at an integer alpha <= 0, and 1/Gamma(alpha) times finite_part elsewhere.
+At an integer alpha = -n the Gamma-free pairing is finite only when f's
+Taylor coefficient c_n = f^(n)(0)/n! is 0, and then the Taylor remainders of
+orders n - 1 and n agree: finite_part takes k = n and leaves out the c_n
+tail term, which is 0/0; for c_n != 0 it raises ``ValueError``.
+
 Every non-integer alpha is evaluated by one rule, with k = -1 (nothing
 subtracted) for alpha > 0.  On [0, 1] one more Taylor term is subtracted, so
 that the integrand is (T^{k+1}_x f)/x^{k+2}, smooth, against the weight
@@ -37,7 +46,8 @@ from scipy import special
 
 from .quadrature import QuadratureError, adaptive_gl, decay_cutoff
 
-__all__ = ["SmoothTestFn", "mu_pair", "taylor_rule", "MuConvergenceError"]
+__all__ = ["SmoothTestFn", "finite_part", "mu_pair", "taylor_rule",
+           "MuConvergenceError"]
 
 #: Distance to the nearest integer below which alpha is treated as integral.
 INTEGER_GUARD = 1e-12
@@ -132,27 +142,48 @@ def taylor_rule(alpha):
     return max(math.floor(-alpha), -1), False
 
 
+def _coefficients(alpha, f, extra):
+    """``(c, k, point)``: f's Taylor coefficients, orders first, and
+    ``taylor_rule(alpha)``, once alpha is in range and c reaches order
+    ``k + extra``."""
+    if not ALPHA_MIN <= alpha <= ALPHA_MAX:
+        raise ValueError(f"alpha={alpha} outside supported range "
+                         f"[{ALPHA_MIN}, {ALPHA_MAX}]")
+    c = np.moveaxis(f.taylor, -1, 0)  # (orders,) or (orders, rows)
+    k, point = taylor_rule(alpha)
+    if len(c) - 1 < k + extra:
+        raise ValueError(f"mu_{alpha:g} needs derivatives of {f.label} at 0 "
+                         f"up to order {k + extra}, have {len(c) - 1}")
+    return c, k, point
+
+
 def mu_pair(alpha, f):
     """The pairing ``<mu_alpha, f>`` for ``alpha`` in [-2.5, 5].
 
     ``f`` is a :class:`SmoothTestFn` whose Taylor coefficients at the origin
     reach order ``max(ceil(-alpha), 0) + 3`` (non-integer ``alpha``) or
     ``-alpha`` (integer ``alpha <= 0``).  A row of functions gives one
-    pairing per row, from one row-batched quadrature.
+    pairing per row, from one row-batched quadrature.  Away from the point
+    pairings this is ``finite_part(alpha, f) / Gamma(alpha)``.
     """
-    if not ALPHA_MIN <= alpha <= ALPHA_MAX:
-        raise ValueError(f"alpha={alpha} outside supported range "
-                         f"[{ALPHA_MIN}, {ALPHA_MAX}]")
-    c = np.moveaxis(f.taylor, -1, 0)  # (orders,) or (orders, rows)
+    c, k, point = _coefficients(alpha, f, 0)
+    if not point:
+        return finite_part(alpha, f) * special.rgamma(alpha)
+    # + 0.0: a vanishing odd-order coefficient reads 0.0, not -0.0
+    return (-1.0) ** k * math.factorial(k) * c[k] + 0.0
+
+
+def finite_part(alpha, f):
+    """``Gamma(alpha) <mu_alpha, f>``, :func:`mu_pair` without its
+    ``1/Gamma(alpha)``: f's Taylor coefficients must reach order ``k + 4``
+    (``k`` of :func:`taylor_rule`), and at an integer ``alpha = -n <= 0``
+    every row's ``c_n`` must be 0 (``ValueError`` otherwise)."""
+    c, k, point = _coefficients(alpha, f, 4)
     n = len(c) - 1
-    k, integral = taylor_rule(alpha)
-    need = k if integral else k + 4
-    if n < need:
-        raise ValueError(f"mu_{alpha:g} needs derivatives of {f.label} at 0 "
-                         f"up to order {need}, have {n}")
-    if integral:
-        # + 0.0: a vanishing odd-order coefficient reads 0.0, not -0.0
-        return (-1.0) ** k * math.factorial(k) * c[k] + 0.0
+    if point and np.any(c[k] != 0.0):
+        raise ValueError(f"Gamma(alpha) mu_alpha has a pole at alpha = "
+                         f"{alpha:g} for {f.label}: its order-{k} Taylor "
+                         f"coefficient is not 0")
 
     rows = c.shape[1:]
     # highest power first, one column per row for the (rows, x) grids
@@ -201,6 +232,7 @@ def mu_pair(alpha, f):
     # Beyond the cutoff f itself is negligible, but the subtracted monomials
     # decay only like powers; add their tail integrals in closed form
     # (int_c^inf x^{j+alpha-1} dx = -c^{j+alpha}/(j+alpha), j+alpha < 0).
-    for j in range(k + 1):
+    # At alpha = -k the c_k term is 0/0 and is left out: c_k = 0.
+    for j in range(k if point else k + 1):
         total += c[j] * cutoff ** (j + alpha) / (j + alpha)
-    return total * special.rgamma(alpha)
+    return total

@@ -270,7 +270,10 @@ def bessel_rv(nu, w, g):
     z = w if whole else w[act]
     if not z.size:
         return np.zeros(w.shape, dtype=np.int64)
-    q = 0.25 * z * z  # the pmf ratio parameter: p_{l+1}/p_l = q/((l+1)(l+nu+1))
+    # the pmf ratio parameter: p_{l+1}/p_l = q/((l+1)(l+nu+1)), floored
+    # where it underflows (w below 3e-162) so that a left step is 0/q = 0
+    q = 0.25 * z * z
+    np.maximum(q, np.finfo(float).tiny, out=q)
     lmode = np.floor(0.5 * (-nu + np.sqrt(nu * nu + 4.0 * q))).astype(np.int64)
     np.maximum(lmode, 0, out=lmode)
     lmin, lmax = int(lmode.min()), int(lmode.max())
@@ -323,9 +326,6 @@ def bessel_rv(nu, w, g):
         count[count > 2 * kmax] = 0  # unresolved: the mode
     k = (count + 1) >> 1
     vals = np.where(count & 1, lmode - k, lmode + k)
-    # A draw whose q underflows to 0 (w below 3e-162) has mode 0 and a 0/0
-    # CDF from its first left step on: unresolved, it counts to p = 1.
-    np.maximum(vals, 0, out=vals)
     if whole:
         return vals
     out = np.zeros(w.shape, dtype=np.int64)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -548,6 +549,24 @@ class TestDataCommands:
         assert main(args) == 0
         assert capsys.readouterr().out == out1
         assert out1.splitlines()[0] == "r,path0,path1,path2"
+
+    def test_sample_streams_its_csv(self, tmp_path):
+        # rows reach the file as they are formatted: the traced peak is the
+        # paths and their (mesh x paths) table, about 19 bytes per path
+        # value, where the whole CSV as one text took 82
+        n, mesh = 64, 2049
+        tracemalloc.start()
+        try:
+            assert main(["sample", "--delta", "1.5", "--a", "1", "--ap", "2",
+                         "--n", str(n), "--seed", "3", "--mesh", str(mesh),
+                         "--out", str(tmp_path / "paths.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * n * mesh
+        rows = (tmp_path / "paths.csv").read_text().splitlines()
+        assert len(rows) == mesh + 1 and rows[-1] == "1.0," + ",".join(
+            ["2.0"] * n)
 
     def test_sample_large_delta_warns_nothing(self, capsys):
         # order 199: scipy's ive(199, w) underflows to 0 on these paths

@@ -7,7 +7,7 @@ from scipy import integrate, special
 
 from conftest import gamma_3, p_delta_t
 
-from bessel_lab import ibpf, laplace_sigma
+from bessel_lab import ibpf, laplace_sigma, mu_dist
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump,
                              poly_bump)
 from bessel_lab.ibpf import (IbpfCase, lhs_bridge_analytic, lhs_mc,
@@ -54,19 +54,14 @@ class TestRhsBranches:
                 epsabs=1e-13, epsrel=1e-10, limit=200)
             assert rhs == pytest.approx(want, rel=1e-7)
 
-    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.5, 3.0, 3.5])
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0 - 1e-7, 2.0, 2.0 + 1e-7,
+                                       2.5, 3.0, 3.5])
     def test_unified_matches_branch(self, delta):
         case = IbpfCase(BridgeSpec(delta, 1.0, 0.5),
                         ExpFunctional.single(FiniteMeasure.atom(0.6, 1.0)), H)
         b = rhs_ibpf(case, route="branch")
         u = rhs_ibpf(case, route="unified")
         assert rel_err(b, u) <= 1e-7
-
-    def test_delta2_unified_guarded(self):
-        case = simple_case(2.0)
-        with pytest.raises(ValueError):
-            rhs_ibpf(case, route="unified")
-        assert np.isfinite(rhs_ibpf(case, route="branch"))
 
     @pytest.mark.parametrize("delta,ksub", [(0.5, 2), (1.5, 1), (2.5, 1)])
     def test_subtracted_integrand_decay(self, delta, ksub):
@@ -119,6 +114,14 @@ class TestRhsBranches:
         assert rhs_ibpf(simple_case(2.0)) < 0
 
 
+def forbid_mu(mp, forbidden):
+    """Make every binding of mu_pair and finite_part call ``forbidden``."""
+    for mod in (ibpf, laplace_sigma, mu_dist):
+        mp.setattr(mod, "mu_pair", forbidden)
+    for mod in (ibpf, mu_dist):
+        mp.setattr(mod, "finite_part", forbidden)
+
+
 class TestLhs:
     def test_bridge_mean_reduction_delta3(self):
         # Phi = 1, m = 0: LHS = int h'' E[X_r] dr, E[X_r] = sqrt(2r(1-r)) *
@@ -156,14 +159,13 @@ class TestLhs:
 
     def test_rhs_routes_share_no_pairing(self, monkeypatch):
         # routes stay independent: the branch RHS pairs Sigma without
-        # mu_pair, and the unified RHS without fp_s_integral
+        # mu_pair or finite_part, and the unified RHS without fp_s_integral
         def forbidden(*args, **kwargs):
             raise AssertionError("an RHS route reached the other's pairing")
 
         m = FiniteMeasure.atom(0.6, 1.0)
         with monkeypatch.context() as mp:
-            mp.setattr(ibpf, "mu_pair", forbidden)
-            mp.setattr(laplace_sigma, "mu_pair", forbidden)
+            forbid_mu(mp, forbidden)
             for delta in (0.5, 1.0, 2.5, 3.0):
                 assert np.isfinite(rhs_ibpf(simple_case(delta, 1.0, 2.0, m)))
         monkeypatch.setattr(ibpf, "fp_s_integral", forbidden)
@@ -178,8 +180,7 @@ class TestLhs:
             raise AssertionError("unconditioned LHS reached an RHS integrand")
 
         monkeypatch.setattr(laplace_sigma, "_zeta_second_deriv_fp", forbidden)
-        monkeypatch.setattr(laplace_sigma, "mu_pair", forbidden)
-        monkeypatch.setattr(ibpf, "mu_pair", forbidden)
+        forbid_mu(monkeypatch, forbidden)
         monkeypatch.setattr(ibpf, "fp_s_integral", forbidden)
         case = simple_case(1.5, 1.0, m=FiniteMeasure.atom(0.6, 1.0),
                            mode="unconstrained")
@@ -203,7 +204,7 @@ def test_sigma_sees_one_rows_whole_round(monkeypatch):
     # the outer r-integral hands Sigma all r-nodes of one row's round per
     # call (the atom's point term: its one atom), so those nodes share one
     # inner quadrature and one panel count, and the unified route pairs
-    # them in one mu_pair call
+    # them in one finite_part (or mu_pair) call
     seen, rows, outer = [], [], []
 
     def recording(fn):
@@ -232,8 +233,9 @@ def test_sigma_sees_one_rows_whole_round(monkeypatch):
                       (laplace_sigma, "_sigma_uncond_s"),
                       (ibpf, "sigma_s_series")]:
         monkeypatch.setattr(mod, name, recording(getattr(mod, name)))
-    for mod in (ibpf, laplace_sigma):
-        monkeypatch.setattr(mod, "mu_pair", row_count(mod.mu_pair))
+    for mod, name in [(ibpf, "finite_part"), (ibpf, "mu_pair"),
+                      (laplace_sigma, "mu_pair")]:
+        monkeypatch.setattr(mod, name, row_count(getattr(mod, name)))
     monkeypatch.setattr(ibpf, "adaptive_gl", outer_rounds(ibpf.adaptive_gl))
     m = FiniteMeasure.atom(0.6, 1.0)
     verify(simple_case(2.5, 1.0, 0.0, m))  # branch RHS and bridge LHS
@@ -270,8 +272,8 @@ def test_verify_peak_memory(case_id, spec, m):
 
 def test_unified_peak_memory():
     # traced peak of the unified RHS on the finite_part benchmark's case:
-    # 1.75 MB with mu_pair's decay probes evaluated in slices, 4.5 MB with
-    # one whole round of r-nodes probed unsliced
+    # 1.75 MB with finite_part's decay probes evaluated in slices, 4.5 MB
+    # with one whole round of r-nodes probed unsliced
     case = simple_case(2.5)
     rhs_ibpf(case, route="unified")  # warm the caches
     tracemalloc.start()

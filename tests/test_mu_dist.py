@@ -9,7 +9,8 @@ from bessel_lab import ibpf, mu_dist, quadrature
 from bessel_lab.core import BridgeSpec, ExpFunctional, bump
 from bessel_lab.ibpf import IbpfCase, rhs_ibpf
 from bessel_lab.laplace_sigma import sigma_s
-from bessel_lab.mu_dist import MuConvergenceError, SmoothTestFn, mu_pair
+from bessel_lab.mu_dist import (MuConvergenceError, SmoothTestFn,
+                                finite_part, mu_pair)
 from bessel_lab.quadrature import decay_cutoff
 
 ALPHA_BATTERY = [-2.2, -1.5, -1.0, -0.5, 0.0, 0.7, 1.0, 2.3]
@@ -78,6 +79,23 @@ class TestMuBranches:
             mu_pair(-3.0, f)
         with pytest.raises(ValueError):
             mu_pair(5.5, f)
+
+
+class TestFinitePart:
+    @pytest.mark.parametrize("alpha", [-1.0, -1.0 - 1e-7, -1.0 + 1e-7, -0.5,
+                                       -1.5])
+    def test_gauss_closed_form(self, alpha):
+        # Gamma(alpha) <mu_alpha, e^{-x^2}> = Gamma(alpha/2)/2, finite at
+        # alpha = -1, where e^{-x^2} has no order-1 Taylor term
+        got = finite_part(alpha, SmoothTestFn.gauss())
+        assert got == pytest.approx(0.5 * math.gamma(alpha / 2.0),
+                                    rel=1e-13, abs=0.0)
+
+    def test_pole_is_refused(self):
+        # e^{-x} has c_1 = -1: Gamma(alpha) <mu_alpha, e^{-x}> has a pole
+        # at alpha = -1
+        with pytest.raises(ValueError, match="pole"):
+            finite_part(-1.0, SmoothTestFn.exp_decay(1.0))
 
 
 def exp_rows(lams):

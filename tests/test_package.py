@@ -269,7 +269,7 @@ def test_tracer_names_resolve(monkeypatch):
     spec.loader.exec_module(tracer_mod)
     for name in MODULES:
         importlib.import_module(f"bessel_lab.{name}")
-    from bessel_lab import ibpf, spde
+    from bessel_lab import ibpf, laplace_sigma, spde
     from bessel_lab.core import BridgeSpec, ExpFunctional, FiniteMeasure, bump
     from bessel_lab.samplers import RngStream
     original = ibpf.rhs_ibpf
@@ -288,6 +288,9 @@ def test_tracer_names_resolve(monkeypatch):
         ibpf.lhs_uncond_analytic(ibpf.IbpfCase(
             BridgeSpec(2.5, 0.0, 0.0), ExpFunctional.one(), bump(0.2),
             mode="unconstrained"))
+        # the unified RHS pairs through finite_part: mu_pair is reached by
+        # the finite-part zeta''
+        laplace_sigma.zeta_second_deriv(2.5, 0.8, 0.3, route="finite-part")
         # the samplers and the SPDE, read by position
         ibpf.lhs_mc(mc_case, 200, RngStream(0))
         spde.run_decomposition(bump(0.2), 0.05, 0.01, 5e-5, 1e-5, 32,

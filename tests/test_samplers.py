@@ -298,7 +298,8 @@ class TestBesselRv:
     def test_unresolved_draws_keep_the_mode(self, monkeypatch):
         # I_nu overstated twofold leaves the pmf summing to 1/2, so about
         # half the draws stay unresolved through kmax.  Below w = 3e-162,
-        # q = w^2/4 underflows to 0 and the first left step is 0/0.
+        # q = w^2/4 underflows to 0: the reference's first left step is 0/0,
+        # and bessel_rv's floored q keeps its own steps free of 0/0.
         def doubled(nu, z):
             return log_iv_polyval(nu, z) + math.log(2.0)
 
@@ -306,7 +307,7 @@ class TestBesselRv:
         monkeypatch.setattr(samplers, "_log_iv", doubled)
         with np.errstate(invalid="ignore"):
             ref = bessel_rv_marking(0.25, w, RngStream(5).generator, doubled)
-            got = bessel_rv(0.25, w, RngStream(5).generator)
+        got = bessel_rv(0.25, w, RngStream(5).generator)
         assert np.array_equal(got, ref)
         assert np.all(got[::6] == 0) and np.all(got[4::6] == 0)
 
