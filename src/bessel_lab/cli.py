@@ -35,7 +35,7 @@ from .core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump, poly_bump)
 from .ibpf import MODES, IbpfCase, SeriesTruncationError, verify
 from .mu_dist import MuConvergenceError, SmoothTestFn, mu_pair
 from .quadrature import QuadratureError
-from .samplers import (MAX_MESH, MC_MAX_SAMPLES, RngStream,
+from .samplers import (MAX_MESH, MC_MAX_SAMPLES, MC_MIN_SAMPLES, RngStream,
                        bessel_bridge_general)
 from .specfun import bridge_density
 from .sturm_liouville import solve_sl
@@ -129,8 +129,9 @@ def _parse_measure(d, default=_REQUIRED):
     return _get(d, "measure", default, FiniteMeasure.from_json_dict)
 
 
-_mc_paths = _kind(lambda n: n == 0 or 100 <= n <= MC_MAX_SAMPLES,
-                  f"need 0 or from 100 to {MC_MAX_SAMPLES} paths", _int)
+_mc_paths = _kind(lambda n: n == 0 or MC_MIN_SAMPLES <= n <= MC_MAX_SAMPLES,
+                  f"need 0 or from {MC_MIN_SAMPLES} to {MC_MAX_SAMPLES} "
+                  f"paths", _int)
 _workers = _kind(lambda n: n >= 1, "a worker count is positive", _int)
 _paths = _kind(lambda n: n >= 1, "a path count is positive", _int)
 _mesh = _kind(lambda n: 2 <= n <= MAX_MESH,
@@ -157,19 +158,9 @@ SAMPLE_VALUES_MAX = 2**25
 #: about 340 Gamma(delta/2) and the kernel's prefactor overflow.
 CASE_DELTA_MAX = 100.0
 
-#: The most sine modes spde-sim takes: its (replicas x 2 x K) float64
-#: coefficients then hold 1 MiB per replica, and a run about two such
-#: arrays (the coefficients and the next step's normals).
-K_MAX = 2**16
-_modes = _kind(lambda n: n <= K_MAX, f"at most {K_MAX} modes", _int)
-
-#: The most (replicas x 2 x K) coefficients spde-sim takes: 256 MiB of
-#: float64, 256 replicas at K_MAX.
-SPDE_COEFS_MAX = 2**25
-
 #: spde-sim's settings as ``name: (type, default)``: the flags of spde-sim
 #: and the keys of run-suite's ``"spde"`` block.
-SPDE_SETTINGS = {"K": (_modes, 256), "dt": (_float, 1e-5),
+SPDE_SETTINGS = {"K": (_int, 256), "dt": (_float, 1e-5),
                  "T": (_float, 0.05), "eps": (_float, 0.05),
                  "eta": (_float, 0.01), "replicas": (_int, 200),
                  "store_every": (_int, 100), "seed": (_seed, 0)}
@@ -366,29 +357,22 @@ def cmd_sigma(args):
     return 0
 
 
-def _verify_descriptor(payload):
-    """Worker entry for parallel case execution (takes JSON-able data)."""
-    case_d, default_tol, mc_n, seed, stream = payload
-    case = _parse_case(case_d, default_tol)
-    rng = RngStream(seed, stream) if mc_n > 0 else None
-    return verify(case, mc_n=mc_n, rng=rng)
-
-
 def cmd_ibpf_check(args):
     config = _load_json(args.config)
-    _parse_cases(config, default_tol=args.tol)  # reject a bad config early
+    cases = _parse_cases(config, default_tol=args.tol)
     mc_n = args.mc if args.mc is not None else _get(config, "mc", 0,
                                                     _mc_paths)
     seed = args.seed if args.seed is not None else _get(config, "seed", 0,
                                                         _seed)
     jobs = _jobs(args)
-    raw = config.get("cases", [])
-    payloads = [(d, args.tol, mc_n, seed, i) for i, d in enumerate(raw)]
-    if jobs > 1 and len(payloads) > 1:
+    rngs = [RngStream(seed, i) if mc_n > 0 else None
+            for i in range(len(cases))]
+    work = (cases, itertools.repeat(mc_n), rngs)
+    if jobs > 1 and len(cases) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_verify_descriptor, payloads))
+            reports = list(pool.map(verify, *work))
     else:
-        reports = [_verify_descriptor(p) for p in payloads]
+        reports = list(map(verify, *work))
     _write_reports(reports, args.out)
     ok = all(r.to_json_dict()["pass"] for r in reports)
     return 0 if ok else 1
@@ -433,20 +417,15 @@ def _spde_summary(series, h):
 
 
 def _check_spde(args):
-    """Reject spde-sim settings that a run cannot take, before any work."""
-    if not 0.0 < args.eta < args.eps:
-        raise ConfigError("need 0 < eta < eps")
+    """Reject, before any work, what a run or its diagnostics cannot take."""
     if args.replicas < 2:
         raise ConfigError("need --replicas >= 2: the diagnostics' standard "
                           "errors are taken across replicas")
-    if args.replicas * 2 * args.K > SPDE_COEFS_MAX:
-        raise ConfigError(f"bad 'replicas': {args.replicas} replicas of "
-                          f"{args.K} modes exceed {SPDE_COEFS_MAX} "
-                          f"coefficients (replicas x 2 x K)")
     try:
-        spde.check_settings(("T", args.T), ("dt", args.dt), ("K", args.K),
-                            ("replicas", args.replicas),
-                            ("store_every", args.store_every))
+        _, snapshots = spde.check_settings(
+            args.T, args.dt, args.K, args.eps, args.eta, args.replicas,
+            args.store_every)
+        spde.check_increments(snapshots - 1, args.replicas)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

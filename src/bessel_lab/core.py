@@ -17,6 +17,7 @@ These are the vocabulary types used throughout the laboratory:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -147,32 +148,43 @@ class TestFunctionC2c:
         return (self.theta, 1.0 - self.theta)
 
 
+# The test functions are partials of module-level functions, so that a case
+# holding one pickles (ibpf-check sends cases to worker processes).
+
+def _bump(theta, norm, second, r):
+    """:func:`bump` at ``r``, or its second derivative if ``second``."""
+    r = np.asarray(r, dtype=float)
+    p = (r - theta) * (1.0 - theta - r)
+    inside = p > 0
+    psafe = np.where(inside, p, 1.0)
+    h = np.where(inside, norm * np.exp(-1.0 / psafe), 0.0)
+    if not second:
+        return h
+    dp = 1.0 - 2.0 * r
+    g1 = dp / psafe**2                       # (-1/P)'
+    g2 = -2.0 / psafe**2 - 2.0 * dp**2 / psafe**3   # (-1/P)''
+    return np.where(inside, h * (g2 + g1**2), 0.0)
+
+
 def bump(theta=0.2):
     """Smooth bump exp(-1/P) with P = (r - theta)(1 - theta - r), peak 1."""
     if not 0.0 < theta < 0.5:
         raise ValueError("theta must lie in (0, 1/2)")
-    pc = (0.5 - theta) ** 2
-    norm = np.exp(1.0 / pc)
+    norm = np.exp(1.0 / (0.5 - theta) ** 2)
+    return TestFunctionC2c(partial(_bump, theta, norm, False),
+                           partial(_bump, theta, norm, True), theta,
+                           label=f"bump({theta:g})")
 
-    def _pieces(r):
-        r = np.asarray(r, dtype=float)
-        p = (r - theta) * (1.0 - theta - r)
-        inside = p > 0
-        psafe = np.where(inside, p, 1.0)
-        h = np.where(inside, norm * np.exp(-1.0 / psafe), 0.0)
-        return r, p, inside, psafe, h
 
-    def f(r):
-        return _pieces(r)[4]
-
-    def d2(r):
-        r, p, inside, psafe, h = _pieces(r)
-        dp = 1.0 - 2.0 * r
-        g1 = dp / psafe**2                       # (-1/P)'
-        g2 = -2.0 / psafe**2 - 2.0 * dp**2 / psafe**3   # (-1/P)''
-        return np.where(inside, h * (g2 + g1**2), 0.0)
-
-    return TestFunctionC2c(f, d2, theta, label=f"bump({theta:g})")
+def _poly_bump(theta, m, second, r):
+    """:func:`poly_bump` at ``r``, or its second derivative if ``second``."""
+    r = np.asarray(r, dtype=float)
+    u = r - theta
+    v = 1.0 - theta - r
+    inside = (u > 0) & (v > 0)
+    if not second:
+        return np.where(inside, u**3 * v**3 / m, 0.0)
+    return np.where(inside, 6.0 * u * v * (v**2 - 3.0 * u * v + u**2) / m, 0.0)
 
 
 def poly_bump(theta=0.2):
@@ -180,23 +192,9 @@ def poly_bump(theta=0.2):
     if not 0.0 < theta < 0.5:
         raise ValueError("theta must lie in (0, 1/2)")
     m = (0.5 - theta) ** 6
-
-    def _uv(r):
-        r = np.asarray(r, dtype=float)
-        u = r - theta
-        v = 1.0 - theta - r
-        inside = (u > 0) & (v > 0)
-        return u, v, inside
-
-    def f(r):
-        u, v, inside = _uv(r)
-        return np.where(inside, u**3 * v**3 / m, 0.0)
-
-    def d2(r):
-        u, v, inside = _uv(r)
-        return np.where(inside, 6.0 * u * v * (v**2 - 3.0 * u * v + u**2) / m, 0.0)
-
-    return TestFunctionC2c(f, d2, theta, label=f"poly_bump({theta:g})")
+    return TestFunctionC2c(partial(_poly_bump, theta, m, False),
+                           partial(_poly_bump, theta, m, True), theta,
+                           label=f"poly_bump({theta:g})")
 
 
 @dataclass

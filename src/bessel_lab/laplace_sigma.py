@@ -20,8 +20,8 @@ bridge ``a -> ap`` over [0, 1]:
       / q_reg(delta, 1,              a^2,          ap^2).
 
 Both expressions are smooth functions of ``s = b^2`` down to (and slightly
-past) ``s = 0``, which is what the finite-part machinery differentiates;
-:func:`sigma_s_series` gives their exact Taylor coefficients there.
+past) ``s = 0``.  The finite-part routes do not differentiate them there:
+they read the exact Taylor coefficients that :func:`sigma_s_series` gives.
 
 The module also provides the mean ``zeta(t) = E[X_t]`` of the Bessel process
 started at ``a`` and its second time-derivative, in closed form through

@@ -78,8 +78,15 @@ MC_BLOCK = 5000
 # i >= 2**_SUBSTREAM_BITS it is a substream of stream k + 1.
 _SUBSTREAM_BITS = 20
 
+#: Smallest ``n`` that ``mc_estimate`` takes.
+MC_MIN_SAMPLES = 100
+
 #: Largest ``n`` that ``mc_estimate`` takes: one block per distinct substream.
 MC_MAX_SAMPLES = MC_BLOCK << _SUBSTREAM_BITS
+
+#: Largest argument ``w`` that ``bessel_rv`` takes: its modes, below w/2,
+#: and the float counters of its search stay exact integers.
+BESSEL_W_MAX = 2.0**53
 
 
 class RngStream:
@@ -246,12 +253,13 @@ def bessel_rv(nu, w, g):
 
     pmf:  p_l = (w/2)^{2l+nu} / (l! Gamma(l+nu+1) I_nu(w)),  l = 0, 1, ...
 
-    ``w`` is an array of (per-draw) arguments; returns an integer array of
-    the same shape.  Inverse-CDF search expanding outward from the mode, so
-    it stays stable for large arguments (where starting at l = 0 would
-    underflow) and terminates after O(std) iterations.  The normaliser is
-    this module's own ``_log_iv``, not the kernel's evaluator, so the Monte
-    Carlo route shares no Bessel function code with the analytic one.
+    ``w`` is an array of (per-draw) arguments, none past ``BESSEL_W_MAX``;
+    returns an integer array of the same shape.  Inverse-CDF search
+    expanding outward from the mode, so it stays stable for large arguments
+    (where starting at l = 0 would underflow) and terminates after O(std)
+    iterations.  The normaliser is this module's own ``_log_iv``, not the
+    kernel's evaluator, so the Monte Carlo route shares no Bessel function
+    code with the analytic one.
 
     The search visits the mode, then mode - 1, mode + 1, mode - 2, ...,
     each mass the one before times a pmf ratio, and adds each to a running
@@ -270,6 +278,10 @@ def bessel_rv(nu, w, g):
     z = w if whole else w[act]
     if not z.size:
         return np.zeros(w.shape, dtype=np.int64)
+    zmax = float(np.max(z))
+    if not zmax <= BESSEL_W_MAX:
+        raise ValueError(f"Bessel(nu, w) draws need w <= 2**53 = "
+                         f"{BESSEL_W_MAX:.0f}, got w = {zmax!r}")
     # the pmf ratio parameter: p_{l+1}/p_l = q/((l+1)(l+nu+1)), floored
     # where it underflows (w below 3e-162) so that a left step is 0/q = 0
     q = 0.25 * z * z
@@ -302,7 +314,7 @@ def bessel_rv(nu, w, g):
     t = np.empty_like(cum)
     # Worst case the search spans the whole bulk of the distribution; the
     # bound below is generous (many standard deviations).
-    kmax = lmax + 90 + int(8.0 * np.sqrt(float(np.max(q)) + 1.0))
+    kmax = lmax + 90 + int(8.0 * np.sqrt(0.25 * zmax * zmax + 1.0))
     for _ in range(kmax):
         if not ge.any():
             break
@@ -429,8 +441,8 @@ def mc_estimate(sample_values, n, rng):
     ``n`` is at most ``MC_MAX_SAMPLES``: past it, the blocks would draw
     what the substreams of the next stream id draw.
     """
-    if n < 100:
-        raise ValueError("need at least 100 samples")
+    if n < MC_MIN_SAMPLES:
+        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples")
     if n > MC_MAX_SAMPLES:
         raise ValueError(f"need at most {MC_MAX_SAMPLES} samples, got {n}")
     total = 0.0

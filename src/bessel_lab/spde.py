@@ -52,10 +52,15 @@ __all__ = [
 #: Spatial synthesis mesh size: x_j = j/256, j = 0..256.
 SYNTH_MESH = 257
 
-#: The most (replicas x snapshots) values a run stores per series: 256 MiB
-#: of float64 for each of the four, the ceiling spde-sim puts on its
-#: (replicas x 2 x K) coefficients.
-SERIES_MAX = 2**25
+#: The most sine modes a run takes: its (replicas x 2 x K) float64
+#: coefficients then hold 1 MiB per replica, and a run about two such arrays
+#: (the coefficients and the next step's normals).
+K_MAX = 2**16
+
+#: The most float64 values (256 MiB) of a run's (replicas x 2 x K)
+#: coefficients, 256 replicas at K_MAX, and of each of its four stored
+#: (replicas x snapshots) series.
+VALUES_MAX = 2**25
 
 
 def _lambdas(k_max):
@@ -192,44 +197,57 @@ class DecompositionSeries:
     mart: np.ndarray    # M_t = uh - uh_0 - lap + N
 
 
-def check_settings(t_final, dt, k_max, replicas, store_every):
+def check_settings(T, dt, K, eps, eta, replicas, store_every):
     """Reject the settings of :func:`run_decomposition` that no run can
-    take, before any work; returns the number of steps.  Each argument is a
-    ``(key, value)`` pair, and the :class:`ValueError` for the first bad
-    setting begins ``bad '<key>':``, so a caller's own names reach its
-    user.  A run whose replicas x snapshots exceed ``SERIES_MAX`` names
-    the ``t_final`` key."""
-    (t_key, t_final), (dt_key, dt) = t_final, dt
+    take, before any work; returns ``(steps, snapshots)``.  The
+    :class:`ValueError` for the first bad setting begins ``bad '<name>':``
+    with spde-sim's name for it, or says ``need 0 < eta < eps``."""
     if not dt > 0:
-        raise ValueError(f"bad {dt_key!r}: time step must be positive, "
-                         f"got {dt}")
-    if not t_final > 0:
-        raise ValueError(f"bad {t_key!r}: t_final must be positive, "
-                         f"got {t_final}")
-    for name, (key, count) in (("k_max", k_max), ("replicas", replicas),
-                               ("store_every", store_every)):
+        raise ValueError(f"bad 'dt': time step must be positive, got {dt}")
+    if not T > 0:
+        raise ValueError(f"bad 'T': T must be positive, got {T}")
+    for name, count in (("K", K), ("replicas", replicas),
+                        ("store_every", store_every)):
         if count < 1:
-            raise ValueError(f"bad {key!r}: {name} must be >= 1, "
+            raise ValueError(f"bad {name!r}: {name} must be >= 1, "
                              f"got {count}")
-    steps = t_final / dt
+    if K > K_MAX:
+        raise ValueError(f"bad 'K': at most {K_MAX} modes, got {K}")
+    if not 0.0 < eta < eps:
+        raise ValueError("need 0 < eta < eps")
+    steps = T / dt
     n_steps = int(round(steps)) if math.isfinite(steps) else 0
-    if (n_steps < 1
-            or abs(n_steps * dt - t_final) > 1e-12 * max(t_final, 1.0)):
-        raise ValueError(f"bad {t_key!r}: t_final must be a positive whole "
-                         f"multiple of dt, got {t_final} and {dt}")
-    replicas, store_every = replicas[1], store_every[1]
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-12 * max(T, 1.0):
+        raise ValueError(f"bad 'T': T must be a positive whole multiple of "
+                         f"dt, got {T} and {dt}")
+    if replicas * 2 * K > VALUES_MAX:
+        raise ValueError(f"bad 'replicas': {replicas} replicas of {K} modes "
+                         f"exceed {VALUES_MAX} coefficients "
+                         f"(replicas x 2 x K)")
     snapshots = -(-n_steps // store_every) + 1
-    if replicas * snapshots > SERIES_MAX:
-        raise ValueError(f"bad {t_key!r}: {replicas} replicas x {snapshots} "
-                         f"snapshots exceed {SERIES_MAX} stored values")
-    return n_steps
+    if replicas * snapshots > VALUES_MAX:
+        raise ValueError(f"bad 'T': {replicas} replicas x {snapshots} "
+                         f"snapshots exceed {VALUES_MAX} stored values")
+    return n_steps, snapshots
 
 
-def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
+def check_increments(per_replica, replicas):
+    """Reject what :func:`martingale_regression` cannot take: fewer than 2
+    increments of M per replica (N and M vanish at t = 0, so the first
+    increments alone leave their columns zero) or fewer than 4 in all."""
+    if per_replica < 2 or per_replica * replicas < 4:
+        raise ValueError(
+            f"the martingale regression needs at least 2 increments per "
+            f"replica and 4 in all, got {per_replica} per replica and "
+            f"{per_replica * replicas} in all")
+
+
+def run_decomposition(h, eps, eta, T, dt, K, rng, replicas=1,
                       store_every=1):
     """Simulate the stationary field and accumulate the decomposition.
 
-    ``h`` is a :class:`~.core.TestFunctionC2c`.  All replicas advance in one
+    ``h`` is a :class:`~.core.TestFunctionC2c`; the settings pass
+    :func:`check_settings` before any draw.  All replicas advance in one
     vectorised sweep.  Time integrals use the left-point (adapted) rule.
     Returns a :class:`DecompositionSeries` with snapshots every
     ``store_every`` steps (plus the final time).
@@ -243,9 +261,8 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
     else, and the other layers stay on the caller's thread, where a tracer
     sees them.
     """
-    n_steps = check_settings(("t_final", t_final), ("dt", dt),
-                             ("k_max", k_max), ("replicas", replicas),
-                             ("store_every", store_every))
+    n_steps, n_keep = check_settings(T, dt, K, eps, eta, replicas,
+                                     store_every)
     n = SYNTH_MESH - 1
     x = np.linspace(0.0, 1.0, SYNTH_MESH)
     wq = np.full(SYNTH_MESH, 1.0 / n)  # trapezoid rule on x_j = j/n
@@ -253,12 +270,11 @@ def run_decomposition(h, eps, eta, t_final, dt, k_max, rng, replicas=1,
     hv = np.asarray(h(x), dtype=float) * wq
     h2v = np.asarray(h.d2(x), dtype=float) * wq
 
-    coef = stationary_field(k_max, rng, replicas)
+    coef = stationary_field(K, rng, replicas)
     u = field_to_u(coef, n)  # (replicas, n + 1)
     uh0 = u @ hv
 
     # snapshots at every store_every-th step and at the last
-    n_keep = -(-n_steps // store_every) + 1
     times = np.minimum(np.arange(n_keep) * store_every, n_steps) * dt
     uh_out = np.empty((replicas, n_keep))
     lap_out = np.empty_like(uh_out)
@@ -320,15 +336,8 @@ def martingale_regression(series):
     z1 = series.uh[:, :-1].ravel()
     z2 = series.n_drift[:, :-1].ravel()
     z3 = series.mart[:, :-1].ravel()
+    check_increments(series.mart.shape[1] - 1, series.mart.shape[0])
     design = np.column_stack([np.ones_like(z1), z1, z2, z3])
-    # N and M vanish at t = 0, so the first increments alone leave their
-    # columns zero
-    steps = series.mart.shape[1] - 1
-    if steps < 2 or len(dm) < design.shape[1]:
-        raise ValueError(
-            f"the martingale regression needs at least 2 increments per "
-            f"replica and {design.shape[1]} in all, got {steps} per replica "
-            f"and {len(dm)} in all")
     coef, *_ = np.linalg.lstsq(design, dm, rcond=None)
     resid = dm - design @ coef
     dof = max(len(dm) - design.shape[1], 1)

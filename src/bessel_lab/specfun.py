@@ -12,8 +12,10 @@ which extends to an entire function of both space arguments.  Writing
             = 0F1(; nu + 1; w) / Gamma(nu + 1),
 
 and ``S_nu`` is entire, so the regularised kernel is well defined for
-``x = 0``, ``y = 0`` and even (slightly) negative ``y`` -- which is what the
-Laplace-functional machinery needs when differentiating at the origin.  For
+``x = 0``, ``y = 0`` and even (slightly) negative ``y``.  Negative ``y``
+stays supported though no route needs it: the routes read Sigma's exact
+Taylor coefficients at the origin instead of differentiating there, and
+call the kernel at ``y >= 0`` only.  For
 ``w < 400``, ``S_nu`` is summed by the kernel itself: its coefficients
 ``c_0 = 1/Gamma(nu+1)``, ``c_{k+1} = c_k / ((k+1)(k+nu+1))`` (DLMF 10.25.2,
 16.2) are tabulated once per ``nu`` with the number of terms each ``|w|``

@@ -29,19 +29,13 @@ from bessel_lab.sturm_liouville import solve_sl
 H = bump(0.2)
 
 
-def _verify_one(idx):
-    # cases are rebuilt in the worker: they hold closures, which do not pickle
-    return verify(standard_battery()[idx])
-
-
 class TestCriterion1IdentityBattery:
     """63 bridge cases, rel_err <= 1e-5 each, full battery <= 10 min."""
 
     def test_full_battery(self):
         t0 = time.time()
-        n = len(standard_battery())
         with ProcessPoolExecutor(max_workers=4) as ex:
-            reports = list(ex.map(_verify_one, range(n)))
+            reports = list(ex.map(verify, standard_battery()))
         elapsed = time.time() - t0
         assert len(reports) == 63
         failures = [(r.case_id, r.rel_err) for r in reports

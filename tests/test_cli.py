@@ -309,16 +309,24 @@ class TestExitCodes:
                                 "ap": 1.3e154})
         assert case.spec.ap == 1.3e154
 
-    def test_mode_count_is_bounded(self, capsys):
+    def test_mode_count_is_bounded(self, tmp_path, monkeypatch, capsys):
         # K is bounded by the memory of spde-sim's (replicas x 2 x K)
-        # coefficients; neither check builds a field
-        kind = cli.SPDE_SETTINGS["K"][0]
-        assert kind(cli.K_MAX) == cli.K_MAX
-        with pytest.raises(cli.ConfigError, match="'K'"):
-            cli._get({"K": 1e12}, "K", 256, kind)
-        with pytest.raises(SystemExit):
-            cli._build_parser().parse_args(["spde-sim", "--K", str(10**12)])
-        assert "argument --K" in capsys.readouterr().err
+        # coefficients: a config error naming 'K' before any field is made,
+        # from the flag and from a "spde" block alike
+        def forbidden(*args, **kwargs):
+            raise AssertionError("made a field past the mode bound")
+
+        monkeypatch.setattr(cli.spde, "stationary_field", forbidden)
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"spde": {"K": 1e12}}))
+        for argv in (["spde-sim", "--K", str(10**12)],
+                     ["run-suite", "--config", str(cfg)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: bad 'K': at most 65536 "
+                                  "modes, got 1000000000000\n")
+        assert cli.spde.check_settings(1e-4, 1e-4, cli.spde.K_MAX, 0.05,
+                                       0.01, 2, 1) == (1, 2)
 
     @pytest.mark.parametrize("command, setting", [
         ("spde-sim", ["--replicas", str(10**12)]),
@@ -340,7 +348,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'replicas'" in err
         # the default 200 replicas pass the bound at K_MAX
-        assert 200 * 2 * cli.K_MAX <= cli.SPDE_COEFS_MAX
+        assert 200 * 2 * cli.spde.K_MAX <= cli.spde.VALUES_MAX
 
     @pytest.mark.parametrize("command", ["spde-sim", "run-suite"])
     def test_snapshot_count_is_bounded(self, command, tmp_path, monkeypatch,
@@ -368,16 +376,50 @@ class TestExitCodes:
         assert "bad 'T': 200 replicas x 1000000001 snapshots" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["spde-sim", "run-suite"])
+    def test_one_increment_per_replica_is_rejected(self, command, tmp_path,
+                                                   monkeypatch, capsys):
+        # the defaults' 5000 steps stored every 5000 leave one increment of
+        # M per replica, which the martingale regression cannot take: a
+        # config error before any step, with the regression's message
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran a decomposition its diagnostics reject")
+
+        monkeypatch.setattr(cli, "verify", forbidden)
+        monkeypatch.setattr(cli.spde, "run_decomposition", forbidden)
+        out = tmp_path / "rep"
+        argv = ["spde-sim", "--store-every", "5000", "--out", str(out)]
+        if command == "run-suite":
+            cfg = tmp_path / "suite.json"
+            cfg.write_text(json.dumps({
+                "cases": [{"delta": 2.5, "a": 1, "ap": 2}],
+                "spde": {"store_every": 5000}}))
+            argv = ["run-suite", "--config", str(cfg), "--out", str(out)]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "config error: the martingale regression needs at least 2 "
+            "increments per replica and 4 in all, got 1 per replica and "
+            "200 in all\n")
+        assert not out.exists()
+
+    # the ids of the K and T cases keep the names these settings had in
+    # their messages before they took spde-sim's, so each case keeps its id
     @pytest.mark.parametrize("spde_block, message", [
         ({"replicas": 1e12}, "'replicas'"),
         ({"K": "x"}, "'K'"),
         ({"eta": 0.05}, "need 0 < eta < eps"),
         ({"replicas": 1}, "need --replicas >= 2"),
         ({"dt": -1e-5}, "bad 'dt': time step must be positive"),
-        ({"T": 0.00035, "dt": 1e-4}, "bad 'T': t_final must be"),
-        ({"T": 0.0}, "bad 'T': t_final must be positive"),
-        ({"T": 1e300, "dt": 1e-300}, "bad 'T': t_final must be"),
-        ({"K": 0}, "bad 'K': k_max must be >= 1"),
+        pytest.param({"T": 0.00035, "dt": 1e-4}, "bad 'T': T must be",
+                     id="spde_block5-bad 'T': t_final must be"),
+        pytest.param({"T": 0.0}, "bad 'T': T must be positive",
+                     id="spde_block6-bad 'T': t_final must be positive"),
+        pytest.param({"T": 1e300, "dt": 1e-300}, "bad 'T': T must be",
+                     id="spde_block7-bad 'T': t_final must be"),
+        pytest.param({"K": 0}, "bad 'K': K must be >= 1",
+                     id="spde_block8-bad 'K': k_max must be >= 1"),
         ({"store_every": 0}, "bad 'store_every': store_every must be >= 1")])
     def test_run_suite_checks_spde_before_cases(self, spde_block, message,
                                                 tmp_path, monkeypatch,
@@ -577,6 +619,16 @@ class TestDataCommands:
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 10 and rows[-1] == "1.0,1.0,1.0,1.0"
 
+    def test_sample_far_end_is_two(self, capsys):
+        # the Bessel draws toward ap = 1e20 would need modes past 2**53
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sample", "--delta", "2.5", "--a", "1", "--ap",
+                         "1e20", "--n", "2", "--mesh", "3", "--seed",
+                         "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Bessel(nu, w) draws need w <= 2**53")
+
     def test_spde_sim_small(self, tmp_path, capsys):
         out = tmp_path / "spde"
         code = main(["spde-sim", "--K", "32", "--dt", "1e-4", "--T", "0.004",
@@ -597,16 +649,22 @@ class TestDataCommands:
               "--replicas", "2", "--store-every", store_every])
         assert json.loads(capsys.readouterr().out)["gamma_det_bound_ok"]
 
+    # the ids of the K and T cases keep the names these settings had in
+    # their messages before they took spde-sim's, so each case keeps its id
     @pytest.mark.parametrize("flag,value,message", [
         ("--dt", "0", "time step must be positive"),
         ("--dt", "-0.0001", "time step must be positive"),
-        ("--K", "0", "k_max must be >= 1"),
-        ("--K", "-3", "k_max must be >= 1"),
+        pytest.param("--K", "0", "bad 'K': K must be >= 1",
+                     id="--K-0-k_max must be >= 1"),
+        pytest.param("--K", "-3", "bad 'K': K must be >= 1",
+                     id="--K--3-k_max must be >= 1"),
         ("--store-every", "0", "store_every must be >= 1"),
         ("--replicas", "1", "config error: need --replicas >= 2"),
         ("--replicas", "0", "config error: need --replicas >= 2"),
-        ("--T", "-0.001", "t_final must be positive"),
-        ("--T", "0", "t_final must be positive"),
+        pytest.param("--T", "-0.001", "bad 'T': T must be positive",
+                     id="--T--0.001-t_final must be positive"),
+        pytest.param("--T", "0", "bad 'T': T must be positive",
+                     id="--T-0-t_final must be positive"),
         ("--T", "1e-4", "needs at least 2 increments per replica"),
         ("--eta", "0", "config error: need 0 < eta < eps"),
         ("--eta", "0.05", "config error: need 0 < eta < eps")])

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -363,6 +364,15 @@ class TestVerify:
         rep2 = verify(simple_case(
             2.5, 1.0, m=FiniteMeasure.atom(0.6, 1.0), mode="unconstrained"))
         assert rep2.passed
+
+    @pytest.mark.parametrize("h", [bump(0.25), poly_bump(0.2)])
+    def test_case_pickles(self, h):
+        # ibpf-check sends parsed cases to its worker processes
+        case = IbpfCase(BridgeSpec(2.5, 1.0, 0.0),
+                        ExpFunctional.single(FiniteMeasure.atom(0.6, 1.0)), h)
+        back = pickle.loads(pickle.dumps(case))
+        assert back.case_id == case.case_id and back.h.label == h.label
+        assert verify(back) == verify(case)
 
     def test_report_schema(self):
         rep = verify(simple_case(3.0))

@@ -311,6 +311,17 @@ class TestBesselRv:
         assert np.array_equal(got, ref)
         assert np.all(got[::6] == 0) and np.all(got[4::6] == 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refuses_modes_past_two_to_53(self):
+        # past 2**53 neither the int64 modes nor the float counters of the
+        # search are exact: refused before any is formed.  w = 1e20 comes
+        # first, since an unchecked search just past 2**53 takes ~1e8 steps
+        g = RngStream(12).generator
+        for w in (1e20, 1e300, math.inf, 2.0**53 + 2.0):
+            with pytest.raises(ValueError, match=r"need w <= 2\*\*53"):
+                bessel_rv(0.25, np.array([1.0, w, 0.0]), g)
+        assert samplers.BESSEL_W_MAX == 2.0**53
+
     def test_zero_argument(self):
         g = RngStream(12).generator
         assert np.all(bessel_rv(0.25, np.zeros(10), g) == 0)

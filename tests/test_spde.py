@@ -11,7 +11,8 @@ from scipy import integrate, stats
 from bessel_lab.core import bump
 from bessel_lab.quadrature import adaptive_gl
 from bessel_lab.samplers import RngStream
-from bessel_lab.spde import (SERIES_MAX, check_settings, f_eps_eta,
+from bessel_lab import spde
+from bessel_lab.spde import (K_MAX, VALUES_MAX, check_settings, f_eps_eta,
                              field_to_u, gamma_rs, h_l2_norm_sq,
                              martingale_regression, mollifier, ou_step,
                              run_decomposition, stationary_field)
@@ -283,34 +284,59 @@ class TestDecomposition:
             run_decomposition(bump(0.2), 0.05, 0.01, 0.00035, 1e-4, 32,
                               RngStream(0))
 
+    # the ids of the K and T cases keep the names these settings had
+    # before they took spde-sim's, so that each case keeps its id
     @pytest.mark.parametrize("kwargs,match", [
         ({"dt": 0.0}, "time step"), ({"dt": -1e-4}, "time step"),
-        ({"k_max": 0}, "k_max"), ({"replicas": 0}, "replicas"),
-        ({"store_every": 0}, "store_every"), ({"t_final": 0.0}, "t_final"),
-        ({"t_final": -1e-5}, "t_final"), ({"t_final": 1e-13}, "t_final"),
-        ({"t_final": 1e300, "dt": 1e-300}, "t_final")])
+        pytest.param({"K": 0}, "bad 'K'", id="kwargs2-k_max"),
+        ({"replicas": 0}, "replicas"), ({"store_every": 0}, "store_every"),
+        pytest.param({"T": 0.0}, "bad 'T'", id="kwargs5-t_final"),
+        pytest.param({"T": -1e-5}, "bad 'T'", id="kwargs6-t_final"),
+        pytest.param({"T": 1e-13}, "bad 'T'", id="kwargs7-t_final"),
+        pytest.param({"T": 1e300, "dt": 1e-300}, "bad 'T'",
+                     id="kwargs8-t_final")])
     def test_bad_settings(self, kwargs, match):
-        args = {"t_final": 0.001, "dt": 1e-4, "k_max": 32, "replicas": 2,
+        args = {"T": 0.001, "dt": 1e-4, "K": 32, "replicas": 2,
                 "store_every": 1}
         args.update(kwargs)
         with pytest.raises(ValueError, match=match):
-            run_decomposition(bump(0.2), 0.05, 0.01, args["t_final"],
-                              args["dt"], args["k_max"], RngStream(0),
+            run_decomposition(bump(0.2), 0.05, 0.01, args["T"], args["dt"],
+                              args["K"], RngStream(0),
                               replicas=args["replicas"],
                               store_every=args["store_every"])
+
+    @pytest.mark.parametrize("settings,match", [
+        ({"eta": 0.05}, r"^need 0 < eta < eps$"),
+        ({"eta": 0.0}, r"^need 0 < eta < eps$"),
+        ({"K": K_MAX + 1}, r"^bad 'K': at most 65536 modes"),
+        ({"K": K_MAX, "replicas": 257},
+         r"^bad 'replicas': 257 replicas of 65536 modes exceed 33554432 "
+         r"coefficients")])
+    def test_bad_settings_draw_nothing(self, settings, match, monkeypatch):
+        # eta, eps, K and the coefficients are checked before the field is
+        # drawn
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew a field from settings a run rejects")
+
+        monkeypatch.setattr(spde, "stationary_field", forbidden)
+        args = {"eps": 0.05, "eta": 0.01, "K": 32, "replicas": 2}
+        args.update(settings)
+        with pytest.raises(ValueError, match=match):
+            run_decomposition(bump(0.2), args["eps"], args["eta"], 1e-4,
+                              1e-4, args["K"], RngStream(0),
+                              replicas=args["replicas"])
 
     def test_snapshot_count_is_bounded(self):
         # replicas x snapshots is bounded before any work, and the error
         # names the horizon's key: spde-sim's defaults at T = 1e6 are 10^11
         # steps, 10^9 + 1 snapshots of 200 replicas
-        def settings(t_final, replicas, dt=1.0, store_every=1):
-            return check_settings(("T", t_final), ("dt", dt), ("K", 256),
-                                  ("replicas", replicas),
-                                  ("store_every", store_every))
+        def settings(T, replicas, dt=1.0, store_every=1):
+            return check_settings(T, dt, 256, 0.05, 0.01, replicas,
+                                  store_every)
 
-        assert SERIES_MAX == 2**25
-        assert settings(1023.0, 2**15) == 1023  # 1024 snapshots
-        assert settings(1023.0 * 7, 2**15, store_every=7) == 7161
+        assert VALUES_MAX == 2**25
+        assert settings(1023.0, 2**15) == (1023, 1024)
+        assert settings(1023.0 * 7, 2**15, store_every=7) == (7161, 1024)
         with pytest.raises(ValueError, match=r"^bad 'T': 32768 replicas x "
                                              r"1025 snapshots exceed"):
             settings(1024.0, 2**15)
