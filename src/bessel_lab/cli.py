@@ -293,14 +293,6 @@ def _write_reports(reports, out):
                [("report.csv", _csv(REPORT_CSV_COLUMNS, table))])
 
 
-def _jobs(args):
-    if args.jobs is not None:
-        return args.jobs
-    if not os.environ.get("BESSEL_LAB_JOBS"):
-        return 1
-    return _get(os.environ, "BESSEL_LAB_JOBS", _REQUIRED, _workers)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations.
 # ---------------------------------------------------------------------------
@@ -364,12 +356,11 @@ def cmd_ibpf_check(args):
                                                     _mc_paths)
     seed = args.seed if args.seed is not None else _get(config, "seed", 0,
                                                         _seed)
-    jobs = _jobs(args)
     rngs = [RngStream(seed, i) if mc_n > 0 else None
             for i in range(len(cases))]
     work = (cases, itertools.repeat(mc_n), rngs)
-    if jobs > 1 and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1 and len(cases) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(verify, *work))
     else:
         reports = list(map(verify, *work))
@@ -482,7 +473,7 @@ def _add_case_flags(p):
     p.add_argument("--mc", type=_mc_paths)
     p.add_argument("--seed", type=_seed)
     p.add_argument("--tol", type=_tol)
-    p.add_argument("--jobs", type=_workers)
+    p.add_argument("--jobs", type=_workers, default=1)
 
 
 def _build_parser():

@@ -155,14 +155,10 @@ def rel_err(lhs, rhs):
 def _s_scales(ctx, r):
     """(series scale, decay scale) of Sigma as a function of s, one entry
     per entry of ``r``."""
-    sol = ctx.sol
-    phr, rr = sol.phi(r), sol.rho(r)
-    if ctx.bridge:
-        t2 = sol.rho1 - rr
-        tmin = np.minimum(rr, t2)
-        th = 1.0 / (1.0 / rr + 1.0 / t2)  # harmonic decay time
-    else:
-        tmin = th = rr
+    phr, rr = ctx.sol.phi(r), ctx.sol.rho(r)
+    t2 = ctx.rho_end - rr  # inf for the process
+    tmin = np.minimum(rr, t2)
+    th = 1.0 / (1.0 / rr + 1.0 / t2)  # harmonic decay time
     series_scale = 2.0 * tmin * phr**2
     decay_scale = phr**2 * (2.0 * th * 120.0
                             + 8.0 * (ctx.spec.a**2 + ctx.spec.ap**2) + 4.0)
@@ -291,7 +287,7 @@ def rhs_ibpf(case, route="branch"):
 def lhs_uncond_analytic(case):
     """``E[d_h Phi] + E[<h'', X> Phi]`` for the unconditioned process:
 
-        sum_i c_i K(a, m_i) int h_r phi_r^{-3} zeta''(rho_r) dr.
+        sum_i c_i K(a, m_i) int h_r phi_r^{-3} zeta''(rho_r) dr,  K = pref/2.
     """
     if case.mode != "unconstrained":
         raise ValueError("unconditioned left-hand side needs unconstrained mode")
@@ -299,8 +295,8 @@ def lhs_uncond_analytic(case):
     h = case.h
 
     def per_r(ctx, r):
-        zpp = zeta_second_deriv(d, a, ctx.sol.rho(r), route="closed-form")
-        return ctx.K * h(r) * ctx.sol.phi(r) ** (-3.0) * zpp
+        zpp = zeta_second_deriv(d, a, ctx.sol.rho(r))
+        return 0.5 * ctx.pref * h(r) * ctx.sol.phi(r) ** (-3.0) * zpp
 
     return _sum_terms(case, per_r)
 

@@ -3,29 +3,30 @@
 For a finite measure ``m`` with transform ``phi`` (see
 :mod:`.sturm_liouville`) and time change ``rho``, the conditional Laplace
 functional of ``Phi(X) = exp(-<m, X^2>)`` given the value at time ``r`` is
-expressed through the regularised squared-Bessel kernel ``q_reg``:
+expressed through the regularised squared-Bessel kernel ``q_reg``.  A bridge
+``a -> ap`` over [0, 1] ends at rho_1 = rho(1):
 
-unconditioned start ``a``:
-
-    Sigma_a(Phi | b) = 2 K(a, m) phi_r^{-delta}
-                       q_reg(delta, rho_r, a^2, b^2/phi_r^2),
-
-    K(a, m) = exp(a^2 phi'(0)/2) phi(1)^{delta/2};
-
-bridge ``a -> ap`` over [0, 1]:
-
-    Sigma_{a,ap}(Phi | b) = 2 exp(a^2 phi'(0)/2) phi_1^{-delta/2} phi_r^{-delta}
+    Sigma_{a,ap}(Phi | b) = pref phi_r^{-delta}
         q_reg(delta, rho_r,          a^2,          b^2/phi_r^2)
-      * q_reg(delta, rho_1 - rho_r,  b^2/phi_r^2,  ap^2/phi_1^2)
-      / q_reg(delta, 1,              a^2,          ap^2).
+      * q_reg(delta, rho_1 - rho_r,  b^2/phi_r^2,  ap^2/phi_1^2) / den,
 
-Both expressions are smooth functions of ``s = b^2`` down to (and slightly
-past) ``s = 0``.  The finite-part routes do not differentiate them there:
-they read the exact Taylor coefficients that :func:`sigma_s_series` gives.
+    pref = 2 exp(a^2 phi'(0)/2) phi_1^{-delta/2},
+    den  = q_reg(delta, 1, a^2, ap^2).
+
+The process started at ``a`` is the bridge that never reaches its end: its
+end time is rho = inf, where the second kernel is absent, its normaliser is
+``den = 1``, and ``pref = 2 exp(a^2 phi'(0)/2) phi_1^{delta/2}``.
+:class:`SigmaContext` fixes the law, and these constants, once.
+
+For both laws Sigma is smooth in ``s = b^2`` down to (and slightly past)
+``s = 0``.  The finite-part routes do not differentiate it there: they read
+the exact Taylor coefficients that :func:`sigma_s_series` gives.
 
 The module also provides the mean ``zeta(t) = E[X_t]`` of the Bessel process
-started at ``a`` and its second time-derivative, in closed form through
-Kummer's function or through a finite-part pairing of the regularised kernel.
+started at ``a`` and its second time-derivative by two functions:
+:func:`zeta_second_deriv` in closed form through Kummer's function, and
+:func:`zeta_second_deriv_fp` through a finite-part pairing of the
+regularised kernel, the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from scipy import special
 from .core import BridgeSpec, FiniteMeasure
 from .mu_dist import SmoothTestFn, mu_pair
 from .specfun import (besq_density_reg, besq_density_reg_ytaylor,
-                      cauchy_product)
+                      bridge_normaliser, cauchy_product)
 from .sturm_liouville import solve_sl
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "sigma_s_series",
     "zeta",
     "zeta_second_deriv",
+    "zeta_second_deriv_fp",
 ]
 
 #: Number of s-Taylor coefficients of Sigma carried by the series pieces.
@@ -58,7 +60,8 @@ SERIES_ORDER = 14
 class SigmaContext:
     """A bridge (``bridge=True``) or process law paired with one measure's
     transform, with that law's constants of Sigma that do not depend on
-    ``r`` or ``s``."""
+    ``r`` or ``s``: ``pref``, ``den`` and the end time ``rho_end``, which
+    is infinite for the process."""
 
     spec: BridgeSpec
     m: FiniteMeasure
@@ -68,19 +71,17 @@ class SigmaContext:
         #: The measure's Sturm-Liouville solution (phi, rho).
         self.sol = sol = solve_sl(self.m)
         d, a, ap = self.spec.delta, self.spec.a, self.spec.ap
-        if not self.bridge:
-            #: Normalisation ``exp(a^2 phi'(0)/2) phi(1)^{delta/2}`` (1 for
-            #: m = 0).
-            self.K = (math.exp(a**2 * sol.phi_prime0 / 2.0)
-                      * sol.phi1 ** (d / 2.0))
-            return
-        #: Bridge prefactor ``2 exp(a^2 phi'(0)/2) phi(1)^{-delta/2}``.
-        self.bridge_pref = (2.0 * math.exp(a**2 * sol.phi_prime0 / 2.0)
-                            * sol.phi1 ** (-d / 2.0))
-        #: Bridge denominator ``q_reg(delta, 1, a^2, ap^2)``.
-        self.bridge_den = besq_density_reg(d, 1.0, a**2, ap**2)
-        #: End point ``ap^2 / phi(1)^2`` of the second bridge kernel.
-        self.end_z = ap**2 / sol.phi1**2
+        lap = math.exp(a**2 * sol.phi_prime0 / 2.0)
+        if self.bridge:
+            self.pref = 2.0 * lap * sol.phi1 ** (-d / 2.0)
+            self.den = bridge_normaliser(d, a, ap)
+            self.rho_end = sol.rho1
+            #: End point ``ap^2 / phi(1)^2`` of the second bridge kernel.
+            self.end_z = ap**2 / sol.phi1**2
+        else:
+            self.pref = 2.0 * (lap * sol.phi1 ** (d / 2.0))
+            self.den = 1.0
+            self.rho_end = math.inf
 
 
 def _sigma_uncond_s(ctx, r, s):
@@ -88,7 +89,7 @@ def _sigma_uncond_s(ctx, r, s):
     d, a = ctx.spec.delta, ctx.spec.a
     phr, rr = ctx.sol.phi(r), ctx.sol.rho(r)
     z = np.asarray(s, dtype=float) / phr**2
-    return 2.0 * ctx.K * phr ** (-d) * besq_density_reg(d, rr, a**2, z)
+    return ctx.pref * phr ** (-d) * besq_density_reg(d, rr, a**2, z)
 
 
 def _sigma_bridge_s(ctx, r, s):
@@ -98,13 +99,11 @@ def _sigma_bridge_s(ctx, r, s):
     kernel is symmetric in its space arguments, and only the second slot
     extends to negative values."""
     d, a = ctx.spec.delta, ctx.spec.a
-    sol = ctx.sol
-    phr, rr = sol.phi(r), sol.rho(r)
+    phr, rr = ctx.sol.phi(r), ctx.sol.rho(r)
     z = np.asarray(s, dtype=float) / phr**2
-    pref = ctx.bridge_pref * phr ** (-d)
     num = (besq_density_reg(d, rr, a**2, z)
-           * besq_density_reg(d, sol.rho1 - rr, ctx.end_z, z))
-    return pref * num / ctx.bridge_den
+           * besq_density_reg(d, ctx.rho_end - rr, ctx.end_z, z))
+    return ctx.pref * phr ** (-d) * num / ctx.den
 
 
 def sigma_s(ctx, r, s):
@@ -120,23 +119,19 @@ def sigma_s_series(ctx, r):
     ``s -> Sigma(Phi | sqrt(s))`` at 0, one row per entry of ``r``.
 
     Exact (up to rounding): obtained from the y-Taylor series of the
-    regularised squared Bessel kernel, multiplied as power series for the
-    bridge, where Sigma is a product of two kernels in the same variable.
+    regularised squared Bessel kernel, multiplied as power series by the
+    bridge's end kernel, in the same variable.
     """
     d, a = ctx.spec.delta, ctx.spec.a
-    sol = ctx.sol
-    phr = np.asarray(sol.phi(r))[..., None]
-    rr = sol.rho(r)
-    av = besq_density_reg_ytaylor(d, rr, a**2, SERIES_ORDER)
+    phr = np.asarray(ctx.sol.phi(r))[..., None]
+    rr = ctx.sol.rho(r)
+    coeffs = besq_density_reg_ytaylor(d, rr, a**2, SERIES_ORDER)
     if ctx.bridge:
-        bv = besq_density_reg_ytaylor(d, sol.rho1 - rr, ctx.end_z,
-                                      SERIES_ORDER)
-        coeffs = (ctx.bridge_pref * phr ** (-d) / ctx.bridge_den
-                  * cauchy_product(av, bv))
-    else:
-        coeffs = 2.0 * ctx.K * phr ** (-d) * av
-    # account for z = s / phr^2
-    return coeffs * phr ** (-2.0 * np.arange(SERIES_ORDER + 1))
+        coeffs = cauchy_product(coeffs, besq_density_reg_ytaylor(
+            d, ctx.rho_end - rr, ctx.end_z, SERIES_ORDER))
+    # z = s / phr^2 scales c_j by phr^{-2j}
+    return (ctx.pref * phr ** (-d) / ctx.den * coeffs
+            * phr ** (-2.0 * np.arange(SERIES_ORDER + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +165,9 @@ def zeta(delta, a, t):
                                              -a**2 / (2.0 * t)))[()]
 
 
-def _zeta_second_deriv_closed(delta, a, t):
-    """Closed-form route: Ito's formula gives ``zeta'' = -kappa E[X_t^{-3}]``,
+def zeta_second_deriv(delta, a, t):
+    """Second time-derivative of the Bessel mean per entry of ``t``, in
+    closed form: Ito's formula gives ``zeta'' = -kappa E[X_t^{-3}]``,
     ``kappa = (delta-1)(delta-3)/4``, and the noncentral chi-squared law of
     ``X_t^2 / t`` then ``zeta'' = -C (2t)^{-3/2} M(3/2; delta/2; u)``,
     ``u = -a^2/(2t)``: accurate relative to zeta'' also where it is
@@ -182,8 +178,10 @@ def _zeta_second_deriv_closed(delta, a, t):
     return (-c * (2.0 * t) ** -1.5 * m)[()]
 
 
-def _zeta_second_deriv_fp(delta, a, t):
-    """Finite-part route, one row of ``mu_pair`` per entry of ``t``:
+def zeta_second_deriv_fp(delta, a, t):
+    """Second time-derivative of the Bessel mean per entry of ``t`` through
+    the finite-part calculus, one row of ``mu_pair`` per entry: the
+    reference that :func:`zeta_second_deriv` is checked against,
 
         zeta''(t) = -Gamma((delta+1)/2) <mu_{(delta-3)/2}(y), q_reg(delta, t, a^2, y)>.
     """
@@ -192,13 +190,3 @@ def _zeta_second_deriv_fp(delta, a, t):
         besq_density_reg_ytaylor(delta, t, a**2, 8), label="q_reg")
     alpha = (delta - 3.0) / 2.0
     return -special.gamma((delta + 1.0) / 2.0) * mu_pair(alpha, fn)
-
-
-def zeta_second_deriv(delta, a, t, route="finite-part"):
-    """Second time-derivative of the Bessel mean per entry of ``t``, by the
-    requested route (``"finite-part"`` or ``"closed-form"``)."""
-    if route == "finite-part":
-        return _zeta_second_deriv_fp(delta, a, t)
-    if route == "closed-form":
-        return _zeta_second_deriv_closed(delta, a, t)
-    raise ValueError(f"unknown route {route!r}")

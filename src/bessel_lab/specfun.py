@@ -45,6 +45,7 @@ __all__ = [
     "besq_density_reg",
     "besq_density_reg_ytaylor",
     "bridge_density",
+    "bridge_normaliser",
 ]
 
 # Below this value of w = x*y/(4 t^2) S_nu comes from its power series; above
@@ -181,6 +182,21 @@ def besq_density_reg_ytaylor(delta, t, x, order):
     return pref * cauchy_product(e_coef, s_coef)
 
 
+def bridge_normaliser(delta, a, ap):
+    """``q_reg(delta, 1, a^2, ap^2)``, the normaliser of the Bessel bridge
+    ``a -> ap`` over [0, 1].  It carries ``exp(-(a - ap)^2/2)``, which is 0
+    in float64 once ``|a - ap|`` passes about 38.6: no bridge value can
+    come from it then, and that is a range error."""
+    den = besq_density_reg(delta, 1.0, a**2, ap**2)
+    if not den > 0.0:
+        raise OverflowError(
+            f"q_reg(delta, 1, a^2, ap^2) = {float(den)!r} at "
+            f"delta={delta!r}, a={a!r}, ap={ap!r}: the bridge normaliser is "
+            f"below the double range, as it is once |a - ap| passes about "
+            f"38.6 (a log-scale normaliser is ROADMAP item 3(b))")
+    return den
+
+
 def bridge_density(delta, r, a, ap, b):
     """Marginal density at time ``r`` of the Bessel bridge ``a -> ap`` over
     [0, 1], evaluated at ``b``.  Boundary values may be zero."""
@@ -189,7 +205,7 @@ def bridge_density(delta, r, a, ap, b):
     b = np.asarray(b, dtype=float)
     if np.any(b < 0):
         raise DomainError("evaluation point b must be >= 0")
+    den = bridge_normaliser(delta, a, ap)
     num = (besq_density_reg(delta, r, a**2, b**2)
            * besq_density_reg(delta, 1.0 - r, b**2, ap**2))
-    den = besq_density_reg(delta, 1.0, a**2, ap**2)
     return 2.0 * b ** (delta - 1.0) * num / den

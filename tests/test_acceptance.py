@@ -16,7 +16,7 @@ from conftest import (bridge_marginal_cdf, derivative, gamma_3, p_delta_t,
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump)
 from bessel_lab.ibpf import IbpfCase, lhs_mc, rel_err, rhs_ibpf, verify
 from bessel_lab.laplace_sigma import (SigmaContext, sigma_s, sigma_s_series,
-                                      zeta_second_deriv)
+                                      zeta_second_deriv, zeta_second_deriv_fp)
 from bessel_lab.mu_dist import SmoothTestFn, mu_pair
 from bessel_lab.samplers import (RngStream, bessel_bridge_general,
                                  bessel_bridge_integer)
@@ -87,8 +87,8 @@ class TestCriterion3SecondDerivativeRoutes:
     @pytest.mark.parametrize("a", [0.0, 0.8])
     @pytest.mark.parametrize("t", [0.3, 0.7])
     def test_routes_agree(self, delta, a, t):
-        fp = zeta_second_deriv(delta, a, t, route="finite-part")
-        cf = zeta_second_deriv(delta, a, t, route="closed-form")
+        fp = zeta_second_deriv_fp(delta, a, t)
+        cf = zeta_second_deriv(delta, a, t)
         assert rel_err(fp, cf) <= 1e-4
 
     @pytest.mark.parametrize("delta", [1.3, 2.5, 3.5])
@@ -97,8 +97,8 @@ class TestCriterion3SecondDerivativeRoutes:
         want = (-math.sqrt(2.0) / 4.0 * t ** (-1.5)
                 * special.gamma((delta + 1.0) / 2.0)
                 / special.gamma(delta / 2.0))
-        for route in ("finite-part", "closed-form"):
-            got = zeta_second_deriv(delta, 0.0, t, route=route)
+        for second_deriv in (zeta_second_deriv_fp, zeta_second_deriv):
+            got = second_deriv(delta, 0.0, t)
             assert got == pytest.approx(want, rel=1e-4)
 
 

@@ -180,7 +180,7 @@ class TestLhs:
         def forbidden(*args, **kwargs):
             raise AssertionError("unconditioned LHS reached an RHS integrand")
 
-        monkeypatch.setattr(laplace_sigma, "_zeta_second_deriv_fp", forbidden)
+        monkeypatch.setattr(laplace_sigma, "zeta_second_deriv_fp", forbidden)
         forbid_mu(monkeypatch, forbidden)
         monkeypatch.setattr(ibpf, "fp_s_integral", forbidden)
         case = simple_case(1.5, 1.0, m=FiniteMeasure.atom(0.6, 1.0),

@@ -8,7 +8,8 @@ from conftest import p_delta_t
 
 from bessel_lab.core import BridgeSpec, FiniteMeasure
 from bessel_lab.laplace_sigma import (SigmaContext, sigma_s, sigma_s_series,
-                                      zeta, zeta_second_deriv)
+                                      zeta, zeta_second_deriv,
+                                      zeta_second_deriv_fp)
 from bessel_lab.specfun import bridge_density
 
 
@@ -36,12 +37,22 @@ class TestSigmaReductions:
                 want, rel=1e-12)
 
     def test_k_constant(self):
+        # the process's pref is 2 K(a, m), K = exp(a^2 phi'(0)/2)
+        # phi(1)^{delta/2}, and its end time is infinite
         ctx0 = ctx_of(2.0, 1.5, 0.0, FiniteMeasure.zero(), bridge=False)
-        assert ctx0.K == pytest.approx(1.0)
+        assert ctx0.pref == pytest.approx(2.0)
         ctx = ctx_of(2.0, 1.5, 0.0, FiniteMeasure.lebesgue(0.5), bridge=False)
         sol = ctx.sol
         want = math.exp(1.5**2 * sol.phi_prime0 / 2.0) * sol.phi1 ** 1.0
-        assert ctx.K == pytest.approx(want, rel=1e-12)
+        assert ctx.pref == pytest.approx(2.0 * want, rel=1e-12)
+        assert ctx.den == 1.0 and ctx.rho_end == math.inf
+        # the bridge's pref is 2 exp(a^2 phi'(0)/2) phi(1)^{-delta/2}, and
+        # it ends at rho(1)
+        ctx = ctx_of(2.0, 1.5, 0.7, FiniteMeasure.lebesgue(0.5))
+        sol = ctx.sol
+        want = 2.0 * math.exp(1.5**2 * sol.phi_prime0 / 2.0) / sol.phi1
+        assert ctx.pref == pytest.approx(want, rel=1e-12)
+        assert ctx.rho_end == sol.rho1 == sol.rho(1.0)
 
     def test_corrected_closed_form_a0(self):
         # a = ap = 0, m = (theta^2/2) Lebesgue: explicit formula built from
@@ -148,16 +159,16 @@ class TestZeta:
         want = (-math.sqrt(2.0) / 4.0 * t ** (-1.5)
                 * special.gamma((delta + 1.0) / 2.0)
                 / special.gamma(delta / 2.0))
-        for route in ("finite-part", "closed-form"):
-            got = zeta_second_deriv(delta, 0.0, t, route=route)
+        for second_deriv in (zeta_second_deriv_fp, zeta_second_deriv):
+            got = second_deriv(delta, 0.0, t)
             assert got == pytest.approx(want, rel=1e-5)
 
     @pytest.mark.parametrize("delta", [1.3, 2.5, 3.5])
     @pytest.mark.parametrize("a", [0.0, 0.8])
     @pytest.mark.parametrize("t", [0.3, 0.7])
     def test_dual_routes_agree(self, delta, a, t):
-        fp = zeta_second_deriv(delta, a, t, route="finite-part")
-        cf = zeta_second_deriv(delta, a, t, route="closed-form")
+        fp = zeta_second_deriv_fp(delta, a, t)
+        cf = zeta_second_deriv(delta, a, t)
         assert fp == pytest.approx(cf, rel=1e-4)
 
     @pytest.mark.parametrize("delta, a, t", [(0.5, 0.3, 0.01),
@@ -165,8 +176,8 @@ class TestZeta:
     def test_dual_routes_agree_small_t(self, delta, a, t):
         # the Taylor data of q_reg grows like (2t)^{-j} here, so the
         # finite-part tail switch has to move in towards 0
-        fp = zeta_second_deriv(delta, a, t, route="finite-part")
-        cf = zeta_second_deriv(delta, a, t, route="closed-form")
+        fp = zeta_second_deriv_fp(delta, a, t)
+        cf = zeta_second_deriv(delta, a, t)
         assert fp == pytest.approx(cf, rel=1e-4)
 
     @pytest.mark.parametrize("delta, a, t", [(0.5, 0.3, 0.01),
@@ -176,9 +187,9 @@ class TestZeta:
     def test_hypergeometric_closed_form(self, delta, a, t):
         want, want2, _ = _kummer_referee(delta, a, t)
         assert zeta(delta, a, t) == pytest.approx(want, rel=1e-13)
-        for route in ("finite-part", "closed-form"):
-            assert zeta_second_deriv(delta, a, t, route=route) == \
-                pytest.approx(want2, rel=1e-11)
+        for second_deriv in (zeta_second_deriv_fp, zeta_second_deriv):
+            assert second_deriv(delta, a, t) == pytest.approx(want2,
+                                                              rel=1e-11)
 
     @pytest.mark.parametrize("delta", [0.3, 0.5, 1.0, 2.5, 3.5, 10.0])
     def test_referee_grid(self, delta):
@@ -188,9 +199,11 @@ class TestZeta:
             for t in (0.05, 0.2, 0.5, 1.0, 2.0):
                 want, want2, scale = _kummer_referee(delta, a, t)
                 assert zeta(delta, a, t) == pytest.approx(want, rel=1e-13)
-                for route in ("finite-part", "closed-form"):
-                    got = zeta_second_deriv(delta, a, t, route=route)
-                    assert abs(got - want2) <= 1e-12 * scale, (a, t, route)
+                for second_deriv in (zeta_second_deriv_fp,
+                                     zeta_second_deriv):
+                    got = second_deriv(delta, a, t)
+                    assert abs(got - want2) <= 1e-12 * scale, (
+                        a, t, second_deriv.__name__)
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 2.5, 3.0, 10.0])
     def test_closed_form_far_start(self, delta):
@@ -200,7 +213,7 @@ class TestZeta:
         mpmath = pytest.importorskip("mpmath")
         t = np.array([0.2, 0.5, 0.8])
         for a in (1e3, 5e3, 1e6, 1e100):
-            got = zeta_second_deriv(delta, a, t, route="closed-form")
+            got = zeta_second_deriv(delta, a, t)
             with mpmath.workdps(30):
                 d, a2 = mpmath.mpf(delta), mpmath.mpf(a) ** 2
                 c = mpmath.gamma((d + 1) / 2) / mpmath.gamma(d / 2)
@@ -221,7 +234,3 @@ class TestZeta:
             want = float(c * mpmath.sqrt(2 * t)
                          * mpmath.hyp1f1(-0.5, d / 2, -a2 / (2 * t)))
         assert zeta(delta, a, t) == pytest.approx(want, rel=1e-13, abs=0.0)
-
-    def test_unknown_route(self):
-        with pytest.raises(ValueError):
-            zeta_second_deriv(2.0, 0.0, 0.5, route="magic")

@@ -92,6 +92,9 @@ NO_CALLER_KEPT = {
     # the public Bessel mean, whose second derivative the closed-form route
     # takes from one Kummer value; tests check the samplers against it
     "zeta",
+    # the finite-part zeta'', the reference that tests check the closed form
+    # zeta_second_deriv against
+    "zeta_second_deriv_fp",
 }
 
 
@@ -146,6 +149,42 @@ def test_integrate_import_detector():
                      "import scipy.integrate as si\nfrom scipy import special\n"
                      "import scipy\n")
     assert _integrate_imports(tree) == [1, 2, 3, 4]
+
+
+#: The ``os`` names through which a module reads the process environment.
+_ENVIRON_NAMES = ("environ", "getenv")
+
+
+def _environ_reads(tree):
+    """Lines that reach the process environment through ``os.environ`` or
+    ``os.getenv``, or import either name from ``os``."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _ENVIRON_NAMES
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(a.name in _ENVIRON_NAMES for a in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_environ_reads(name):
+    # a run is set by its flags and its config alone: the package reads no
+    # environment variable
+    path = Path(bessel_lab.__path__[0]) / f"{name}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _environ_reads(tree) == []
+
+
+def test_environ_read_detector():
+    tree = ast.parse("import os\nx = os.environ['A']\n"
+                     "y = os.getenv('B', '1')\nfrom os import environ\n"
+                     "from os import path, getenv\nz = os.path.join('a')\n"
+                     "w = cfg.environ\nv = os.environ.get('C')\n")
+    assert _environ_reads(tree) == [2, 3, 4, 5, 8]
 
 
 def _ndim_zero_compares(tree):
@@ -290,7 +329,7 @@ def test_tracer_names_resolve(monkeypatch):
             mode="unconstrained"))
         # the unified RHS pairs through finite_part: mu_pair is reached by
         # the finite-part zeta''
-        laplace_sigma.zeta_second_deriv(2.5, 0.8, 0.3, route="finite-part")
+        laplace_sigma.zeta_second_deriv_fp(2.5, 0.8, 0.3)
         # the samplers and the SPDE, read by position
         ibpf.lhs_mc(mc_case, 200, RngStream(0))
         spde.run_decomposition(bump(0.2), 0.05, 0.01, 5e-5, 1e-5, 32,
