@@ -200,10 +200,21 @@ def _parse_spec(d):
         raise ConfigError(f"bad bridge spec: {exc}") from exc
 
 
+def _parse_law(d):
+    """The bridge spec and mode of a config object.  The process started at
+    ``a`` has no end value, so it refuses an ``ap`` other than 0."""
+    spec = _parse_spec(d)
+    mode = _get(d, "mode", IbpfCase.mode, _mode)
+    if mode == "unconstrained" and spec.ap != 0.0:
+        raise ConfigError(f"bad 'ap': the unconstrained mode has no end "
+                          f"value, so 'ap' must be 0, got {spec.ap!r}")
+    return spec, mode
+
+
 def _parse_case(d, default_tol=None):
     if not isinstance(d, dict):
         raise ConfigError("each case must be an object")
-    spec = _parse_spec(d)
+    spec, mode = _parse_law(d)
     if spec.delta > CASE_DELTA_MAX:
         raise ConfigError(f"bad 'delta': a case's dimension is at most "
                           f"{CASE_DELTA_MAX:g}, got {spec.delta!r}")
@@ -213,7 +224,7 @@ def _parse_case(d, default_tol=None):
         spec=spec,
         phi=_parse_phi(d.get("phi", [])),
         h=_parse_h(d.get("h", {})),
-        mode=_get(d, "mode", IbpfCase.mode, _mode),
+        mode=mode,
         tol=tol,
         case_id=_get(d, "id", "", _case_id),
     )
@@ -335,8 +346,7 @@ def cmd_sl_solve(args):
 def cmd_sigma(args):
     config = _load_json(args.config)
     m = _parse_measure(config)
-    spec = _parse_spec(config)
-    mode = _get(config, "mode", IbpfCase.mode, _mode)
+    spec, mode = _parse_law(config)
     bridge = mode == "bridge"
     # phi and rho are tabulated on [0, 1], and a bridge is pinned at r = 1
     if not (0.0 < args.r < 1.0 or (args.r == 1.0 and not bridge)):

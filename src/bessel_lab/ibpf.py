@@ -160,8 +160,9 @@ def _s_scales(ctx, r):
     tmin = np.minimum(rr, t2)
     th = 1.0 / (1.0 / rr + 1.0 / t2)  # harmonic decay time
     series_scale = 2.0 * tmin * phr**2
-    decay_scale = phr**2 * (2.0 * th * 120.0
-                            + 8.0 * (ctx.spec.a**2 + ctx.spec.ap**2) + 4.0)
+    # the process never reaches an end, so ap is no part of its law
+    ends = ctx.spec.a**2 + (ctx.spec.ap**2 if ctx.bridge else 0.0)
+    decay_scale = phr**2 * (2.0 * th * 120.0 + 8.0 * ends + 4.0)
     return series_scale, decay_scale
 
 
@@ -197,7 +198,7 @@ def fp_s_integral(ctx, r, alpha):
     def probe(s):
         return s ** (alpha - 1.0) * sigma_s(ctx, r[:, None], s)
 
-    big_s = decay_cutoff(probe, s0, decay_scale, probes=100)
+    big_s = decay_cutoff(probe, s0, decay_scale)
     mid = adaptive_gl(f, np.log(s0), np.log(big_s), rtol=1e-10,
                       atol=1e-13 * scale_ref + 1e-250, confirm=1)
 
@@ -251,9 +252,12 @@ def rhs_ibpf(case, route="branch"):
     ``finite_part(delta-3, .)``, and at delta = 1 and 3 (kappa = 0)
     -Gamma(delta)/(4(delta-2)) times ``mu_pair``'s point pairing.  It pairs
     a row's whole round of r-nodes as one row of functions ``b -> Sigma(Phi
-    | b)`` in one call (whose decay probes ``decay_cutoff`` evaluates in
-    bounded slices), with b-Taylor coefficients the s-coefficients of
-    ``sigma_s_series`` at the even orders and 0 at the odd ones."""
+    | b)`` in one call, with b-Taylor coefficients the s-coefficients of
+    ``sigma_s_series`` at the even orders and 0 at the odd ones.  Each
+    function's decay window is the square root of its decay scale in s
+    (``_s_scales``), the scale on which the branch RHS and the bridge LHS
+    probe Sigma, so every route probes 100 points a row up to Sigma's own
+    scale."""
     d = case.spec.delta
     if route == "branch":
         pref = -0.5 * special.gamma((d + 1.0) / 2.0)
@@ -273,7 +277,8 @@ def rhs_ibpf(case, route="branch"):
             taylor = np.zeros((r.size, 2 * SERIES_ORDER + 1))
             taylor[:, ::2] = sigma_s_series(ctx, r)
             fn = SmoothTestFn(lambda b: sigma_s(ctx, r[:, None], b**2),
-                              taylor, label="Sigma")
+                              taylor, label="Sigma",
+                              window=np.sqrt(_s_scales(ctx, r)[1]))
             return pairing(d - 3.0, fn)
     else:
         raise ValueError(f"unknown route {route!r}")
@@ -318,7 +323,7 @@ def bridge_mean_phi(ctx, r):
     def probe(s):
         return np.power(s, beta, out=np.zeros_like(s), where=s > 0.0) * sig(s)
 
-    big_s = decay_cutoff(probe, 0.0, _s_scales(ctx, r)[1], probes=100)
+    big_s = decay_cutoff(probe, 0.0, _s_scales(ctx, r)[1])
     return 0.5 * adaptive_gl(sig, 0.0, big_s, rtol=1e-10, atol=1e-300,
                              confirm=1, beta=beta)
 

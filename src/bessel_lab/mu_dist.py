@@ -27,7 +27,9 @@ f^(k+1)(0)/(k+1)! x^(k+1) is added back in closed form.  On [1, inf) every
 subtracted monomial is individually integrable at infinity
 (j + alpha - 1 < -1 for j <= k): the remainder is integrated by adaptive
 Gauss-Legendre up to the decay cutoff of f, and the monomials' tails beyond
-it in closed form.
+it in closed form.  The cutoff comes from ``decay_cutoff``'s 100 probes on
+f's window ``SmoothTestFn.window``, which doubles until f has decayed
+inside it.
 
 Key identities satisfied by the family (and exercised by the test-suite):
 
@@ -69,9 +71,8 @@ _TAIL_SWITCH = 0.05
 #: alpha = -2.5, and as accurate on the finite-part zeta''.
 _SWITCH_REL = 1e-13
 
-#: First window probed for f's decay cutoff, and how often it may double
+#: How often f's first decay window (``SmoothTestFn.window``) may double
 #: before f counts as not decaying.
-_DECAY_WINDOW = 60.0
 _WINDOW_DOUBLINGS = 8
 
 
@@ -88,11 +89,15 @@ class SmoothTestFn:
     :func:`mu_pair` reads orders up to ``max(ceil(-alpha), 0) + 3`` (the
     stock examples carry orders 0 to 8).  Leading axes of ``taylor`` make a
     row of functions, rows x orders, evaluated on (rows, x) grids.
+    ``window`` is the first window [0, window] on which the pairing probes
+    f's decay, a float or one per row; it doubles until f has decayed
+    inside it, so a window too small costs probes, never accuracy.
     """
 
     f: object
     taylor: np.ndarray
     label: str = "f"
+    window: object = 60.0
 
     def __post_init__(self):
         self.taylor = np.asarray(self.taylor, dtype=float)
@@ -208,11 +213,11 @@ def finite_part(alpha, f):
     def far(x):
         return (f(x) - np.polyval(head[1:], x)) * x ** (alpha - 1.0)
 
-    # f is negligible past its decay cutoff, found inside a window that
+    # f is negligible past its decay cutoff, found inside f's window, which
     # doubles until it holds one; a cutoff below 1 moves to 1
-    window = np.full(rows, _DECAY_WINDOW)
+    window = np.full(rows, f.window, dtype=float)
     for _ in range(_WINDOW_DOUBLINGS + 1):
-        cutoff = decay_cutoff(f, 0.0, window, rel=1e-18, probes=601)
+        cutoff = decay_cutoff(f, 0.0, window, rel=1e-18)
         if (cutoff < window).all():
             break
         window = np.where(cutoff < window, window, 2.0 * window)

@@ -33,10 +33,9 @@ START_PANELS = 4
 MAX_ROUNDS = 11
 
 #: Most grid points on which ``decay_cutoff`` evaluates ``f`` in one call:
-#: the unified RHS probes up to 256 rows x 601 points, and at this bound its
-#: traced peak is that of its quadrature rounds (1.75 MB on a bridge from 0
-#: to 0, 2.3 MB at 32768 points, 4.5 MB unsliced), while the 100-probe
-#: grids of up to 256 rows of the other callers take at most two slices.
+#: every caller probes 100 points a row, on up to 256 rows of r-nodes
+#: (25,600 points, two slices), and a slice stays below the Sigma grids of
+#: the quadrature rounds (up to 32,768 points).
 PROBE_SLICE = 16384
 
 
@@ -130,10 +129,12 @@ def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, confirm=2, beta=0.0):
         f"the worst, over [{lo:.6g}, {hi:.6g}], last read {float(cur[i])!r}")
 
 
-def decay_cutoff(f, lo, hi, rel=1e-22, probes=400):
+def decay_cutoff(f, lo, hi, rel=1e-22, probes=100):
     """Find ``B <= hi`` past which ``|f|`` has decayed below ``rel`` times its
     maximum, by probing on a uniform grid (one per entry of array ends), to
     truncate rapidly decaying semi-infinite integrals for ``adaptive_gl``.
+    Every caller takes the default 100 probes on a window of its function's
+    own scale.
 
     ``f`` sees slices of whole probe columns, at most ``PROBE_SLICE`` points
     each (one column if the rows alone hold more), so that its temporaries

@@ -321,6 +321,28 @@ class TestExitCodes:
                                 "ap": 1.3e154})
         assert case.spec.ap == 1.3e154
 
+    @pytest.mark.parametrize("command", ["ibpf-check", "run-suite", "sigma"])
+    @pytest.mark.parametrize("ap", [5, 45, 1e-300])
+    def test_unconstrained_end_value_is_two(self, command, ap, tmp_path,
+                                            capsys):
+        # the process has no end, so an 'ap' that its law would ignore is a
+        # config error naming 'ap', before any work and with no report;
+        # 'ap': 0 stays valid
+        law = {"delta": 2.5, "a": 1.0, "mode": "unconstrained",
+               "measure": {"atoms": [{"t": 0.6, "w": 1.0}]}}
+        config = law if command == "sigma" else {"cases": [law]}
+        out = tmp_path / "out"
+        argv = [command, "--config", str(tmp_path / "c.json"), "--out",
+                str(out)]
+        for value, code in ((ap, 2), (0, 0)):
+            law["ap"] = value
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            assert main(argv) == code
+            err = capsys.readouterr().err
+            assert (err.startswith("config error: bad 'ap'")
+                    and err.count("\n") == 1) if code else err == ""
+            assert out.exists() == (code == 0)
+
     def test_mode_count_is_bounded(self, tmp_path, monkeypatch, capsys):
         # K is bounded by the memory of spde-sim's (replicas x 2 x K)
         # coefficients: a config error naming 'K' before any field is made,

@@ -14,7 +14,8 @@ from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump,
 from bessel_lab.ibpf import (IbpfCase, lhs_bridge_analytic, lhs_mc,
                              lhs_uncond_analytic, rel_err, rhs_ibpf, verify)
 from bessel_lab.laplace_sigma import SigmaContext, sigma_s, sigma_s_series
-from bessel_lab.quadrature import GL_ORDER, START_PANELS, adaptive_gl
+from bessel_lab.quadrature import (GL_ORDER, START_PANELS, adaptive_gl,
+                                   decay_cutoff)
 from bessel_lab.samplers import RngStream
 
 H = bump(0.2)
@@ -250,6 +251,42 @@ def test_sigma_sees_one_rows_whole_round(monkeypatch):
     assert rows == [(n,) for n in outer for _ in range(2)]
 
 
+@pytest.mark.parametrize("delta, a, ap, mode", [
+    (0.5, 1.0, 2.0, "bridge"), (2.0, 0.0, 3.0, "bridge"),
+    (2.5, 1.0, 0.0, "bridge"), (3.5, 0.0, 0.0, "bridge"),
+    (2.5, 1.0, 0.0, "unconstrained")])
+def test_unified_probes_sigma_on_its_decay_scale(delta, a, ap, mode,
+                                                 monkeypatch):
+    # the unified route probes each Sigma row once, at 100 points on
+    # [0, sqrt(decay scale)]: in b, the scale on which the branch RHS and
+    # the bridge LHS probe Sigma in s
+    windows, probes = [], []
+
+    def series(ctx, r):
+        windows.append(np.sqrt(ibpf._s_scales(ctx, r)[1]))
+        return sigma_s_series(ctx, r)
+
+    def recording(f, lo, hi, **kw):
+        columns = []
+
+        def g(b):
+            columns.append(b.shape[-1])
+            return f(b)
+
+        cut = decay_cutoff(g, lo, hi, **kw)
+        probes.append((lo, np.array(hi), sum(columns)))
+        return cut
+
+    monkeypatch.setattr(ibpf, "sigma_s_series", series)
+    monkeypatch.setattr(mu_dist, "decay_cutoff", recording)
+    rhs_ibpf(simple_case(delta, a, ap, FiniteMeasure.atom(0.6, 1.0), mode),
+             route="unified")
+    assert len(probes) == len(windows) >= 4
+    for (lo, hi, count), window in zip(probes, windows):
+        assert lo == 0.0 and count == 100
+        np.testing.assert_array_equal(hi, window)
+
+
 @pytest.mark.parametrize("case_id, spec, m", [
     ("d2.5_a0_ap0_atom", BridgeSpec(2.5, 0.0, 0.0),
      FiniteMeasure.atom(0.6, 1.0)),
@@ -273,8 +310,9 @@ def test_verify_peak_memory(case_id, spec, m):
 
 def test_unified_peak_memory():
     # traced peak of the unified RHS on the finite_part benchmark's case:
-    # 1.75 MB with finite_part's decay probes evaluated in slices, 4.5 MB
-    # with one whole round of r-nodes probed unsliced
+    # 1.75 MB, that of its quadrature rounds; its decay probes (up to 128
+    # rows x 100 points) stay below it, and 601 probes a row, unsliced,
+    # would reach 4.5 MB
     case = simple_case(2.5)
     rhs_ibpf(case, route="unified")  # warm the caches
     tracemalloc.start()

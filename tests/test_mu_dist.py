@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -137,6 +138,26 @@ class TestMuRows:
         mu_pair(-0.5, exp_rows(self.LAMS))
         assert np.array_equal(windows[-1], [120.0, 60.0, 60.0, 60.0, 240.0])
 
+    @pytest.mark.parametrize("alpha", ALPHA_BATTERY)
+    def test_small_window_doubles_until_decayed(self, alpha, monkeypatch):
+        # a first window far too small doubles (2 -> 64 for exp(-x) at
+        # rel 1e-18) and pairs as the default window does, and as
+        # <mu_alpha, e^{-x}> = 1
+        windows = []
+
+        def recording(f, lo, hi, **kw):
+            windows.append(float(hi))
+            return decay_cutoff(f, lo, hi, **kw)
+
+        f = SmoothTestFn.exp_decay(1.0)
+        want = mu_pair(alpha, f)
+        monkeypatch.setattr(mu_dist, "decay_cutoff", recording)
+        got = mu_pair(alpha, dataclasses.replace(f, window=2.0))
+        if alpha != round(alpha) or alpha > 0:
+            assert windows == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert got == pytest.approx(1.0, rel=1e-8)
+
     def test_one_row_without_decay_is_typed(self):
         with pytest.raises(MuConvergenceError, match="not decayed"):
             mu_pair(0.5, exp_rows([1.0, 1e-4, 3.0]))
@@ -180,6 +201,8 @@ class TestBatchInvariance:
 
     def test_sliced_probes_give_unsliced_cutoffs(self, second_round,
                                                  monkeypatch):
+        # the unified route's probes of the round, on its windows: 128 rows
+        # of 100 probes fit in one PROBE_SLICE, so a smaller slice is set
         ctx, r, series = second_round
         fn, calls = sigma_rows(ctx, r, series), []
 
@@ -187,13 +210,14 @@ class TestBatchInvariance:
             calls.append(b.size)
             return fn(b)
 
-        window = np.full(r.size, 60.0)
-        sliced = decay_cutoff(f, 0.0, window, rel=1e-18, probes=601)
+        window = np.sqrt(ibpf._s_scales(ctx, r)[1])
+        monkeypatch.setattr(quadrature, "PROBE_SLICE", 4096)
+        sliced = decay_cutoff(f, 0.0, window, rel=1e-18)
         assert len(calls) > 1 and max(calls) <= quadrature.PROBE_SLICE
-        monkeypatch.setattr(quadrature, "PROBE_SLICE", r.size * 601)
+        monkeypatch.setattr(quadrature, "PROBE_SLICE", r.size * 100)
         calls.clear()
-        whole = decay_cutoff(f, 0.0, window, rel=1e-18, probes=601)
-        assert calls == [r.size * 601]
+        whole = decay_cutoff(f, 0.0, window, rel=1e-18)
+        assert calls == [r.size * 100]
         assert np.array_equal(sliced, whole)
 
 
