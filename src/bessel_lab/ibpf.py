@@ -107,6 +107,9 @@ class IbpfCase:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "unconstrained" and self.spec.ap != 0.0:
+            raise ValueError(f"the unconstrained mode has no end value, so "
+                             f"ap must be 0, got {self.spec.ap!r}")
         if self.case_id == "":
             # The digest tells apart cases that differ only in Phi or tol,
             # or in digits that the %g fields below round away.
@@ -200,7 +203,7 @@ def fp_s_integral(ctx, r, alpha):
 
     big_s = decay_cutoff(probe, s0, decay_scale)
     mid = adaptive_gl(f, np.log(s0), np.log(big_s), rtol=1e-10,
-                      atol=1e-13 * scale_ref + 1e-250, confirm=1)
+                      atol=1e-13 * scale_ref + 1e-250)
 
     # [S, inf): Sigma negligible; power tails of the subtracted monomials.
     tail = np.sum(c[:, :k + 1] * big_s[:, None] ** q[:k + 1] / q[:k + 1],
@@ -234,8 +237,7 @@ def _sum_terms(case, per_r, point=lambda ctx: 0.0):
     def f(r):
         return np.array([per_r(terms[i][1], row) for i, row in zip(term, r)])
 
-    parts = adaptive_gl(f, ends[:, 0], ends[:, 1], rtol=1e-9, atol=1e-280,
-                        confirm=1)
+    parts = adaptive_gl(f, ends[:, 0], ends[:, 1], rtol=1e-9, atol=1e-280)
     return sum(c * (parts[term == i].sum() + point(ctx))
                for i, (c, ctx) in enumerate(terms))
 
@@ -325,7 +327,7 @@ def bridge_mean_phi(ctx, r):
 
     big_s = decay_cutoff(probe, 0.0, _s_scales(ctx, r)[1])
     return 0.5 * adaptive_gl(sig, 0.0, big_s, rtol=1e-10, atol=1e-300,
-                             confirm=1, beta=beta)
+                             beta=beta)
 
 
 def lhs_bridge_analytic(case):

@@ -7,9 +7,9 @@ doubling the number of equal panels (each carrying a fixed-order rule) and
 evaluates the integrand on the full node set in a single vectorised call per
 refinement round.  Array ends ``a``, ``b`` are one interval per entry: the
 integrand gets one row of nodes each, and all share one panel count, which
-stops only when every entry passes its own tolerance test.  Convergence
-requires two consecutive agreements to guard against accidental
-coincidences on under-resolved grids.
+stops only when every entry passes its own tolerance test.  Every integrand
+handed to it is smooth by construction, so it stops at the first
+refinement that agrees with the one before it.
 
 An algebraic end-point weight ``(x - a)^beta`` is integrated exactly: the
 first panel carries the Gauss-Jacobi rule of that weight (Golub & Welsch,
@@ -32,10 +32,11 @@ GL_ORDER = 16
 START_PANELS = 4
 MAX_ROUNDS = 11
 
-#: Most grid points on which ``decay_cutoff`` evaluates ``f`` in one call:
-#: every caller probes 100 points a row, on up to 256 rows of r-nodes
-#: (25,600 points, two slices), and a slice stays below the Sigma grids of
-#: the quadrature rounds (up to 32,768 points).
+#: Points a row on which ``decay_cutoff`` probes ``f``, and the most grid
+#: points it evaluates in one call: up to 256 rows of r-nodes take 25,600
+#: points (two slices), and a slice stays below the Sigma grids of the
+#: quadrature rounds (up to 32,768 points).
+PROBES = 100
 PROBE_SLICE = 16384
 
 
@@ -93,33 +94,25 @@ def fixed_gl(f, a, b, panels, order, beta=0.0):
     return (half[..., 0, 0] * np.sum(sums, axis=-1))[()]
 
 
-def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, confirm=2, beta=0.0):
+def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, beta=0.0):
     """Integrate vectorised ``f`` over [a, b] (0 if b <= a) by panel-doubling
     composite GL, against the weight ``(x - a)^beta``; ``atol`` may be an
     array of the ends' shape.
 
-    Stops once ``confirm`` consecutive refinements agree to within the
-    tolerance (``confirm=1`` trades the coincidence guard for speed on
-    integrands known to be smooth).
+    Returns the first refinement that agrees with the one before it to
+    within the tolerance in every entry.
     """
     b = np.maximum(a, b)
     panels = START_PANELS
     prev = fixed_gl(f, a, b, panels, GL_ORDER, beta)
-    agreed = 0
     for _ in range(MAX_ROUNDS):
         panels *= 2
         cur = fixed_gl(f, a, b, panels, GL_ORDER, beta)
         step, tol = np.abs(cur - prev), np.maximum(atol, rtol * np.abs(cur))
         ok = step <= tol
         if np.all(ok):
-            agreed += 1
-            if agreed >= confirm:
-                return cur
-        else:
-            agreed = 0
+            return cur
         prev = cur
-    if agreed >= 1:
-        return prev
     # name the failing count and the row whose last step missed by most
     miss = np.where(ok, 0.0, np.nan_to_num(step / tol, nan=np.inf))
     i = np.unravel_index(np.argmax(miss), ok.shape)
@@ -129,31 +122,31 @@ def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, confirm=2, beta=0.0):
         f"the worst, over [{lo:.6g}, {hi:.6g}], last read {float(cur[i])!r}")
 
 
-def decay_cutoff(f, lo, hi, rel=1e-22, probes=100):
+def decay_cutoff(f, lo, hi, rel=1e-22):
     """Find ``B <= hi`` past which ``|f|`` has decayed below ``rel`` times its
-    maximum, by probing on a uniform grid (one per entry of array ends), to
-    truncate rapidly decaying semi-infinite integrals for ``adaptive_gl``.
-    Every caller takes the default 100 probes on a window of its function's
-    own scale.
+    maximum, by probing on a uniform grid of ``PROBES`` points (one per entry
+    of array ends), to truncate rapidly decaying semi-infinite integrals for
+    ``adaptive_gl``.  Every caller probes a window of its function's own
+    scale.
 
     ``f`` sees slices of whole probe columns, at most ``PROBE_SLICE`` points
     each (one column if the rows alone hold more), so that its temporaries
     stay bounded however many rows the ends hold; only ``|f|`` is kept on
     the whole grid."""
     lo, hi = (np.asarray(v, dtype=float)[..., None] for v in (lo, hi))
-    width = (hi - lo) / (probes - 1)
-    vals = np.empty(width.shape[:-1] + (probes,))
+    width = (hi - lo) / (PROBES - 1)
+    vals = np.empty(width.shape[:-1] + (PROBES,))
     step = max(PROBE_SLICE // width.size, 1)
-    for j in range(0, probes, step):
-        # columns j .. j + step - 1 of _linspace(lo, hi, probes)
-        grid = np.arange(j, min(j + step, probes)) * width + lo
-        if j + step >= probes:
+    for j in range(0, PROBES, step):
+        # columns j .. j + step - 1 of _linspace(lo, hi, PROBES)
+        grid = np.arange(j, min(j + step, PROBES)) * width + lo
+        if j + step >= PROBES:
             grid[..., -1:] = hi
         vals[..., j:j + step] = np.abs(f(grid))
     peak = vals.max(axis=-1)
-    last = probes - 1 - np.argmax(vals[..., ::-1] > rel * peak[..., None],
+    last = PROBES - 1 - np.argmax(vals[..., ::-1] > rel * peak[..., None],
                                   axis=-1)
-    idx = np.minimum(last + 2, probes - 1)
+    idx = np.minimum(last + 2, PROBES - 1)
     lo, hi, width = lo[..., 0], hi[..., 0], width[..., 0]
-    cut = np.where(idx == probes - 1, hi, idx * width + lo)
-    return np.where(peak == 0.0, lo + (hi - lo) / probes, cut)[()]
+    cut = np.where(idx == PROBES - 1, hi, idx * width + lo)
+    return np.where(peak == 0.0, lo + (hi - lo) / PROBES, cut)[()]

@@ -8,14 +8,14 @@ from scipy import integrate, special
 
 from conftest import gamma_3, p_delta_t
 
-from bessel_lab import ibpf, laplace_sigma, mu_dist
+from bessel_lab import ibpf, laplace_sigma, mu_dist, quadrature
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump,
                              poly_bump)
 from bessel_lab.ibpf import (IbpfCase, lhs_bridge_analytic, lhs_mc,
                              lhs_uncond_analytic, rel_err, rhs_ibpf, verify)
 from bessel_lab.laplace_sigma import SigmaContext, sigma_s, sigma_s_series
 from bessel_lab.quadrature import (GL_ORDER, START_PANELS, adaptive_gl,
-                                   decay_cutoff)
+                                   decay_cutoff, fixed_gl)
 from bessel_lab.samplers import RngStream
 
 H = bump(0.2)
@@ -251,6 +251,27 @@ def test_sigma_sees_one_rows_whole_round(monkeypatch):
     assert rows == [(n,) for n in outer for _ in range(2)]
 
 
+def test_unified_pairing_stops_at_first_agreement(monkeypatch):
+    # Sigma is smooth in b, so each near and far integral of the unified
+    # pairing stops at the round of 8 panels, the first that agrees
+    rounds, count = [], [0]
+
+    def counting(*args):
+        count[0] += 1
+        return fixed_gl(*args)
+
+    def recording(*args, **kw):
+        before = count[0]
+        out = adaptive_gl(*args, **kw)
+        rounds.append(count[0] - before)
+        return out
+
+    monkeypatch.setattr(quadrature, "fixed_gl", counting)
+    monkeypatch.setattr(mu_dist, "adaptive_gl", recording)
+    rhs_ibpf(simple_case(2.5, 0.0, 0.0), route="unified")
+    assert rounds and max(rounds) <= 2
+
+
 @pytest.mark.parametrize("delta, a, ap, mode", [
     (0.5, 1.0, 2.0, "bridge"), (2.0, 0.0, 3.0, "bridge"),
     (2.5, 1.0, 0.0, "bridge"), (3.5, 0.0, 0.0, "bridge"),
@@ -377,7 +398,8 @@ def test_one_outer_pass_per_case(monkeypatch):
 
     monkeypatch.setattr(ibpf, "adaptive_gl", recording)
     bridge = IbpfCase(spec, ExpFunctional(terms), H)
-    uncond = IbpfCase(spec, ExpFunctional(terms), H, mode="unconstrained")
+    uncond = IbpfCase(BridgeSpec(2.5, 1.0, 0.0), ExpFunctional(terms), H,
+                      mode="unconstrained")
     for route, case in [(rhs_ibpf, bridge), (lhs_bridge_analytic, bridge),
                         (lambda c: rhs_ibpf(c, route="unified"), bridge),
                         (rhs_ibpf, uncond), (lhs_uncond_analytic, uncond)]:
@@ -402,6 +424,12 @@ class TestVerify:
         rep2 = verify(simple_case(
             2.5, 1.0, m=FiniteMeasure.atom(0.6, 1.0), mode="unconstrained"))
         assert rep2.passed
+
+    def test_unconstrained_case_refuses_an_end_value(self):
+        # the process started at a has no end value: an ap other than 0
+        # would give the same law under another case_id
+        with pytest.raises(ValueError, match="ap must be 0"):
+            simple_case(2.5, 1.0, 0.5, mode="unconstrained")
 
     @pytest.mark.parametrize("h", [bump(0.25), poly_bump(0.2)])
     def test_case_pickles(self, h):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pkgutil
@@ -219,42 +220,18 @@ def test_ndim_zero_detector():
     assert _ndim_zero_compares(tree) == [1, 3, 6]
 
 
-def _probe_counts(tree):
-    """Lines of ``decay_cutoff`` calls that pass a probe count, by keyword
-    or as the fifth positional argument."""
-    lines = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(
-            func, "id", None)
-        if name == "decay_cutoff" and (
-                len(node.args) >= 5
-                or any(k.arg == "probes" for k in node.keywords)):
-            lines.append(node.lineno)
-    return lines
-
-
 @pytest.mark.parametrize("name", MODULES + ["__init__"])
 def test_one_probe_rule(name):
-    # every decay cutoff probes decay_cutoff's default grid on a window of
-    # its function's own scale: no caller picks its own count
-    path = Path(bessel_lab.__path__[0]) / f"{name}.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert _probe_counts(tree) == []
-
-
-def test_probe_count_detector():
-    tree = ast.parse("decay_cutoff(f, 0.0, w)\n"
-                     "decay_cutoff(f, 0.0, w, probes=601)\n"
-                     "quadrature.decay_cutoff(f, 0.0, w, 1e-18, 100)\n"
-                     "decay_cutoff(f, 0.0, w, rel=1e-18)\n"
-                     "other(f, 0.0, w, 1e-18, 100, probes=3)\n"
-                     "q.decay_cutoff(f, lo, hi, **kw)\n"
-                     "decay_cutoff(f, 0.0, w, 1e-18,\n"
-                     "             probes=9)\n")
-    assert _probe_counts(tree) == [2, 3, 7]
+    # every integral stops at its first agreeing round and every decay
+    # cutoff probes quadrature.PROBES points a row: no function of the
+    # package (adaptive_gl and decay_cutoff among them) takes a count
+    mod = importlib.import_module(
+        "bessel_lab" if name == "__init__" else f"bessel_lab.{name}")
+    knobs = [(fn.__name__, p) for fn in vars(mod).values()
+             if inspect.isfunction(fn)
+             for p in inspect.signature(fn).parameters
+             if p in ("confirm", "probes")]
+    assert knobs == []
 
 
 def _package_imports(tree):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bessel_lab import quadrature
 from bessel_lab.quadrature import (QuadratureError, _linspace, adaptive_gl,
                                    decay_cutoff, fixed_gl)
 
@@ -52,6 +53,21 @@ class TestJacobiEndPanel:
         assert got == pytest.approx(self.exact(3, beta), rel=1e-14)
 
 
+def test_first_agreeing_round_returns(monkeypatch):
+    # e^x on [0, 1] agrees to rtol 1e-10 between 4 and 8 panels, and the
+    # round of 8 panels is returned: no second agreeing round
+    panels = []
+
+    def counting(f, a, b, n, *args):
+        panels.append(n)
+        return fixed_gl(f, a, b, n, *args)
+
+    monkeypatch.setattr(quadrature, "fixed_gl", counting)
+    got = adaptive_gl(np.exp, 0.0, 1.0)
+    assert panels == [4, 8]
+    assert got == pytest.approx(np.e - 1.0, rel=1e-15)
+
+
 def test_nonconvergence_raises():
     with pytest.raises(QuadratureError):
         adaptive_gl(lambda x: np.sign(np.sin(1e7 * x)), 0.0, 1.0, beta=0.5)
@@ -60,8 +76,8 @@ def test_nonconvergence_raises():
 def test_decay_cutoff_array_ends():
     lo = np.array([0.0, 0.5, 2.0])
     hi = np.array([60.0, 10.0, 30.0])
-    got = decay_cutoff(lambda x: np.exp(-x * x), lo, hi, probes=100)
-    want = [decay_cutoff(lambda x: np.exp(-x * x), a, b, probes=100)
+    got = decay_cutoff(lambda x: np.exp(-x * x), lo, hi)
+    want = [decay_cutoff(lambda x: np.exp(-x * x), a, b)
             for a, b in zip(lo, hi)]
     assert got.shape == (3,)
     assert list(got) == want
