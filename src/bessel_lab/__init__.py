@@ -11,7 +11,7 @@ dynamics.
 from .core import (BridgeSpec, ExpFunctional, FiniteMeasure, TestFunctionC2c,
                    bump, poly_bump)
 from .ibpf import IbpfCase, VerifyReport, rel_err, rhs_ibpf, verify
-from .laplace_sigma import SigmaContext, sigma_s, zeta, zeta_second_deriv
+from .laplace_sigma import SigmaContext, sigma_s, zeta_second_deriv
 from .mu_dist import SmoothTestFn, mu_pair
 from .samplers import (RngStream, bessel_bridge_general, bessel_process,
                        besq_bridge_general, mc_estimate)
@@ -25,7 +25,7 @@ __all__ = [
     "BridgeSpec", "ExpFunctional", "FiniteMeasure", "TestFunctionC2c",
     "bump", "poly_bump",
     "IbpfCase", "VerifyReport", "rel_err", "rhs_ibpf", "verify",
-    "SigmaContext", "sigma_s", "zeta", "zeta_second_deriv",
+    "SigmaContext", "sigma_s", "zeta_second_deriv",
     "SmoothTestFn", "mu_pair",
     "RngStream", "bessel_bridge_general", "bessel_process",
     "besq_bridge_general", "mc_estimate",

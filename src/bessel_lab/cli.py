@@ -39,7 +39,7 @@ from .samplers import (MAX_MESH, MC_MAX_SAMPLES, MC_MIN_SAMPLES, RngStream,
                        bessel_bridge_general)
 from .specfun import bridge_density
 from .sturm_liouville import solve_sl
-from .laplace_sigma import SigmaContext, sigma_s
+from .laplace_sigma import SigmaContext, check_law, sigma_s
 from . import spde
 
 __all__ = ["main"]
@@ -205,9 +205,10 @@ def _parse_law(d):
     ``a`` has no end value, so it refuses an ``ap`` other than 0."""
     spec = _parse_spec(d)
     mode = _get(d, "mode", IbpfCase.mode, _mode)
-    if mode == "unconstrained" and spec.ap != 0.0:
-        raise ConfigError(f"bad 'ap': the unconstrained mode has no end "
-                          f"value, so 'ap' must be 0, got {spec.ap!r}")
+    try:
+        check_law(spec, mode == "bridge")
+    except ValueError as exc:
+        raise ConfigError(f"bad 'ap': {exc}") from exc
     return spec, mode
 
 

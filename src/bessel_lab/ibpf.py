@@ -67,7 +67,7 @@ from scipy import special
 
 from .core import (BridgeSpec, ExpFunctional, TestFunctionC2c, hat_weights,
                    pairing_weights)
-from .laplace_sigma import (SERIES_ORDER, SigmaContext, sigma_s,
+from .laplace_sigma import (SERIES_ORDER, SigmaContext, check_law, sigma_s,
                             sigma_s_series, zeta_second_deriv)
 from .mu_dist import SmoothTestFn, finite_part, mu_pair, taylor_rule
 from .quadrature import adaptive_gl, decay_cutoff
@@ -107,9 +107,7 @@ class IbpfCase:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "unconstrained" and self.spec.ap != 0.0:
-            raise ValueError(f"the unconstrained mode has no end value, so "
-                             f"ap must be 0, got {self.spec.ap!r}")
+        check_law(self.spec, self.mode == "bridge")
         if self.case_id == "":
             # The digest tells apart cases that differ only in Phi or tol,
             # or in digits that the %g fields below round away.
@@ -163,8 +161,7 @@ def _s_scales(ctx, r):
     tmin = np.minimum(rr, t2)
     th = 1.0 / (1.0 / rr + 1.0 / t2)  # harmonic decay time
     series_scale = 2.0 * tmin * phr**2
-    # the process never reaches an end, so ap is no part of its law
-    ends = ctx.spec.a**2 + (ctx.spec.ap**2 if ctx.bridge else 0.0)
+    ends = ctx.spec.a**2 + ctx.spec.ap**2  # ap = 0 for the process
     decay_scale = phr**2 * (2.0 * th * 120.0 + 8.0 * ends + 4.0)
     return series_scale, decay_scale
 

@@ -22,11 +22,9 @@ For both laws Sigma is smooth in ``s = b^2`` down to (and slightly past)
 ``s = 0``.  The finite-part routes do not differentiate it there: they read
 the exact Taylor coefficients that :func:`sigma_s_series` gives.
 
-The module also provides the mean ``zeta(t) = E[X_t]`` of the Bessel process
-started at ``a`` and its second time-derivative by two functions:
-:func:`zeta_second_deriv` in closed form through Kummer's function, and
-:func:`zeta_second_deriv_fp` through a finite-part pairing of the
-regularised kernel, the reference it is checked against.
+The module also provides the second time-derivative of the mean
+``zeta(t) = E[X_t]`` of the Bessel process started at ``a``,
+:func:`zeta_second_deriv`, in closed form through Kummer's function.
 """
 
 from __future__ import annotations
@@ -38,22 +36,28 @@ import numpy as np
 from scipy import special
 
 from .core import BridgeSpec, FiniteMeasure
-from .mu_dist import SmoothTestFn, mu_pair
 from .specfun import (besq_density_reg, besq_density_reg_ytaylor,
                       bridge_normaliser, cauchy_product)
 from .sturm_liouville import solve_sl
 
 __all__ = [
     "SigmaContext",
+    "check_law",
     "sigma_s",
     "sigma_s_series",
-    "zeta",
     "zeta_second_deriv",
-    "zeta_second_deriv_fp",
 ]
 
 #: Number of s-Taylor coefficients of Sigma carried by the series pieces.
 SERIES_ORDER = 14
+
+
+def check_law(spec, bridge):
+    """Refuse an end value ``ap`` other than 0 for the process
+    (``bridge=False``): it has no end, and its law ignores ``ap``."""
+    if not bridge and spec.ap != 0.0:
+        raise ValueError(f"the unconstrained mode has no end value, so "
+                         f"ap must be 0, got {spec.ap!r}")
 
 
 @dataclass
@@ -61,13 +65,14 @@ class SigmaContext:
     """A bridge (``bridge=True``) or process law paired with one measure's
     transform, with that law's constants of Sigma that do not depend on
     ``r`` or ``s``: ``pref``, ``den`` and the end time ``rho_end``, which
-    is infinite for the process."""
+    is infinite for the process, which refuses an ``ap`` other than 0."""
 
     spec: BridgeSpec
     m: FiniteMeasure
     bridge: bool
 
     def __post_init__(self):
+        check_law(self.spec, self.bridge)
         #: The measure's Sturm-Liouville solution (phi, rho).
         self.sol = sol = solve_sl(self.m)
         d, a, ap = self.spec.delta, self.spec.a, self.spec.ap
@@ -135,7 +140,7 @@ def sigma_s_series(ctx, r):
 
 
 # ---------------------------------------------------------------------------
-# Mean of the Bessel process and its second time-derivative.
+# Second time-derivative of the mean of the Bessel process.
 # ---------------------------------------------------------------------------
 
 def _kummer_m(p, b, u):
@@ -154,17 +159,6 @@ def _kummer_m(p, b, u):
     return m
 
 
-def zeta(delta, a, t):
-    """``E[X_t]`` for the Bessel process of dimension delta started at a,
-    per entry of ``t``: ``X_t^2 / t`` is noncentral chi-squared, so
-    ``zeta = C sqrt(2 t) M(-1/2; delta/2; -a^2/(2 t))`` with Kummer's ``M``
-    and ``C = Gamma((delta+1)/2) / Gamma(delta/2)``."""
-    c = special.gamma((delta + 1.0) / 2.0) / special.gamma(delta / 2.0)
-    t = np.asarray(t, dtype=float)
-    return (c * np.sqrt(2.0 * t) * _kummer_m(-0.5, delta / 2.0,
-                                             -a**2 / (2.0 * t)))[()]
-
-
 def zeta_second_deriv(delta, a, t):
     """Second time-derivative of the Bessel mean per entry of ``t``, in
     closed form: Ito's formula gives ``zeta'' = -kappa E[X_t^{-3}]``,
@@ -176,17 +170,3 @@ def zeta_second_deriv(delta, a, t):
     m = _kummer_m(1.5, delta / 2.0, -a**2 / (2.0 * t))
     c = special.gamma((delta + 1.0) / 2.0) / special.gamma(delta / 2.0)
     return (-c * (2.0 * t) ** -1.5 * m)[()]
-
-
-def zeta_second_deriv_fp(delta, a, t):
-    """Second time-derivative of the Bessel mean per entry of ``t`` through
-    the finite-part calculus, one row of ``mu_pair`` per entry: the
-    reference that :func:`zeta_second_deriv` is checked against,
-
-        zeta''(t) = -Gamma((delta+1)/2) <mu_{(delta-3)/2}(y), q_reg(delta, t, a^2, y)>.
-    """
-    fn = SmoothTestFn(
-        lambda y: besq_density_reg(delta, np.asarray(t)[..., None], a**2, y),
-        besq_density_reg_ytaylor(delta, t, a**2, 8), label="q_reg")
-    alpha = (delta - 3.0) / 2.0
-    return -special.gamma((delta + 1.0) / 2.0) * mu_pair(alpha, fn)

@@ -27,9 +27,9 @@ f^(k+1)(0)/(k+1)! x^(k+1) is added back in closed form.  On [1, inf) every
 subtracted monomial is individually integrable at infinity
 (j + alpha - 1 < -1 for j <= k): the remainder is integrated by adaptive
 Gauss-Legendre up to the decay cutoff of f, and the monomials' tails beyond
-it in closed form.  The cutoff comes from ``decay_cutoff``'s 100 probes on
-f's window ``SmoothTestFn.window``, which doubles until f has decayed
-inside it.
+it in closed form.  The cutoff comes from one call of ``decay_cutoff``,
+100 probes on the window ``SmoothTestFn.window`` that f states: f must have
+decayed inside it.
 
 Key identities satisfied by the family (and exercised by the test-suite):
 
@@ -71,10 +71,6 @@ _TAIL_SWITCH = 0.05
 #: alpha = -2.5, and as accurate on the finite-part zeta''.
 _SWITCH_REL = 1e-13
 
-#: How often f's first decay window (``SmoothTestFn.window``) may double
-#: before f counts as not decaying.
-_WINDOW_DOUBLINGS = 8
-
 
 class MuConvergenceError(RuntimeError):
     """Raised when the defining quadrature fails to converge."""
@@ -89,9 +85,10 @@ class SmoothTestFn:
     :func:`mu_pair` reads orders up to ``max(ceil(-alpha), 0) + 3`` (the
     stock examples carry orders 0 to 8).  Leading axes of ``taylor`` make a
     row of functions, rows x orders, evaluated on (rows, x) grids.
-    ``window`` is the first window [0, window] on which the pairing probes
-    f's decay, a float or one per row; it doubles until f has decayed
-    inside it, so a window too small costs probes, never accuracy.
+    ``window`` is a window [0, window] inside which f has decayed below
+    1e-18 of its peak, a float or one per row: the pairing probes f's decay
+    there once, and a row that has not decayed inside it raises
+    :class:`MuConvergenceError`.
     """
 
     f: object
@@ -111,11 +108,14 @@ class SmoothTestFn:
 
     @classmethod
     def exp_decay(cls, lam=1.0):
-        """f(x) = exp(-lam x), with c_k = (-lam)^k / k!."""
+        """f(x) = exp(-lam x), with c_k = (-lam)^k / k!, decayed to e^-60
+        by its window 60 / min(lam, 1)."""
+        if not lam > 0.0:
+            raise ValueError(f"exp(-lam x) decays only for lam > 0, got {lam}")
         return cls(lambda x: np.exp(-lam * np.asarray(x, float)),
                    [(-lam) ** k / math.factorial(k)
                     for k in range(_STOCK_ORDERS)],
-                   label=f"exp(-{lam:g}x)")
+                   label=f"exp(-{lam:g}x)", window=60.0 / min(lam, 1.0))
 
     @classmethod
     def gauss(cls):
@@ -213,17 +213,13 @@ def finite_part(alpha, f):
     def far(x):
         return (f(x) - np.polyval(head[1:], x)) * x ** (alpha - 1.0)
 
-    # f is negligible past its decay cutoff, found inside f's window, which
-    # doubles until it holds one; a cutoff below 1 moves to 1
+    # f is negligible past its decay cutoff inside the window it states; a
+    # cutoff below 1 moves to 1
     window = np.full(rows, f.window, dtype=float)
-    for _ in range(_WINDOW_DOUBLINGS + 1):
-        cutoff = decay_cutoff(f, 0.0, window, rel=1e-18)
-        if (cutoff < window).all():
-            break
-        window = np.where(cutoff < window, window, 2.0 * window)
-    else:
+    cutoff = decay_cutoff(f, 0.0, window, rel=1e-18)
+    if (stuck := cutoff >= window).any():
         raise MuConvergenceError(f"{f.label} has not decayed below 1e-18 of "
-                                 f"its peak by x = {window.max() / 2.0:g}")
+                                 f"its peak by x = {window[stuck].max():g}")
     cutoff = np.maximum(cutoff, 1.0)
     try:
         # [0, 1]: int (f - P_{k+1}) x^{alpha-1} on the Gauss-Jacobi panel of

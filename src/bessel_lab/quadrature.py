@@ -32,12 +32,10 @@ GL_ORDER = 16
 START_PANELS = 4
 MAX_ROUNDS = 11
 
-#: Points a row on which ``decay_cutoff`` probes ``f``, and the most grid
-#: points it evaluates in one call: up to 256 rows of r-nodes take 25,600
-#: points (two slices), and a slice stays below the Sigma grids of the
-#: quadrature rounds (up to 32,768 points).
+#: Points a row on which ``decay_cutoff`` probes ``f``, all in one call: up
+#: to 256 rows of r-nodes take 25,600 points, below the Sigma grids of the
+#: second quadrature round that follows every probe (128 nodes a row).
 PROBES = 100
-PROBE_SLICE = 16384
 
 
 class QuadratureError(RuntimeError):
@@ -124,29 +122,17 @@ def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, beta=0.0):
 
 def decay_cutoff(f, lo, hi, rel=1e-22):
     """Find ``B <= hi`` past which ``|f|`` has decayed below ``rel`` times its
-    maximum, by probing on a uniform grid of ``PROBES`` points (one per entry
-    of array ends), to truncate rapidly decaying semi-infinite integrals for
-    ``adaptive_gl``.  Every caller probes a window of its function's own
-    scale.
-
-    ``f`` sees slices of whole probe columns, at most ``PROBE_SLICE`` points
-    each (one column if the rows alone hold more), so that its temporaries
-    stay bounded however many rows the ends hold; only ``|f|`` is kept on
-    the whole grid."""
-    lo, hi = (np.asarray(v, dtype=float)[..., None] for v in (lo, hi))
-    width = (hi - lo) / (PROBES - 1)
-    vals = np.empty(width.shape[:-1] + (PROBES,))
-    step = max(PROBE_SLICE // width.size, 1)
-    for j in range(0, PROBES, step):
-        # columns j .. j + step - 1 of _linspace(lo, hi, PROBES)
-        grid = np.arange(j, min(j + step, PROBES)) * width + lo
-        if j + step >= PROBES:
-            grid[..., -1:] = hi
-        vals[..., j:j + step] = np.abs(f(grid))
+    maximum, from one evaluation of ``f`` on a uniform grid of ``PROBES``
+    points (one row per entry of array ends), to truncate rapidly decaying
+    semi-infinite integrals for ``adaptive_gl``.  Every caller states a
+    window of its function's own scale; ``B = hi`` means ``f`` has not
+    decayed inside it."""
+    vals = np.abs(f(_linspace(lo, hi, PROBES)))
     peak = vals.max(axis=-1)
     last = PROBES - 1 - np.argmax(vals[..., ::-1] > rel * peak[..., None],
                                   axis=-1)
     idx = np.minimum(last + 2, PROBES - 1)
-    lo, hi, width = lo[..., 0], hi[..., 0], width[..., 0]
+    lo, hi = (np.asarray(v, dtype=float) for v in (lo, hi))
+    width = (hi - lo) / (PROBES - 1)
     cut = np.where(idx == PROBES - 1, hi, idx * width + lo)
     return np.where(peak == 0.0, lo + (hi - lo) / PROBES, cut)[()]

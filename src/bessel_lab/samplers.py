@@ -59,8 +59,6 @@ from scipy import special
 
 __all__ = [
     "RngStream",
-    "gaussian_bridge",
-    "bessel_bridge_integer",
     "bessel_rv",
     "besq_bridge_general",
     "bessel_bridge_general",
@@ -123,38 +121,6 @@ def _check_times(times):
     if times[0] != 0.0 or times[-1] != 1.0:
         raise ValueError("times must increase strictly from 0 to 1")
     return times
-
-
-def gaussian_bridge(d, times, rng, size=1):
-    """``d`` independent Brownian bridges 0 -> 0 sampled at ``times``.
-
-    Returns an array of shape (size, d, len(times)).  Sequential conditional
-    construction: given B_t = b, B_{t+dt} ~ N(b (1-t-dt)/(1-t), dt (1-t-dt)/(1-t)).
-    """
-    times = _check_times(times)
-    g = rng.generator
-    n = len(times)
-    out = np.zeros((size, d, n))
-    cur = np.zeros((size, d))
-    for i in range(1, n - 1):
-        t, tn = times[i - 1], times[i]
-        dt = tn - t
-        shrink = (1.0 - tn) / (1.0 - t)
-        std = np.sqrt(dt * shrink)
-        cur = cur * shrink + std * g.standard_normal((size, d))
-        out[:, :, i] = cur
-    return out
-
-
-def bessel_bridge_integer(delta, times, rng, size=1):
-    """Bessel bridge 0 -> 0 of integer dimension as a Gaussian modulus.
-
-    Returns (size, len(times)) array of path values.
-    """
-    if delta not in (1, 2, 3):
-        raise ValueError("integer sampler supports delta in {1, 2, 3}")
-    beta = gaussian_bridge(int(delta), times, rng, size=size)
-    return np.sqrt(np.sum(beta**2, axis=1))
 
 
 #: Orders from which ``_log_iv`` uses the uniform expansion in nu.

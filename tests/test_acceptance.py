@@ -12,14 +12,14 @@ from scipy import integrate, special, stats
 
 from conftest import (bridge_marginal_cdf, derivative, gamma_3, p_delta_t,
                       q_delta_t, standard_battery, stock_fns, x_times)
+from oracles import bessel_bridge_integer, zeta_second_deriv_fp
 
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump)
 from bessel_lab.ibpf import IbpfCase, lhs_mc, rel_err, rhs_ibpf, verify
 from bessel_lab.laplace_sigma import (SigmaContext, sigma_s, sigma_s_series,
-                                      zeta_second_deriv, zeta_second_deriv_fp)
+                                      zeta_second_deriv)
 from bessel_lab.mu_dist import SmoothTestFn, mu_pair
-from bessel_lab.samplers import (RngStream, bessel_bridge_general,
-                                 bessel_bridge_integer)
+from bessel_lab.samplers import RngStream, bessel_bridge_general
 from bessel_lab.specfun import bridge_density
 from bessel_lab.spde import (bracket_ratio, field_to_u, gamma_rs,
                              martingale_regression, run_decomposition,

@@ -539,8 +539,9 @@ class TestDataCommands:
         assert "config error" in capsys.readouterr().err
 
     def test_mu_no_decay_is_two(self, capsys):
-        # e^{-x/1000} has not decayed within the window: a typed numerical
-        # failure, reported as a message
+        # e^{-x/1000} decays inside its window 6e4, but its far integral,
+        # over [1, 4.2e4], does not converge on uniform panels: a typed
+        # numerical failure, reported as a message
         assert main(["mu", "--alpha", "0.5", "--fn", "exp",
                      "--lambda", "1e-3"]) == 2
         assert "error: " in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from conftest import gamma_3, p_delta_t
+from oracles import bessel_bridge_integer
 
 from bessel_lab import ibpf, laplace_sigma, mu_dist, quadrature
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump,
@@ -118,9 +119,8 @@ class TestRhsBranches:
 
 def forbid_mu(mp, forbidden):
     """Make every binding of mu_pair and finite_part call ``forbidden``."""
-    for mod in (ibpf, laplace_sigma, mu_dist):
-        mp.setattr(mod, "mu_pair", forbidden)
     for mod in (ibpf, mu_dist):
+        mp.setattr(mod, "mu_pair", forbidden)
         mp.setattr(mod, "finite_part", forbidden)
 
 
@@ -175,13 +175,11 @@ class TestLhs:
                                     route="unified"))
 
     def test_uncond_shares_no_rhs_integrand(self, monkeypatch):
-        # the unconditioned LHS takes zeta'' in closed form: neither the
-        # finite-part zeta'' (the RHS's integrand term by term) nor any
-        # finite-part integral may run
+        # the unconditioned LHS takes zeta'' in closed form: no finite-part
+        # integral (the RHS's integrand term by term) may run
         def forbidden(*args, **kwargs):
             raise AssertionError("unconditioned LHS reached an RHS integrand")
 
-        monkeypatch.setattr(laplace_sigma, "zeta_second_deriv_fp", forbidden)
         forbid_mu(monkeypatch, forbidden)
         monkeypatch.setattr(ibpf, "fp_s_integral", forbidden)
         case = simple_case(1.5, 1.0, m=FiniteMeasure.atom(0.6, 1.0),
@@ -235,8 +233,7 @@ def test_sigma_sees_one_rows_whole_round(monkeypatch):
                       (laplace_sigma, "_sigma_uncond_s"),
                       (ibpf, "sigma_s_series")]:
         monkeypatch.setattr(mod, name, recording(getattr(mod, name)))
-    for mod, name in [(ibpf, "finite_part"), (ibpf, "mu_pair"),
-                      (laplace_sigma, "mu_pair")]:
+    for mod, name in [(ibpf, "finite_part"), (ibpf, "mu_pair")]:
         monkeypatch.setattr(mod, name, row_count(getattr(mod, name)))
     monkeypatch.setattr(ibpf, "adaptive_gl", outer_rounds(ibpf.adaptive_gl))
     m = FiniteMeasure.atom(0.6, 1.0)
@@ -332,8 +329,8 @@ def test_verify_peak_memory(case_id, spec, m):
 def test_unified_peak_memory():
     # traced peak of the unified RHS on the finite_part benchmark's case:
     # 1.75 MB, that of its quadrature rounds; its decay probes (up to 128
-    # rows x 100 points) stay below it, and 601 probes a row, unsliced,
-    # would reach 4.5 MB
+    # rows x 100 points, one call) stay below the second round that follows
+    # each probe (128 nodes a row)
     case = simple_case(2.5)
     rhs_ibpf(case, route="unified")  # warm the caches
     tracemalloc.start()
@@ -526,7 +523,7 @@ class TestVerify:
     def test_mc_integer_dimension_against_modulus_sampler(self):
         # delta = 1 bridge: <h'' , X> expectation from the Gaussian-modulus
         # sampler agrees with the general sampler's MC LHS.
-        from bessel_lab.samplers import bessel_bridge_integer, mc_estimate
+        from bessel_lab.samplers import mc_estimate
         case = simple_case(1.0)
         mean_g, se_g = lhs_mc(case, 20000, RngStream(5, 1))
         times = np.linspace(0.0, 1.0, 257)

@@ -5,11 +5,12 @@ import pytest
 from scipy import integrate, special
 
 from conftest import p_delta_t
+from oracles import zeta, zeta_second_deriv_fp
 
+from bessel_lab import laplace_sigma
 from bessel_lab.core import BridgeSpec, FiniteMeasure
 from bessel_lab.laplace_sigma import (SigmaContext, sigma_s, sigma_s_series,
-                                      zeta, zeta_second_deriv,
-                                      zeta_second_deriv_fp)
+                                      zeta_second_deriv)
 from bessel_lab.specfun import bridge_density
 
 
@@ -120,6 +121,21 @@ class TestSigmaReductions:
         v = 2.0 * float(sigma_s(c1, 0.5, 1.0)) \
             + 3.0 * float(sigma_s(c2, 0.5, 1.0))
         assert np.isfinite(v)
+
+    def test_process_refuses_an_end_value(self, monkeypatch):
+        # the process has no end, so its law has no ap: an ap other than 0
+        # is refused before the measure's transform is solved, and the
+        # bridge takes it
+        def forbidden(m):
+            raise AssertionError("solve_sl ran for a refused law")
+
+        m = FiniteMeasure.atom(0.6, 1.0)
+        with monkeypatch.context() as mp:
+            mp.setattr(laplace_sigma, "solve_sl", forbidden)
+            for ap in (5.0, 1e-300):
+                with pytest.raises(ValueError, match="ap must be 0"):
+                    ctx_of(2.5, 1.0, ap, m, bridge=False)
+        assert np.isfinite(sigma_s(ctx_of(2.5, 1.0, 5.0, m), 0.4, 2.0))
 
 
 def _kummer_referee(delta, a, t):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import derivative, stock_fns, x_times
 
-from bessel_lab import ibpf, mu_dist, quadrature
+from bessel_lab import ibpf, mu_dist
 from bessel_lab.core import BridgeSpec, ExpFunctional, bump
 from bessel_lab.ibpf import IbpfCase, rhs_ibpf
 from bessel_lab.laplace_sigma import sigma_s
@@ -63,16 +63,20 @@ class TestMuBranches:
             mu_pair(-0.5, rough)
 
     def test_slow_decay_cutoff(self):
-        # exp(-x/2) is still at 1e-13 at x = 60; the cutoff must look further
-        f = SmoothTestFn.exp_decay(0.5)
-        for alpha in np.arange(-25, 51) / 10.0:
-            if alpha != round(alpha):
-                assert mu_pair(alpha, f) == pytest.approx(2.0**alpha,
-                                                          rel=1e-11)
+        # exp(-x/2) is still at 1e-13 at x = 60, and exp(-x/500) at 0.89:
+        # each states the window 60 / lam, which holds its decay
+        for lam, rel in ((0.5, 1e-11), (0.002, 2e-9)):
+            f = SmoothTestFn.exp_decay(lam)
+            for alpha in np.arange(-25, 51) / 10.0:
+                if alpha != round(alpha):
+                    assert mu_pair(alpha, f) == pytest.approx(
+                        lam ** -alpha, rel=rel)
 
     def test_no_decay_is_typed(self):
+        # exp(-x) has not decayed below 1e-18 of its peak by x = 10
+        f = dataclasses.replace(SmoothTestFn.exp_decay(1.0), window=10.0)
         with pytest.raises(MuConvergenceError, match="not decayed"):
-            mu_pair(0.5, SmoothTestFn.exp_decay(1e-4))
+            mu_pair(0.5, f)
 
     def test_alpha_out_of_range(self):
         f = SmoothTestFn.exp_decay(1.0)
@@ -101,19 +105,20 @@ class TestFinitePart:
 
 def exp_rows(lams):
     """The row of functions exp(-lam x), one row per entry of ``lams``
-    (lam = 0 is the zero function here, not the constant 1)."""
+    (lam = 0 is the zero function here, not the constant 1), each with
+    ``exp_decay``'s window 60 / min(lam, 1) (60 for the zero function)."""
     lams = np.asarray(lams, dtype=float)
     amp = (lams != 0.0).astype(float)
     return SmoothTestFn(
         lambda x: amp[:, None] * np.exp(-lams[:, None] * x),
         np.array([amp * (-lams) ** j / math.factorial(j)
                   for j in range(9)]).T,
-        label="exp rows")
+        label="exp rows",
+        window=60.0 / np.minimum(np.where(amp == 1.0, lams, 1.0), 1.0))
 
 
 class TestMuRows:
-    # e^{-x/2} and e^{-x/4} need one and two window doublings, 1, 3 and
-    # the zero function none
+    # windows of 120, 60, 60, 60 and 240
     LAMS = [0.5, 1.0, 3.0, 0.0, 0.25]
 
     @pytest.mark.parametrize("alpha", ALPHA_BATTERY)
@@ -127,40 +132,32 @@ class TestMuRows:
                 want = mu_pair(alpha, SmoothTestFn.exp_decay(lam))
                 assert val == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_window_doubles_per_row(self, monkeypatch):
-        windows = []
-
-        def recording(f, lo, hi, **kw):
-            windows.append(np.array(hi))
-            return decay_cutoff(f, lo, hi, **kw)
-
-        monkeypatch.setattr(mu_dist, "decay_cutoff", recording)
-        mu_pair(-0.5, exp_rows(self.LAMS))
-        assert np.array_equal(windows[-1], [120.0, 60.0, 60.0, 60.0, 240.0])
-
     @pytest.mark.parametrize("alpha", ALPHA_BATTERY)
-    def test_small_window_doubles_until_decayed(self, alpha, monkeypatch):
-        # a first window far too small doubles (2 -> 64 for exp(-x) at
-        # rel 1e-18) and pairs as the default window does, and as
-        # <mu_alpha, e^{-x}> = 1
-        windows = []
+    def test_small_window_is_not_decayed(self, alpha, monkeypatch):
+        # a stated window in which exp(-x) has not decayed below 1e-18 of
+        # its peak is probed once and refused; the point pairings read
+        # Taylor data only and probe nothing
+        probes = []
 
         def recording(f, lo, hi, **kw):
-            windows.append(float(hi))
+            probes.append(float(hi))
             return decay_cutoff(f, lo, hi, **kw)
 
-        f = SmoothTestFn.exp_decay(1.0)
-        want = mu_pair(alpha, f)
         monkeypatch.setattr(mu_dist, "decay_cutoff", recording)
-        got = mu_pair(alpha, dataclasses.replace(f, window=2.0))
-        if alpha != round(alpha) or alpha > 0:
-            assert windows == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
-        assert got == pytest.approx(1.0, rel=1e-8)
+        f = dataclasses.replace(SmoothTestFn.exp_decay(1.0), window=2.0)
+        if alpha == round(alpha) and alpha <= 0:
+            assert mu_pair(alpha, f) == 1.0 and probes == []
+        else:
+            with pytest.raises(MuConvergenceError,
+                               match="not decayed .* by x = 2$"):
+                mu_pair(alpha, f)
+            assert probes == [2.0]
 
     def test_one_row_without_decay_is_typed(self):
-        with pytest.raises(MuConvergenceError, match="not decayed"):
-            mu_pair(0.5, exp_rows([1.0, 1e-4, 3.0]))
+        # exp(-x/4) has not decayed by x = 60, and its row is refused
+        f = dataclasses.replace(exp_rows([1.0, 0.25, 3.0]), window=60.0)
+        with pytest.raises(MuConvergenceError, match="by x = 60$"):
+            mu_pair(0.5, f)
 
 
 def sigma_rows(ctx, r, series):
@@ -198,27 +195,6 @@ class TestBatchInvariance:
             mu_pair(-0.5, sigma_rows(ctx, r[i:i + 16], series[i:i + 16]))
             for i in range(0, r.size, 16)])
         assert np.array_equal(whole, parts)
-
-    def test_sliced_probes_give_unsliced_cutoffs(self, second_round,
-                                                 monkeypatch):
-        # the unified route's probes of the round, on its windows: 128 rows
-        # of 100 probes fit in one PROBE_SLICE, so a smaller slice is set
-        ctx, r, series = second_round
-        fn, calls = sigma_rows(ctx, r, series), []
-
-        def f(b):
-            calls.append(b.size)
-            return fn(b)
-
-        window = np.sqrt(ibpf._s_scales(ctx, r)[1])
-        monkeypatch.setattr(quadrature, "PROBE_SLICE", 4096)
-        sliced = decay_cutoff(f, 0.0, window, rel=1e-18)
-        assert len(calls) > 1 and max(calls) <= quadrature.PROBE_SLICE
-        monkeypatch.setattr(quadrature, "PROBE_SLICE", r.size * 100)
-        calls.clear()
-        whole = decay_cutoff(f, 0.0, window, rel=1e-18)
-        assert calls == [r.size * 100]
-        assert np.array_equal(sliced, whole)
 
 
 class TestMuIdentities:
@@ -266,3 +242,10 @@ class TestSmoothTestFn:
     def test_needs_taylor(self):
         with pytest.raises(ValueError):
             SmoothTestFn(np.exp, [])
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_exp_decay_needs_a_positive_rate(self, lam):
+        # exp(-lam x) states its window 60 / min(lam, 1), and without decay
+        # there is none
+        with pytest.raises(ValueError, match="lam > 0"):
+            SmoothTestFn.exp_decay(lam)

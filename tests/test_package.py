@@ -85,17 +85,6 @@ def _unreferenced_defs(trees):
 NO_CALLER_KEPT = {
     # the exact sampler for the unconstrained mode's Monte Carlo route
     "bessel_process",
-    # with bessel_bridge_integer, the integer-dimension sampler that checks
-    # the general-dimension bridge sampler
-    "gaussian_bridge",
-    # the Gaussian-modulus sampler of that pair
-    "bessel_bridge_integer",
-    # the public Bessel mean, whose second derivative the closed-form route
-    # takes from one Kummer value; tests check the samplers against it
-    "zeta",
-    # the finite-part zeta'', the reference that tests check the closed form
-    # zeta_second_deriv against
-    "zeta_second_deriv_fp",
 }
 
 
@@ -323,7 +312,7 @@ def test_tracer_names_resolve(monkeypatch):
     spec.loader.exec_module(tracer_mod)
     for name in MODULES:
         importlib.import_module(f"bessel_lab.{name}")
-    from bessel_lab import ibpf, laplace_sigma, spde
+    from bessel_lab import ibpf, spde
     from bessel_lab.core import BridgeSpec, ExpFunctional, FiniteMeasure, bump
     from bessel_lab.samplers import RngStream
     original = ibpf.rhs_ibpf
@@ -342,9 +331,11 @@ def test_tracer_names_resolve(monkeypatch):
         ibpf.lhs_uncond_analytic(ibpf.IbpfCase(
             BridgeSpec(2.5, 0.0, 0.0), ExpFunctional.one(), bump(0.2),
             mode="unconstrained"))
-        # the unified RHS pairs through finite_part: mu_pair is reached by
-        # the finite-part zeta''
-        laplace_sigma.zeta_second_deriv_fp(2.5, 0.8, 0.3)
+        # the unified RHS pairs through finite_part, and through mu_pair's
+        # point pairing at delta = 3
+        ibpf.rhs_ibpf(ibpf.IbpfCase(BridgeSpec(3.0, 1.0, 0.0),
+                                    ExpFunctional.one(), bump(0.2)),
+                      route="unified")
         # the samplers and the SPDE, read by position
         ibpf.lhs_mc(mc_case, 200, RngStream(0))
         spde.run_decomposition(bump(0.2), 0.05, 0.01, 5e-5, 1e-5, 32,

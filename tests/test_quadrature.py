@@ -83,6 +83,23 @@ def test_decay_cutoff_array_ends():
     assert list(got) == want
 
 
+def test_decay_cutoff_probes_in_one_call():
+    # 256 rows of r-nodes, the most an outer round hands over: f sees the
+    # whole probe grid in one call
+    lo = np.linspace(0.0, 1.0, 256)
+    hi = lo + np.linspace(10.0, 60.0, 256)
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return np.exp(-x * x)
+
+    got = decay_cutoff(f, lo, hi)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], _linspace(lo, hi, quadrature.PROBES))
+    assert got.shape == (256,) and np.all((lo < got) & (got < hi))
+
+
 def test_linspace_is_numpy_linspace():
     # the cheap grid keeps np.linspace's arithmetic, value for value
     lo = np.array([0.0, -1.3, 2.5e-7])

@@ -7,12 +7,12 @@ from numpy.polynomial import polynomial as P
 from scipy import special, stats
 
 from conftest import bridge_marginal_cdf
+from oracles import bessel_bridge_integer, gaussian_bridge, zeta
 
 from bessel_lab import samplers
 from bessel_lab.samplers import (MAX_MESH, RngStream, bessel_bridge_general,
-                                 bessel_bridge_integer, bessel_process,
-                                 bessel_rv, besq_bridge_general,
-                                 gaussian_bridge, mc_estimate)
+                                 bessel_process, bessel_rv,
+                                 besq_bridge_general, mc_estimate)
 
 TIMES_17 = np.linspace(0.0, 1.0, 17)
 
@@ -410,7 +410,6 @@ class TestBridgeGeneral:
 
 class TestBesselProcess:
     def test_mean_matches_zeta(self):
-        from bessel_lab.laplace_sigma import zeta
         delta, a = 2.5, 1.0
         times = np.array([0.0, 0.5, 1.0])
         paths = bessel_process(delta, a, times, RngStream(10), size=100000)
