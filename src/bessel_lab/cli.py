@@ -327,9 +327,10 @@ _STOCK_FNS = {
 
 
 def cmd_mu(args):
-    if args.fn == "exp" and not args.lam > 0.0:
-        raise ConfigError(f"exp needs a finite --lambda > 0, got {args.lam}")
-    fn = _STOCK_FNS[args.fn](args.lam)
+    try:
+        fn = _STOCK_FNS[args.fn](args.lam)
+    except ValueError as exc:
+        raise ConfigError(f"bad --lambda: {exc}") from exc
     val = mu_pair(args.alpha, fn)
     payload = {"alpha": args.alpha, "fn": args.fn, "value": val}
     _write(json.dumps(payload, sort_keys=True) + "\n", args.out)

@@ -37,13 +37,13 @@ evaluation loses all precision there.  In ``s`` the integral splits into
   kernels -- no numerical differentiation);
 * [s0, S]: adaptive quadrature in ``u = log s`` of
   ``e^{alpha u} [Sigma - P_k](e^u)`` (subtraction is benign there, and the
-  ``s^{alpha-1}`` end layer is flat in u);
+  ``s^{alpha-1}`` end layer is flat in u), up to Sigma's decay scale S;
 * [S, inf): Sigma itself is negligible; the power tails of the subtracted
   monomials are added in closed form.
 
 The split belongs to that RHS alone: the analytic bridge LHS's integrand
 ``s^{(delta-1)/2} Sigma(s)`` subtracts nothing, and its power is the weight
-of a Gauss-Jacobi first panel.
+of a Gauss-Jacobi first panel, on a range cut by a probe.
 
 Every route makes one outer pass in r per case, one row per (term of Phi,
 segment of supp h), handing its integrand all of a row's r-nodes of the
@@ -155,7 +155,8 @@ def rel_err(lhs, rhs):
 
 def _s_scales(ctx, r):
     """(series scale, decay scale) of Sigma as a function of s, one entry
-    per entry of ``r``."""
+    per entry of ``r``; by the decay scale Sigma has decayed below 1e-22
+    of its peak, and both RHS routes end their pairings there."""
     phr, rr = ctx.sol.phi(r), ctx.sol.rho(r)
     t2 = ctx.rho_end - rr  # inf for the process
     tmin = np.minimum(rr, t2)
@@ -171,7 +172,7 @@ def fp_s_integral(ctx, r, alpha):
     per entry of the 1-d ``r``: ``(-1)^k k! c_k`` at an integer
     ``alpha = -k <= 0``, else ``int_0^inf s^{alpha-1} [Sigma(s) - sum_{j<=k}
     c_j s^j] ds / Gamma(alpha)``, mu_alpha's Taylor orders 0 .. k
-    (``taylor_rule``) subtracted."""
+    (``taylor_rule``) subtracted, in log s up to Sigma's decay scale."""
     c = sigma_s_series(ctx, r)
     k, integral = taylor_rule(alpha)
     if integral:
@@ -195,16 +196,12 @@ def fp_s_integral(ctx, r, alpha):
         sub = np.sum(c[:, :k + 1, None] * powers, axis=1)
         return np.exp(alpha * u) * (sigma_s(ctx, r[:, None], s) - sub)
 
-    def probe(s):
-        return s ** (alpha - 1.0) * sigma_s(ctx, r[:, None], s)
-
-    big_s = decay_cutoff(probe, s0, decay_scale)
-    mid = adaptive_gl(f, np.log(s0), np.log(big_s), rtol=1e-10,
+    mid = adaptive_gl(f, np.log(s0), np.log(decay_scale), rtol=1e-10,
                       atol=1e-13 * scale_ref + 1e-250)
 
     # [S, inf): Sigma negligible; power tails of the subtracted monomials.
-    tail = np.sum(c[:, :k + 1] * big_s[:, None] ** q[:k + 1] / q[:k + 1],
-                  axis=1)
+    tail = np.sum(c[:, :k + 1] * decay_scale[:, None] ** q[:k + 1]
+                  / q[:k + 1], axis=1)
 
     if np.any(tail_term > 1e-9 * (np.abs(near + mid + tail) + scale_ref)):
         raise SeriesTruncationError("Sigma series truncation too coarse")
@@ -254,9 +251,9 @@ def rhs_ibpf(case, route="branch"):
     | b)`` in one call, with b-Taylor coefficients the s-coefficients of
     ``sigma_s_series`` at the even orders and 0 at the odd ones.  Each
     function's decay window is the square root of its decay scale in s
-    (``_s_scales``), the scale on which the branch RHS and the bridge LHS
-    probe Sigma, so every route probes 100 points a row up to Sigma's own
-    scale."""
+    (``_s_scales``), to which the branch RHS integrates in log s: both RHS
+    routes end their pairings at Sigma's own scale, and only the unified
+    one probes it, 100 points a row, to check that Sigma has decayed."""
     d = case.spec.delta
     if route == "branch":
         pref = -0.5 * special.gamma((d + 1.0) / 2.0)

@@ -26,10 +26,10 @@ integrated exactly by a Gauss-Jacobi end panel.  The extra term
 f^(k+1)(0)/(k+1)! x^(k+1) is added back in closed form.  On [1, inf) every
 subtracted monomial is individually integrable at infinity
 (j + alpha - 1 < -1 for j <= k): the remainder is integrated by adaptive
-Gauss-Legendre up to the decay cutoff of f, and the monomials' tails beyond
-it in closed form.  The cutoff comes from one call of ``decay_cutoff``,
-100 probes on the window ``SmoothTestFn.window`` that f states: f must have
-decayed inside it.
+Gauss-Legendre in u = log x, where a slow decay takes few panels, up to
+the window ``SmoothTestFn.window`` that f states (or 1), and the monomials'
+tails beyond it in closed form.  One call of ``decay_cutoff``, 100 probes
+on that window, checks that f has decayed inside it.
 
 Key identities satisfied by the family (and exercised by the test-suite):
 
@@ -86,9 +86,9 @@ class SmoothTestFn:
     stock examples carry orders 0 to 8).  Leading axes of ``taylor`` make a
     row of functions, rows x orders, evaluated on (rows, x) grids.
     ``window`` is a window [0, window] inside which f has decayed below
-    1e-18 of its peak, a float or one per row: the pairing probes f's decay
-    there once, and a row that has not decayed inside it raises
-    :class:`MuConvergenceError`.
+    1e-22 of its peak, a float or one per row: the pairing integrates to
+    it, after one probe of f's decay there, and a row that has not decayed
+    inside it raises :class:`MuConvergenceError`.
     """
 
     f: object
@@ -210,30 +210,30 @@ def finite_part(alpha, f):
             tail, tail.shape[:1] + x.shape)[:, below], x[below])
         return out
 
-    def far(x):
-        return (f(x) - np.polyval(head[1:], x)) * x ** (alpha - 1.0)
+    def far(u):
+        x = np.exp(u)
+        return (f(x) - np.polyval(head[1:], x)) * np.exp(alpha * u)
 
-    # f is negligible past its decay cutoff inside the window it states; a
-    # cutoff below 1 moves to 1
+    # f states a window inside which it has decayed; one probe checks it.
+    # The far piece runs in u = log x to the window, or to 1 below that.
     window = np.full(rows, f.window, dtype=float)
-    cutoff = decay_cutoff(f, 0.0, window, rel=1e-18)
-    if (stuck := cutoff >= window).any():
-        raise MuConvergenceError(f"{f.label} has not decayed below 1e-18 of "
+    if (stuck := decay_cutoff(f, 0.0, window) >= window).any():
+        raise MuConvergenceError(f"{f.label} has not decayed below 1e-22 of "
                                  f"its peak by x = {window[stuck].max():g}")
-    cutoff = np.maximum(cutoff, 1.0)
+    top = np.maximum(window, 1.0)
     try:
         # [0, 1]: int (f - P_{k+1}) x^{alpha-1} on the Gauss-Jacobi panel of
         # x^beta, beta in (0, 1] for alpha < 1, plus the c_{k+1} term.
         total = c[k + 1] / beta + adaptive_gl(
             near, np.zeros(rows), np.ones(rows), rtol=1e-11, atol=1e-13,
             beta=beta)
-        total += adaptive_gl(far, 1.0, cutoff, rtol=1e-11, atol=1e-13)
+        total += adaptive_gl(far, 0.0, np.log(top), rtol=1e-11, atol=1e-13)
     except QuadratureError as exc:
         raise MuConvergenceError(str(exc)) from exc
-    # Beyond the cutoff f itself is negligible, but the subtracted monomials
+    # Beyond the window f itself is negligible, but the subtracted monomials
     # decay only like powers; add their tail integrals in closed form
     # (int_c^inf x^{j+alpha-1} dx = -c^{j+alpha}/(j+alpha), j+alpha < 0).
     # At alpha = -k the c_k term is 0/0 and is left out: c_k = 0.
     for j in range(k if point else k + 1):
-        total += c[j] * cutoff ** (j + alpha) / (j + alpha)
+        total += c[j] * top ** (j + alpha) / (j + alpha)
     return total

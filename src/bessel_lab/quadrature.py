@@ -32,10 +32,13 @@ GL_ORDER = 16
 START_PANELS = 4
 MAX_ROUNDS = 11
 
-#: Points a row on which ``decay_cutoff`` probes ``f``, all in one call: up
-#: to 256 rows of r-nodes take 25,600 points, below the Sigma grids of the
-#: second quadrature round that follows every probe (128 nodes a row).
+#: Points a row on which ``decay_cutoff`` probes ``f``, all in one call: the
+#: bridge LHS's up to 256 rows of r-nodes take 25,600 points, below the Sigma
+#: grids of the second quadrature round that follows (128 nodes a row).
 PROBES = 100
+
+#: Fraction of its peak below which ``decay_cutoff`` counts ``f`` as decayed.
+DECAY_REL = 1e-22
 
 
 class QuadratureError(RuntimeError):
@@ -120,17 +123,17 @@ def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, beta=0.0):
         f"the worst, over [{lo:.6g}, {hi:.6g}], last read {float(cur[i])!r}")
 
 
-def decay_cutoff(f, lo, hi, rel=1e-22):
-    """Find ``B <= hi`` past which ``|f|`` has decayed below ``rel`` times its
-    maximum, from one evaluation of ``f`` on a uniform grid of ``PROBES``
-    points (one row per entry of array ends), to truncate rapidly decaying
-    semi-infinite integrals for ``adaptive_gl``.  Every caller states a
-    window of its function's own scale; ``B = hi`` means ``f`` has not
-    decayed inside it."""
+def decay_cutoff(f, lo, hi):
+    """Find ``B <= hi`` past which ``|f|`` has decayed below ``DECAY_REL``
+    times its maximum, from one evaluation of ``f`` on a uniform grid of
+    ``PROBES`` points (one row per entry of array ends), to truncate a
+    semi-infinite integral on a linear range or to check a stated window.
+    Every caller states a window of its function's own scale; ``B = hi``
+    means ``f`` has not decayed inside it."""
     vals = np.abs(f(_linspace(lo, hi, PROBES)))
     peak = vals.max(axis=-1)
-    last = PROBES - 1 - np.argmax(vals[..., ::-1] > rel * peak[..., None],
-                                  axis=-1)
+    last = PROBES - 1 - np.argmax(
+        vals[..., ::-1] > DECAY_REL * peak[..., None], axis=-1)
     idx = np.minimum(last + 2, PROBES - 1)
     lo, hi = (np.asarray(v, dtype=float) for v in (lo, hi))
     width = (hi - lo) / (PROBES - 1)

@@ -193,7 +193,7 @@ def bridge_normaliser(delta, a, ap):
             f"q_reg(delta, 1, a^2, ap^2) = {float(den)!r} at "
             f"delta={delta!r}, a={a!r}, ap={ap!r}: the bridge normaliser is "
             f"below the double range, as it is once |a - ap| passes about "
-            f"38.6 (a log-scale normaliser is ROADMAP item 3(b))")
+            f"38.6 (a log-scale normaliser is ROADMAP item 12)")
     return den
 
 

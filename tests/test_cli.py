@@ -14,6 +14,7 @@ import pytest
 
 from bessel_lab import cli, ibpf
 from bessel_lab.cli import main
+from bessel_lab.mu_dist import MuConvergenceError
 from bessel_lab.quadrature import QuadratureError
 
 CASES = {
@@ -538,13 +539,23 @@ class TestDataCommands:
                      "--lambda", lam]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_mu_no_decay_is_two(self, capsys):
-        # e^{-x/1000} decays inside its window 6e4, but its far integral,
-        # over [1, 4.2e4], does not converge on uniform panels: a typed
-        # numerical failure, reported as a message
+    def test_mu_slow_decay_pairs(self, capsys):
+        # e^{-x/1000} decays inside its window 6e4, and its far integral
+        # runs in log x: <mu_0.5, e^{-x/1000}> = 1000^0.5
         assert main(["mu", "--alpha", "0.5", "--fn", "exp",
-                     "--lambda", "1e-3"]) == 2
-        assert "error: " in capsys.readouterr().err
+                     "--lambda", "1e-3"]) == 0
+        val = json.loads(capsys.readouterr().out)["value"]
+        assert val == pytest.approx(math.sqrt(1000.0), rel=1e-12)
+
+    def test_mu_no_decay_is_two(self, monkeypatch, capsys):
+        # a pairing whose f has not decayed inside its window is a typed
+        # numerical failure, reported as a message
+        def fail(alpha, f):
+            raise MuConvergenceError("exp has not decayed")
+
+        monkeypatch.setattr(cli, "mu_pair", fail)
+        assert main(["mu", "--alpha", "0.5", "--fn", "exp"]) == 2
+        assert "error: exp has not decayed" in capsys.readouterr().err
 
     def test_quadrature_failure_is_two(self, monkeypatch, capsys):
         def fail(alpha, f):

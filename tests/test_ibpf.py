@@ -276,8 +276,8 @@ def test_unified_pairing_stops_at_first_agreement(monkeypatch):
 def test_unified_probes_sigma_on_its_decay_scale(delta, a, ap, mode,
                                                  monkeypatch):
     # the unified route probes each Sigma row once, at 100 points on
-    # [0, sqrt(decay scale)]: in b, the scale on which the branch RHS and
-    # the bridge LHS probe Sigma in s
+    # [0, sqrt(decay scale)]: in b, the scale to which the branch RHS
+    # integrates Sigma in s
     windows, probes = [], []
 
     def series(ctx, r):
@@ -340,6 +340,21 @@ def test_unified_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3e6
+
+
+@pytest.mark.parametrize("delta, a, ap, mode", [
+    (0.5, 1.0, 2.0, "bridge"), (2.5, 0.0, 0.0, "bridge"),
+    (3.5, 1.0, 0.0, "bridge"), (2.5, 1.0, 20.0, "bridge"),
+    (2.5, 1.0, 0.0, "unconstrained")])
+def test_branch_rhs_does_not_probe(delta, a, ap, mode, monkeypatch):
+    # the branch RHS integrates in log s to Sigma's stated decay scale: it
+    # never searches for a cutoff
+    def forbidden(*args):
+        raise AssertionError("the branch RHS probed Sigma's decay")
+
+    monkeypatch.setattr(ibpf, "decay_cutoff", forbidden)
+    case = simple_case(delta, a, ap, FiniteMeasure.atom(0.6, 1.0), mode)
+    assert np.isfinite(rhs_ibpf(case))
 
 
 @pytest.mark.parametrize("delta, a, ap", [

@@ -212,14 +212,15 @@ def test_ndim_zero_detector():
 @pytest.mark.parametrize("name", MODULES + ["__init__"])
 def test_one_probe_rule(name):
     # every integral stops at its first agreeing round and every decay
-    # cutoff probes quadrature.PROBES points a row: no function of the
-    # package (adaptive_gl and decay_cutoff among them) takes a count
+    # cutoff probes quadrature.PROBES points a row for one threshold,
+    # quadrature.DECAY_REL: no function of the package (adaptive_gl and
+    # decay_cutoff among them) takes a count or a threshold
     mod = importlib.import_module(
         "bessel_lab" if name == "__init__" else f"bessel_lab.{name}")
     knobs = [(fn.__name__, p) for fn in vars(mod).values()
              if inspect.isfunction(fn)
              for p in inspect.signature(fn).parameters
-             if p in ("confirm", "probes")]
+             if p in ("confirm", "probes", "rel")]
     assert knobs == []
 
 
