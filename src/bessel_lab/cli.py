@@ -153,11 +153,6 @@ _boundary = _kind(lambda x: math.isfinite(x * x),
 #: of float64, before the CSV text.
 SAMPLE_VALUES_MAX = 2**25
 
-#: The largest dimension of a verification case.  Up to it the unconstrained
-#: identity holds to 2e-15 at a = 0; at 200 it misses by 4e-3, and past
-#: about 340 Gamma(delta/2) and the kernel's prefactor overflow.
-CASE_DELTA_MAX = 100.0
-
 #: spde-sim's settings as ``name: (type, default)``: the flags of spde-sim
 #: and the keys of run-suite's ``"spde"`` block.
 SPDE_SETTINGS = {"K": (_int, 256), "dt": (_float, 1e-5),
@@ -216,19 +211,14 @@ def _parse_case(d, default_tol=None):
     if not isinstance(d, dict):
         raise ConfigError("each case must be an object")
     spec, mode = _parse_law(d)
-    if spec.delta > CASE_DELTA_MAX:
-        raise ConfigError(f"bad 'delta': a case's dimension is at most "
-                          f"{CASE_DELTA_MAX:g}, got {spec.delta!r}")
     tol = _get(d, "tol", IbpfCase.tol if default_tol is None else default_tol,
                _tol)
-    return IbpfCase(
-        spec=spec,
-        phi=_parse_phi(d.get("phi", [])),
-        h=_parse_h(d.get("h", {})),
-        mode=mode,
-        tol=tol,
-        case_id=_get(d, "id", "", _case_id),
-    )
+    phi, h = _parse_phi(d.get("phi", [])), _parse_h(d.get("h", {}))
+    case_id = _get(d, "id", "", _case_id)
+    try:
+        return IbpfCase(spec, phi, h, mode, tol, case_id)
+    except ValueError as exc:  # the law passed _parse_law: the delta cap
+        raise ConfigError(f"bad 'delta': {exc}") from exc
 
 
 def _parse_cases(config, default_tol=None):

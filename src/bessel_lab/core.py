@@ -21,6 +21,8 @@ from functools import partial
 
 import numpy as np
 
+from .quadrature import fixed_gl
+
 __all__ = [
     "FiniteMeasure",
     "TestFunctionC2c",
@@ -31,9 +33,6 @@ __all__ = [
     "hat_weights",
     "pairing_weights",
 ]
-
-#: Gauss-Legendre order of :func:`hat_weights` on each grid interval.
-_HAT_ORDER = 8
 
 
 @dataclass
@@ -235,20 +234,16 @@ class BridgeSpec:
 
 def hat_weights(times, g):
     """Weights w_j = int g(r) Lambda_j(r) dr against the hat functions of
-    the grid, exact for the piecewise-linear interpolant of the path."""
+    the grid, exact for the piecewise-linear interpolant of the path.  On
+    each interval [lo, hi], ``fixed_gl`` at beta = 1 gives int g (r - lo),
+    the rising hat's integral times hi - lo, and the falling hat's is the
+    rest of int g: one Gauss panel each, exact for g of degree below 32."""
     times = np.asarray(times, dtype=float)
-    nodes, wq = np.polynomial.legendre.leggauss(_HAT_ORDER)
     lo, hi = times[:-1], times[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    rr = mid[:, None] + half[:, None] * nodes[None, :]  # (nint, order)
-    gv = np.asarray(g(rr.ravel()), dtype=float).reshape(rr.shape)
-    lam_right = (rr - lo[:, None]) / (hi - lo)[:, None]
-    wl = np.sum(gv * (1.0 - lam_right) * wq[None, :], axis=1) * half
-    wr = np.sum(gv * lam_right * wq[None, :], axis=1) * half
+    rising = fixed_gl(g, lo, hi, 1, beta=1.0) / (hi - lo)
     w = np.zeros(len(times))
-    w[:-1] += wl
-    w[1:] += wr
+    w[:-1] += fixed_gl(g, lo, hi, 1) - rising
+    w[1:] += rising
     return w
 
 

@@ -46,25 +46,25 @@ class QuadratureError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _gj_nodes(order, beta):
+def _gj_nodes(beta):
     """Gauss-Jacobi rule for the weight ``(1 + x)^beta`` on [-1, 1] (Legendre
     at beta = 0): nodes from the Jacobi matrix of P_n^{(0, beta)} and two
     Newton steps (not ``special.roots_jacobi``, which imports
     ``scipy.linalg``), weights 2^{beta+1} / ((1 - x_i^2) P_n'(x_i)^2)."""
     if beta == 0.0:
-        return np.polynomial.legendre.leggauss(order)
-    k = np.arange(1, order, dtype=float)
+        return np.polynomial.legendre.leggauss(GL_ORDER)
+    k = np.arange(1, GL_ORDER, dtype=float)
     s = 2.0 * k + beta
     diag = np.r_[beta / (beta + 2.0), beta * beta / (s * (s + 2.0))]
     off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
     def dp(x):
-        return 0.5 * (order + beta + 1.0) * special.eval_jacobi(
-            order - 1, 1.0, beta + 1.0, x)
+        return 0.5 * (GL_ORDER + beta + 1.0) * special.eval_jacobi(
+            GL_ORDER - 1, 1.0, beta + 1.0, x)
 
     for _ in range(2):
-        x = x - special.eval_jacobi(order, 0.0, beta, x) / dp(x)
+        x = x - special.eval_jacobi(GL_ORDER, 0.0, beta, x) / dp(x)
     return x, 2.0 ** (beta + 1.0) / ((1.0 - x * x) * dp(x) ** 2)
 
 
@@ -77,12 +77,13 @@ def _linspace(lo, hi, num):
     return grid
 
 
-def fixed_gl(f, a, b, panels, order, beta=0.0):
-    """Composite rule with ``panels`` equal panels for ``int_a^b f(x)
-    (x - a)^beta dx`` (beta > -1), the first panel by the Gauss-Jacobi rule
-    of the weight.  Array ends give one integral per entry."""
-    x, w = _gj_nodes(order, 0.0)
-    xj, wj = _gj_nodes(order, beta)
+def fixed_gl(f, a, b, panels, *, beta=0.0):
+    """``panels`` equal panels of ``GL_ORDER`` nodes for ``int_a^b f(x)
+    (x - a)^beta dx`` (beta > -1), the first by the Gauss-Jacobi rule of the
+    weight (at one panel and beta = 1, ``core.hat_weights``' rising hat
+    times b - a).  Array ends give one integral per entry."""
+    x, w = _gj_nodes(0.0)
+    xj, wj = _gj_nodes(beta)
     edges = _linspace(a, b, panels + 1)
     a = edges[..., :1]
     half = 0.5 * (edges[..., 1] - edges[..., 0])[..., None, None]
@@ -105,10 +106,10 @@ def adaptive_gl(f, a, b, rtol=1e-10, atol=1e-14, beta=0.0):
     """
     b = np.maximum(a, b)
     panels = START_PANELS
-    prev = fixed_gl(f, a, b, panels, GL_ORDER, beta)
+    prev = fixed_gl(f, a, b, panels, beta=beta)
     for _ in range(MAX_ROUNDS):
         panels *= 2
-        cur = fixed_gl(f, a, b, panels, GL_ORDER, beta)
+        cur = fixed_gl(f, a, b, panels, beta=beta)
         step, tol = np.abs(cur - prev), np.maximum(atol, rtol * np.abs(cur))
         ok = step <= tol
         if np.all(ok):
@@ -128,14 +129,13 @@ def decay_cutoff(f, lo, hi):
     times its maximum, from one evaluation of ``f`` on a uniform grid of
     ``PROBES`` points (one row per entry of array ends), to truncate a
     semi-infinite integral on a linear range or to check a stated window.
-    Every caller states a window of its function's own scale; ``B = hi``
-    means ``f`` has not decayed inside it."""
-    vals = np.abs(f(_linspace(lo, hi, PROBES)))
-    peak = vals.max(axis=-1)
-    last = PROBES - 1 - np.argmax(
-        vals[..., ::-1] > DECAY_REL * peak[..., None], axis=-1)
+    ``B`` is a probe point, two past the last probe above the threshold
+    (the first past ``lo`` if none is) or ``hi``, which means ``f`` has not
+    decayed inside the window that every caller states on its function's
+    own scale (nor has a row holding a NaN)."""
+    grid = _linspace(lo, hi, PROBES)
+    vals = np.abs(f(grid))
+    above = ~(vals <= DECAY_REL * vals.max(axis=-1, keepdims=True))
+    last = np.max(np.where(above, np.arange(PROBES), -1), axis=-1)
     idx = np.minimum(last + 2, PROBES - 1)
-    lo, hi = (np.asarray(v, dtype=float) for v in (lo, hi))
-    width = (hi - lo) / (PROBES - 1)
-    cut = np.where(idx == PROBES - 1, hi, idx * width + lo)
-    return np.where(peak == 0.0, lo + (hi - lo) / PROBES, cut)[()]
+    return np.take_along_axis(grid, idx[..., None], axis=-1)[..., 0][()]

@@ -318,7 +318,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err) < 200 and key in err
         # the ranges keep far-apart bridges and the largest squares
-        case = cli._parse_case({"delta": cli.CASE_DELTA_MAX, "a": 45.0,
+        case = cli._parse_case({"delta": ibpf.CASE_DELTA_MAX, "a": 45.0,
                                 "ap": 1.3e154})
         assert case.spec.ap == 1.3e154
 
@@ -473,6 +473,32 @@ class TestExitCodes:
                      "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+
+    def test_run_suite_runs_cases_and_spde(self, tmp_path, capsys):
+        # a suite with cases and an "spde" block writes the cases' reports
+        # and spde-sim's diagnostics at the suite's seed, and exits with the
+        # larger status: at seed 3 this tiny run misses its diagnostics (1)
+        spde = {"K": 16, "replicas": 4, "dt": 1e-4, "T": 0.002,
+                "store_every": 5}
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({"cases": [{"id": "d3", "delta": 3}],
+                                   "spde": spde}))
+        out, cases_out, spde_out = (tmp_path / n for n in ("suite", "cases",
+                                                           "spde"))
+        code = main(["run-suite", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)])
+        assert main(["ibpf-check", "--config", str(cfg), "--seed", "3",
+                     "--out", str(cases_out)]) == 0
+        argv = [item for key, value in spde.items()
+                for item in ("--" + key.replace("_", "-"), str(value))]
+        assert main(["spde-sim", *argv, "--seed", "3",
+                     "--out", str(spde_out)]) == 1
+        assert code == 1
+        for name in ("report.json", "report.csv"):
+            assert (out / name).read_bytes() == (cases_out / name).read_bytes()
+        assert ((out / "spde" / "diagnostics.json").read_bytes()
+                == (spde_out / "diagnostics.json").read_bytes())
 
 
 class TestReports:

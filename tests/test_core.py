@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump,
-                             pairing_weights, poly_bump)
+                             hat_weights, pairing_weights, poly_bump)
 
 TIMES = np.linspace(0.0, 1.0, 101)
 
@@ -110,6 +110,17 @@ class TestPairings:
         assert w_m[30] == 2.0 and w_m[50] == 1.5
         assert w_hm[50] == 1.5 * float(h(0.5))
         assert np.count_nonzero(w_m) == 2
+
+    def test_hat_weights_exact_for_polynomials(self):
+        # sum_j w_j X(t_j) = int g X for X = 1 and X = r, g of degree 10 on
+        # a nonuniform grid: both hat integrals of each interval are exact
+        times = np.linspace(0.0, 1.0, 41) ** 2
+        g = np.polynomial.Polynomial(np.linspace(0.5, 3.0, 11))
+        w = hat_weights(times, g)
+        for x in (np.polynomial.Polynomial([1.0]),
+                  np.polynomial.Polynomial([0.0, 1.0])):
+            want = (g * x).integ()(1.0) - (g * x).integ()(0.0)
+            assert w @ x(times) == pytest.approx(want, rel=1e-14)
 
 
 class TestFunctionals:

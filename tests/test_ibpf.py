@@ -9,7 +9,7 @@ from scipy import integrate, special
 from conftest import gamma_3, p_delta_t
 from oracles import bessel_bridge_integer
 
-from bessel_lab import ibpf, laplace_sigma, mu_dist, quadrature
+from bessel_lab import ibpf, laplace_sigma, mu_dist, quadrature, specfun
 from bessel_lab.core import (BridgeSpec, ExpFunctional, FiniteMeasure, bump,
                              poly_bump)
 from bessel_lab.ibpf import (IbpfCase, lhs_bridge_analytic, lhs_mc,
@@ -18,6 +18,7 @@ from bessel_lab.laplace_sigma import SigmaContext, sigma_s, sigma_s_series
 from bessel_lab.quadrature import (GL_ORDER, START_PANELS, adaptive_gl,
                                    decay_cutoff, fixed_gl)
 from bessel_lab.samplers import RngStream
+from bessel_lab.specfun import bridge_density
 
 H = bump(0.2)
 
@@ -38,7 +39,6 @@ class TestGamma3:
 
     def test_density_ratio_limit(self):
         # gamma(r, a) = (1/2) lim p^{3,r}_{a,a}(eps)/eps^2
-        from bessel_lab.specfun import bridge_density
         for r, a in [(0.3, 1.2), (0.5, 0.0)]:
             eps = 1e-4
             approx = 0.5 * float(bridge_density(3.0, r, a, a, eps)) / eps**2
@@ -253,9 +253,9 @@ def test_unified_pairing_stops_at_first_agreement(monkeypatch):
     # pairing stops at the round of 8 panels, the first that agrees
     rounds, count = [], [0]
 
-    def counting(*args):
+    def counting(*args, **kw):
         count[0] += 1
-        return fixed_gl(*args)
+        return fixed_gl(*args, **kw)
 
     def recording(*args, **kw):
         before = count[0]
@@ -437,6 +437,39 @@ class TestVerify:
             2.5, 1.0, m=FiniteMeasure.atom(0.6, 1.0), mode="unconstrained"))
         assert rep2.passed
 
+    def test_case_dimension_is_capped(self):
+        # past delta = 100 the identity no longer holds to the case's
+        # tolerance, so no case is made there, by the CLI or the library
+        assert simple_case(ibpf.CASE_DELTA_MAX).spec.delta == 100.0
+        with pytest.raises(ValueError, match="at most 100, got 100.5"):
+            simple_case(100.5)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: simple_case(2.5, mode="x"), "unknown mode"),
+        (lambda: rhs_ibpf(simple_case(2.5), route="x"), "unknown route"),
+        (lambda: lhs_bridge_analytic(simple_case(2.5, mode="unconstrained")),
+         "needs bridge mode"),
+        (lambda: lhs_uncond_analytic(simple_case(2.5)),
+         "needs unconstrained mode"),
+        (lambda: lhs_mc(simple_case(2.5, mode="unconstrained"), 200,
+                        RngStream(0)), "needs bridge mode"),
+        (lambda: verify(simple_case(2.5), mc_n=200), "needs an RngStream"),
+        (lambda: bridge_density(2.5, 0.0, 1.0, 0.0, 1.0), "lie in"),
+        (lambda: bridge_density(2.5, 1.0, 1.0, 0.0, 1.0), "lie in"),
+        (lambda: bridge_density(2.5, 0.5, 1.0, 0.0, [1.0, -0.1]), ">= 0")],
+        ids=["mode", "route", "bridge_lhs", "uncond_lhs", "mc_lhs",
+             "mc_rng", "r_zero", "r_one", "b_negative"])
+    def test_guards_refuse_before_any_work(self, call, match, monkeypatch):
+        # each guard raises before the first integral or kernel call
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a refused call ran a computation")
+
+        monkeypatch.setattr(ibpf, "adaptive_gl", forbidden)
+        monkeypatch.setattr(ibpf, "bessel_bridge_general", forbidden)
+        monkeypatch.setattr(specfun, "besq_density_reg", forbidden)
+        with pytest.raises(ValueError, match=match):
+            call()
+
     def test_unconstrained_case_refuses_an_end_value(self):
         # the process started at a has no end value: an ap other than 0
         # would give the same law under another case_id
@@ -587,7 +620,6 @@ class TestStructuralIdentities:
         # naive MC estimator of X^{-3} has infinite variance (density ~
         # b^{delta-1} at 0 gives a divergent second moment), so the
         # expectation is evaluated exactly from the marginal density.
-        from bessel_lab.specfun import bridge_density
         delta, a = 3.5, 1.0
         case = simple_case(delta, a, a)
         rhs = rhs_ibpf(case)

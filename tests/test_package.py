@@ -209,6 +209,54 @@ def test_ndim_zero_detector():
     assert _ndim_zero_compares(tree) == [1, 3, 6]
 
 
+def _gauss_rules(tree):
+    """Lines that name ``leggauss`` or a ``roots_*`` function (SciPy's
+    Gauss rules), as an attribute, a name or an import."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        else:
+            continue
+        if any(n == "leggauss" or n.startswith("roots_") for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES + ["__init__"]
+                                  if m != "quadrature"])
+def test_one_gauss_rule_builder(name):
+    # one quadrature stack: only quadrature builds a Gauss rule, so a rule
+    # change there reaches every integral, the Monte Carlo weights too
+    path = Path(bessel_lab.__path__[0]) / f"{name}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _gauss_rules(tree) == []
+
+
+def test_gauss_rule_detector():
+    tree = ast.parse("import numpy as np\n"
+                     "x, w = np.polynomial.legendre.leggauss(8)\n"
+                     "from scipy.special import roots_jacobi\n"
+                     "from numpy.polynomial.legendre import leggauss as lg\n"
+                     "y = special.roots_legendre(4)\n"
+                     "z = np.polynomial.legendre.legval(x, [1.0])\n"
+                     "v = np.roots([1.0, 2.0])\nu = roots_hermite(3)\n")
+    assert _gauss_rules(tree) == [2, 3, 4, 5, 8]
+
+
+def test_fixed_gl_keeps_one_order():
+    # every rule has GL_ORDER nodes, and beta goes by keyword, so that a
+    # fifth positional argument is never read as an order
+    from bessel_lab.quadrature import fixed_gl
+    params = inspect.signature(fixed_gl).parameters
+    assert "order" not in params
+    assert params["beta"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
 @pytest.mark.parametrize("name", MODULES + ["__init__"])
 def test_one_probe_rule(name):
     # every integral stops at its first agreeing round and every decay

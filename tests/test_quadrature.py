@@ -5,7 +5,7 @@ from bessel_lab import quadrature
 from bessel_lab.quadrature import (QuadratureError, _linspace, adaptive_gl,
                                    decay_cutoff, fixed_gl)
 
-BETAS = [-0.75, -0.25, 0.0, 0.5, 1.25, 4.0]
+BETAS = [-0.75, -0.25, 0.0, 0.5, 1.0, 1.25, 4.0]
 
 
 def monomial(j):
@@ -24,7 +24,7 @@ class TestJacobiEndPanel:
     @pytest.mark.parametrize("panels", [1, 4])
     def test_fixed_gl(self, beta, panels):
         for j in range(16):
-            got = fixed_gl(monomial(j), 0.0, self.B, panels, 16, beta=beta)
+            got = fixed_gl(monomial(j), 0.0, self.B, panels, beta=beta)
             assert got == pytest.approx(self.exact(j, beta), rel=1e-14)
 
     def test_adaptive_gl(self, beta):
@@ -36,8 +36,8 @@ class TestJacobiEndPanel:
         # one interval per entry, each with the weight from its own left end
         a = np.array([0.0, 0.4, 1.1])
         b = a + np.array([self.B, 0.9, 2.5])
-        got = fixed_gl(np.exp, a, b, 4, 16, beta=beta)
-        want = [fixed_gl(np.exp, lo, hi, 4, 16, beta=beta)
+        got = fixed_gl(np.exp, a, b, 4, beta=beta)
+        want = [fixed_gl(np.exp, lo, hi, 4, beta=beta)
                 for lo, hi in zip(a, b)]
         assert got.shape == (3,)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
@@ -58,9 +58,9 @@ def test_first_agreeing_round_returns(monkeypatch):
     # round of 8 panels is returned: no second agreeing round
     panels = []
 
-    def counting(f, a, b, n, *args):
+    def counting(f, a, b, n, **kw):
         panels.append(n)
-        return fixed_gl(f, a, b, n, *args)
+        return fixed_gl(f, a, b, n, **kw)
 
     monkeypatch.setattr(quadrature, "fixed_gl", counting)
     got = adaptive_gl(np.exp, 0.0, 1.0)
@@ -98,6 +98,30 @@ def test_decay_cutoff_probes_in_one_call():
     assert len(calls) == 1
     assert np.array_equal(calls[0], _linspace(lo, hi, quadrature.PROBES))
     assert got.shape == (256,) and np.all((lo < got) & (got < hi))
+
+
+def test_decay_cutoff_cuts_at_a_probe():
+    # the cut is read off the probe grid: a probe point, hi among them
+    lo = np.linspace(0.0, 3.0, 64)
+    hi = lo + np.linspace(5.0, 80.0, 64)
+    grid = _linspace(lo, hi, quadrature.PROBES)
+    for f in (lambda x: np.exp(-x * x), lambda x: np.exp(-x),
+              lambda x: np.sin(x) ** 2 * np.exp(-2.0 * x), np.zeros_like,
+              lambda x: 1.0 / (1.0 + x * x)):
+        got = decay_cutoff(f, lo, hi)
+        assert np.all(np.any(grid == got[:, None], axis=1))
+    # 1/(1 + x^2) has not decayed to 1e-22 of its peak in any row
+    assert np.array_equal(got, hi)
+
+
+def test_decay_cutoff_all_zero_row():
+    # a row with nothing above the threshold cuts at the first probe past
+    # lo, where its integral is 0 as anywhere; a NaN row has not decayed
+    lo, hi = np.array([0.0, 0.5, 2.0]), np.array([60.0, 10.0, 30.0])
+    got = decay_cutoff(np.zeros_like, lo, hi)
+    assert np.array_equal(got, _linspace(lo, hi, quadrature.PROBES)[:, 1])
+    assert decay_cutoff(np.zeros_like, 2.0, 30.0) == got[2]
+    assert decay_cutoff(lambda x: np.full_like(x, np.nan), 2.0, 30.0) == 30.0
 
 
 def test_linspace_is_numpy_linspace():
